@@ -6,11 +6,18 @@ every swept statement are invariant under relabeling both graphs at
 once, while g' must genuinely range over labelings (hypomorphy lives on
 a fixed labeled vertex set).
 
+Catalogs (n <= 8) come from orbit marking: the order n-1
+representatives, each joined to a new vertex in every way, are the
+candidates, and each unmarked candidate opens a class and marks every
+candidate in its orbit (`codes.relabelings`).
+
 Per-subset predicates are evaluated over the whole labeled code space
 at once: for each k-subset K the restriction codes of all 2^C(v,2)
-graphs form one gather, and canonical/parity/h3 lookup tables turn the
-hypothesis into a handful of numpy array operations per representative.
-Order 7 multiplies the space by 64 and is gated behind `long_running`.
+graphs form one gather, and canonical/parity/h3 lookup tables (canonical
+tables for orders up to 7) turn the hypothesis into a handful of numpy
+array operations per representative.  At k == v the hypothesis set of a
+representative is its orbit together with its complement's.  Order 7
+multiplies the space by 64 and is gated behind `long_running`.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -19,6 +26,7 @@ no volatile fields), so two runs of the same sweep are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,12 +36,11 @@ import numpy as np
 
 from . import __version__
 from . import codes as codetables
-from .errors import DomainError, OrderTooLarge
+from .errors import DomainError, OrderTooLarge, VerificationError
 from .graph6 import encode
-from .graphs import Graph, complement
+from .graphs import Graph
 from .hypomorphy import equality_threshold
 from .incidence import colex_subsets
-from .isomorphism import isomorphic_up_to_complementation
 
 CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 SWEEP_MAX_V = 6  # order 7 needs long_running=True
@@ -57,26 +64,36 @@ _catalogs: dict[int, GraphCatalog] = {}
 
 
 def enumerate_graphs(n: int) -> GraphCatalog:
-    """Catalog of order n: brute-force canonical filtering for n <= 6,
-    canonical augmentation from order n-1 for n in {7, 8}."""
+    """Catalog of order n by orbit marking over one-vertex augmentations;
+    sound because every order-n class contains a graph whose first n-1
+    vertices induce an order-(n-1) representative."""
     if not 1 <= n <= 8:
         raise OrderTooLarge(f"catalogs support n <= 8, got {n}")
     if n in _catalogs:
         return _catalogs[n]
-    if n <= 6:
-        canon = np.unique(codetables.canonical_table(n))
-    else:
-        prev = enumerate_graphs(n - 1)
-        base_bits = comb(n - 1, 2)
-        ext = np.arange(1 << (n - 1), dtype=np.int64) << base_bits
-        seen: set[int] = set()
-        for rep in prev.representatives:
-            cands = rep.code | ext
-            seen.update(codetables.canonical_codes_batch(n, cands).tolist())
-        canon = np.array(sorted(seen), dtype=np.int64)
-    reps = tuple(Graph.from_code(n, int(c)) for c in canon)
+    prev = np.array(  # order 0 has one graph, the empty one, with code 0
+        [g.code for g in enumerate_graphs(n - 1).representatives] if n > 1 else [0],
+        dtype=np.int64,
+    )
+    base_bits = comb(n - 1, 2)
+    low = (1 << base_bits) - 1
+    marked = np.zeros((len(prev), 1 << (n - 1)), dtype=bool)
+    canon = []
+    for r, rep in enumerate(prev.tolist()):
+        for x in range(1 << (n - 1)):
+            if marked[r, x]:
+                continue
+            orbit = codetables.relabelings(n, rep | x << base_bits)
+            canon.append(int(orbit.min()))
+            rows = np.searchsorted(prev, orbit & low).clip(max=len(prev) - 1)
+            hit = prev[rows] == orbit & low
+            marked[rows[hit], orbit[hit] >> base_bits] = True
+    reps = tuple(Graph.from_code(n, c) for c in sorted(canon))
+    if len(reps) != CATALOG_COUNTS[n]:
+        raise VerificationError(
+            f"order-{n} catalog has {len(reps)} classes, expected {CATALOG_COUNTS[n]}"
+        )
     cat = GraphCatalog(n, reps)
-    assert len(cat) == CATALOG_COUNTS[n]
     _catalogs[n] = cat
     return cat
 
@@ -160,15 +177,6 @@ def _concl_iso_utc_table(v: int, gcode: int, sl: slice) -> np.ndarray:
     return table[codes] == table[gcode]
 
 
-def _relabel_codes(g: Graph) -> np.ndarray:
-    """Codes of every relabeling of g (the hypothesis set at k = v)."""
-    src = codetables.perm_bit_sources(g.n)
-    m = src.shape[1]
-    bits = (g.code >> np.arange(m, dtype=np.int64)) & 1
-    weights = np.int64(1) << np.arange(m, dtype=np.int64)
-    return np.unique((bits[src] * weights).sum(axis=1))
-
-
 # -- membership sweeps ------------------------------------------------------
 
 
@@ -218,20 +226,8 @@ def _membership_chunk(payload: dict) -> dict:
     for rep_idx, gcode in enumerate(payload["rep_codes"]):
         hyp = _hyp_utc_hypo(v, k, gcode, sl)
         hyp_total += int(hyp.sum())
-        if relation == "S":
-            concl = _concl_equal_utc(v, gcode, sl)
-            bad = hyp & ~concl
-        else:
-            if v <= 6:
-                concl = _concl_iso_utc_table(v, gcode, sl)
-                bad = hyp & ~concl
-            else:
-                g = Graph.from_code(v, gcode)
-                bad = np.zeros(len(codes), dtype=bool)
-                for pos in np.nonzero(hyp)[0]:
-                    h = Graph.from_code(v, int(codes[pos]))
-                    if not isomorphic_up_to_complementation(g, h):
-                        bad[pos] = True
+        concl = _concl_equal_utc if relation == "S" else _concl_iso_utc_table
+        bad = hyp & ~concl(v, gcode, sl)
         total_bad += int(bad.sum())
         for pos in np.nonzero(bad)[0][:VIOLATION_LIST_CAP]:
             violations.append((rep_idx, int(codes[pos])))
@@ -243,8 +239,16 @@ def _membership_chunk(payload: dict) -> dict:
     }
 
 
+def bounded_jobs(jobs: int) -> int:
+    """Worker processes to start for `jobs`: at least 1, at most the CPUs
+    this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, min(jobs, len(os.sched_getaffinity(0))))
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def _run_chunks(worker, payload: dict, total: int, jobs: int) -> list[dict]:
-    jobs = max(1, jobs)
+    jobs = bounded_jobs(jobs)
     bounds = [(total * i) // jobs for i in range(jobs + 1)]
     payloads = [
         dict(payload, lo=lo, hi=hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
@@ -268,15 +272,13 @@ def _membership(
     examined = 0
     if k == v:
         # hypothesis set = the iso-utc class of g, enumerated directly
-        for rep_idx, g in enumerate(reps):
-            cls = set(_relabel_codes(g).tolist()) | set(
-                _relabel_codes(complement(g)).tolist()
-            )
+        for rep_idx, gcode in enumerate(rep_codes):
+            gbar = codetables.full_code(v) ^ gcode
+            cls = np.union1d(codetables.relabelings(v, gcode), codetables.relabelings(v, gbar))
             examined += len(cls)
             if relation == "S":
-                good = {g.code, complement(g).code}
-                for c in sorted(cls - good)[:VIOLATION_LIST_CAP]:
-                    violations.append((rep_idx, c))
+                bad = cls[(cls != gcode) & (cls != gbar)]
+                violations.extend((rep_idx, int(c)) for c in bad[:VIOLATION_LIST_CAP])
             # for R the hypothesis class is exactly the conclusion class
     else:
         payload = {"relation": relation, "v": v, "k": k, "rep_codes": rep_codes}
@@ -571,8 +573,6 @@ def write_csv(records: list[AtlasRecord], path: str) -> None:
 
 def write_witness_files(records: list[AtlasRecord], directory: str) -> list[str]:
     """One two-line graph6 file per NonMember record; returns the paths."""
-    import os
-
     paths = []
     for r in records:
         if not r.witness:

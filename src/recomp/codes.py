@@ -7,25 +7,30 @@ similar per-graph quantities become numpy gathers over the whole space.
 That is what makes exhaustive order-6 sweeps (156 canonical graphs against
 all 32768 labeled graphs) run in seconds.
 
-Canonical codes are defined as the minimum over all n! relabelings of the
-code, and the up-to-complementation variant additionally minimizes over
-the complement's relabelings.  Only n <= 8 is supported; that is all the
-atlas and the k-subset profiling ever need.
+One primitive applies relabelings: `relabelings(n, code)` returns the
+codes of all n! relabelings of one graph, as a sum of rows of a
+destination-weight matrix built once per order (n <= 8).  The canonical
+code is the minimum of that orbit, and the up-to-complementation variant
+additionally minimizes over the complement's orbit.  Full canonical
+tables (n <= 7) are built by orbit marking: codes are scanned in
+ascending order, each code not yet marked opens a class, and its whole
+orbit is marked with it, so the opening code is the orbit's minimum.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 from .errors import OrderTooLarge
-from .graphs import Graph, pair_rank
+from .graphs import Graph, pair_rank, pair_unrank
 
 CANON_MAX_ORDER = 8
+TABLE_MAX_ORDER = 7
 
-_perm_src: dict[int, np.ndarray] = {}
+_dest_weights: dict[int, np.ndarray] = {}
 _canon_tables: dict[int, np.ndarray] = {}
 _canon_utc_tables: dict[int, np.ndarray] = {}
 _popcount_tables: dict[int, np.ndarray] = {}
@@ -42,53 +47,31 @@ def full_code(n: int) -> int:
     return (1 << n_pairs(n)) - 1
 
 
-def perm_bit_sources(n: int) -> np.ndarray:
-    """(n!, C(n,2)) array: row p, column d holds the source bit index that
-    relabeling by permutation p moves to destination bit d."""
+def dest_weights(n: int) -> np.ndarray:
+    """(C(n,2), n!) array: row s, column p holds 1 << d, where d is the
+    destination bit that source bit s moves to under permutation p."""
     if n > CANON_MAX_ORDER:
         raise OrderTooLarge(f"canonical codes support n <= {CANON_MAX_ORDER}")
-    if n not in _perm_src:
-        m = n_pairs(n)
-        dest_pairs = [divmod_pair(d) for d in range(m)]
-        src = np.empty((factorial(n), m), dtype=np.int64)
-        for pi, p in enumerate(permutations(range(n))):
-            for d, (a, b) in enumerate(dest_pairs):
-                src[pi, d] = pair_rank(p[a], p[b])
-        _perm_src[n] = src
-    return _perm_src[n]
+    if n not in _dest_weights:
+        perms = np.array(list(permutations(range(n))), dtype=np.int64)
+        rank = np.array([pair_rank(i, j) for i in range(n) for j in range(n)], dtype=np.int64)
+        rank = rank.reshape(n, n)
+        sources = [pair_unrank(s) for s in range(n_pairs(n))]
+        i, j = np.array(sources, dtype=np.int64).reshape(-1, 2).T
+        _dest_weights[n] = np.int64(1) << rank[perms[:, i], perms[:, j]].T
+    return _dest_weights[n]
 
 
-def divmod_pair(r: int) -> tuple[int, int]:
-    j = 1
-    while comb(j + 1, 2) <= r:
-        j += 1
-    return r - comb(j, 2), j
+def relabelings(n: int, code: int) -> np.ndarray:
+    """Codes of all n! relabelings of one graph (repeats for automorphisms)."""
+    weights = dest_weights(n)
+    bits = [s for s in range(len(weights)) if code >> s & 1]
+    return weights[bits].sum(axis=0)
 
 
 def canonical_code(n: int, code: int) -> int:
     """Minimum code over all relabelings of one graph."""
-    src = perm_bit_sources(n)
-    m = src.shape[1]
-    bits = (code >> np.arange(m, dtype=np.int64)) & 1
-    weights = np.int64(1) << np.arange(m, dtype=np.int64)
-    return int((bits[src] * weights).sum(axis=1).min())
-
-
-def canonical_codes_batch(n: int, codes: np.ndarray) -> np.ndarray:
-    """Canonical code of every entry of `codes`, chunked to bound memory."""
-    src = perm_bit_sources(n)
-    m = src.shape[1]
-    weights = np.int64(1) << np.arange(m, dtype=np.int64)
-    out = np.empty(len(codes), dtype=np.int64)
-    chunk = max(1, 30_000_000 // (src.shape[0] * m))
-    for lo in range(0, len(codes), chunk):
-        part = codes[lo : lo + chunk]
-        bits = ((part[:, None] >> np.arange(m, dtype=np.int64)[None, :]) & 1).astype(
-            np.int64
-        )
-        relabeled = (bits[:, src] * weights[None, None, :]).sum(axis=2)
-        out[lo : lo + chunk] = relabeled.min(axis=1)
-    return out
+    return int(relabelings(n, code).min())
 
 
 def all_codes(n: int) -> np.ndarray:
@@ -96,20 +79,23 @@ def all_codes(n: int) -> np.ndarray:
 
 
 def canonical_table(n: int) -> np.ndarray:
-    """Canonical code of every labeled graph of order n (n <= 6)."""
-    if n > 6:
-        raise OrderTooLarge("full canonical tables are built only for n <= 6")
+    """Canonical code of every labeled graph of order n (n <= 7)."""
+    if n > TABLE_MAX_ORDER:
+        raise OrderTooLarge(f"full canonical tables are built only for n <= {TABLE_MAX_ORDER}")
     if n not in _canon_tables:
-        m = n_pairs(n)
-        codes = all_codes(n)
-        bits = [(codes >> b) & 1 for b in range(m)]
-        best = codes.copy()
-        for row in perm_bit_sources(n):
-            relabeled = np.zeros_like(codes)
-            for d in range(m):
-                relabeled |= bits[row[d]] << d
-            np.minimum(best, relabeled, out=best)
-        _canon_tables[n] = best
+        table = np.empty(1 << n_pairs(n), dtype=np.int64)
+        unmarked = np.ones(len(table), dtype=bool)
+        code = 0
+        while True:
+            orbit = relabelings(n, code)
+            table[orbit] = code
+            unmarked[orbit] = False
+            rest = unmarked[code:]
+            step = int(rest.argmax())  # first unmarked code at or after `code`
+            if not rest[step]:
+                break
+            code += step
+        _canon_tables[n] = table
     return _canon_tables[n]
 
 
@@ -186,7 +172,7 @@ def restriction_bit_sources(subset: tuple[int, ...]) -> list[int]:
     `subset` (subset sorted ascending, matching induced() relabeling)."""
     k = len(subset)
     return [
-        pair_rank(subset[a], subset[b]) for a, b in (divmod_pair(d) for d in range(comb(k, 2)))
+        pair_rank(subset[a], subset[b]) for a, b in (pair_unrank(d) for d in range(comb(k, 2)))
     ]
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterable
 
 from .errors import (
@@ -550,7 +550,7 @@ def search_class_g(n: int, budget: int) -> ClassGSearchReport:
     half = (n - 1) // 2
     pick = (n - 1) // 4
     space = comb(half, pick)
-    units = [m for m in range(2, n) if _gcd(m, n) == 1]
+    units = [m for m in range(2, n) if gcd(m, n) == 1]
     found: list[tuple[Graph, tuple[int, ...], int]] = []
     examined = 0
     for classes in combinations(range(1, half + 1), pick):
@@ -573,7 +573,8 @@ def search_class_g(n: int, budget: int) -> ClassGSearchReport:
             return tuple((m * (y - x) + x) % n for y in range(n))
 
         result = class_g_member(g, certifier)
-        assert result.is_member
+        if not result.is_member:
+            raise VerificationError(f"circulant {classes} fails its class-G certificate")
         found.append((g, classes, mult))
     members: list[Graph] = []
     sets: list[tuple[int, ...]] = []
@@ -590,12 +591,6 @@ def search_class_g(n: int, budget: int) -> ClassGSearchReport:
         members=tuple(members),
         connection_sets=tuple(sets),
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def verify_equal_or_class_g(g: Graph, h: Graph, k: int) -> VerifierResult:

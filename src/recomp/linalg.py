@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonPrimeModulus
+from .errors import DomainError, NonPrimeModulus, VerificationError
 
 _CERT_PRIME = (1 << 31) - 1  # Mersenne prime; products fit in int64
 
@@ -51,7 +51,8 @@ def cramer_determinant(v: int, k: int) -> int:
     if not 4 <= k <= v - 1:
         raise DomainError(f"need 4 <= k <= v-1, got k={k}, v={v}")
     delta = binomial(v - 4, k - 4) - binomial(v - 3, k - 3)
-    assert delta == -binomial(v - 4, k - 3) and delta != 0
+    if delta != -binomial(v - 4, k - 3) or delta == 0:
+        raise VerificationError(f"Cramer determinant {delta} at v={v}, k={k} is not -C(v-4, k-3)")
     return delta
 
 

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from recomp import atlas
 from recomp.atlas import (
     CATALOG_COUNTS,
     AtlasRecord,
+    bounded_jobs,
     enumerate_graphs,
     membership_with_resume,
     r_membership,
@@ -15,7 +18,7 @@ from recomp.atlas import (
     write_csv,
     write_witness_files,
 )
-from recomp.errors import DomainError, OrderTooLarge
+from recomp.errors import DomainError, OrderTooLarge, VerificationError
 from recomp.graph6 import decode
 from recomp.graphs import Graph
 from recomp.hypomorphy import equal_up_to_complementation, k_hypomorphic_utc
@@ -33,7 +36,9 @@ def test_catalog_order7():
 
 @pytest.mark.slow
 def test_catalog_order8():
-    assert len(enumerate_graphs(8)) == 12346
+    reps = enumerate_graphs(8).representatives
+    assert len({g.code for g in reps}) == 12346
+    assert all(canonical_form(g) == g.code for g in reps)
 
 
 def test_catalog_reps_pairwise_nonisomorphic():
@@ -47,6 +52,18 @@ def test_catalog_reps_pairwise_nonisomorphic():
 def test_catalog_guards():
     with pytest.raises(OrderTooLarge):
         enumerate_graphs(9)
+
+
+def test_catalog_count_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(atlas, "_catalogs", {})
+    monkeypatch.setitem(CATALOG_COUNTS, 4, 12)
+    with pytest.raises(VerificationError):
+        enumerate_graphs(4)
+
+
+def test_bounded_jobs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [bounded_jobs(j) for j in (-3, 0, 1, 3, 4, 1000)] == [1, 1, 1, 3, 3, 3]
 
 
 def test_s_row_v6():

@@ -414,20 +414,21 @@ def test_complementary_size_transfer(rng):
 
 def test_complementary_size_transfer_is_theorem(rng):
     # whenever the hypothesis holds the conclusion must; random pairs
-    # mostly fail the hypothesis, relabeled complements exercise it
+    # mostly fail the hypothesis, while a graph and its complement share
+    # every per-subset h3 and a0 count, so those pairs always exercise it
     hits = 0
     for _ in range(300):
         n = rng.randint(6, 8)
         g = Graph.random(n, rng)
-        h = Graph.random(n, rng)
-        for mode, lo in (("h3", 3), ("a0", 4)):
-            for k in range(lo, n - lo + 1):
-                try:
-                    assert verify_complementary_size_transfer(g, h, k, mode).ok
-                    hits += 1
-                except HypothesisNotMet:
-                    pass
-    assert hits >= 0  # theorem never falsified on hypothesis-satisfying pairs
+        for h in (Graph.random(n, rng), complement(g)):
+            for mode, lo in (("h3", 3), ("a0", 4)):
+                for k in range(lo, n - lo + 1):
+                    try:
+                        assert verify_complementary_size_transfer(g, h, k, mode).ok
+                        hits += 1
+                    except HypothesisNotMet:
+                        pass
+    assert hits >= 300  # at least one hypothesis-satisfying k per complement pair
 
 
 def test_order4_classification():
