@@ -9,7 +9,6 @@ from .graphs import (
     boolean_sum,
     classify_bipartite_kernel,
     complement,
-    degree,
     induced,
     invariants,
     is_claw_free,
@@ -22,7 +21,6 @@ from .isomorphism import (
     canonical_form_utc,
     is_self_complementary,
     is_vertex_transitive,
-    isomorphic,
     isomorphic_up_to_complementation,
 )
 from .graph6 import decode, encode
@@ -40,7 +38,6 @@ __all__ = [
     "classify_bipartite_kernel",
     "complement",
     "decode",
-    "degree",
     "encode",
     "induced",
     "invariants",
@@ -48,6 +45,5 @@ __all__ = [
     "is_regular",
     "is_self_complementary",
     "is_vertex_transitive",
-    "isomorphic",
     "isomorphic_up_to_complementation",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -507,10 +508,19 @@ def sweep_theorem(
 
 
 def append_jsonl(path: str, record: AtlasRecord) -> None:
+    """Append one record durably (flushed and fsynced).  A crash mid-append
+    can leave a partial last line; the record then starts a fresh line."""
     entry = record.to_json()
     entry["wall_time_seconds"] = record.wall_time_seconds
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+    with open(path, "ab+") as fh:
+        if fh.seek(0, os.SEEK_END) > 0:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def lookup_jsonl(path: str, relation: str, v: int, k: int) -> AtlasRecord | None:
@@ -522,7 +532,11 @@ def lookup_jsonl(path: str, relation: str, v: int, k: int) -> AtlasRecord | None
         for line in fh:
             if not line.strip():
                 continue
-            entry = json.loads(line)
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                warnings.warn(f"{path}: skipping a resume-log line that does not parse")
+                continue
             if (
                 entry.get("relation") == relation
                 and entry.get("v") == v

@@ -298,13 +298,25 @@ _DISPATCH = {
 }
 
 
+def _error_mode(argv: list[str]) -> str:
+    """Output format for an error raised while parsing argv: the --mode
+    value as far as it can be read, and JSON always for check-pair."""
+    pre = _CliParser(add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--mode")
+    try:
+        known, _ = pre.parse_known_args(argv)
+    except RecompError:
+        return "human"
+    return "json" if known.command == "check-pair" or known.mode == "json" else "human"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    json_mode = "json" in argv  # for error paths before/during parsing
     try:
         args = _build_parser().parse_args(argv)
     except RecompError as exc:
-        _emit({"error": str(exc)}, "json" if json_mode else "human")
+        _emit({"error": str(exc)}, _error_mode(argv))
         return 2
     mode = getattr(args, "mode", "human")
     if args.command == "check-pair":

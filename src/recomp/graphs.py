@@ -42,6 +42,22 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def colex_masks(v: int, k: int) -> Iterator[int]:
+    """All k-subsets of {0..v-1} as bitmasks, lazily, in colexicographic
+    order.  Colex order is increasing numeric order of the masks, so each
+    step is Gosper's successor: the next larger int with k bits set."""
+    if k == 0:
+        yield 0
+        return
+    m = (1 << k) - 1
+    stop = 1 << v
+    while m < stop:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | ((m ^ ripple) >> 2) // low
+
+
 def pair_rank(i: int, j: int) -> int:
     """Colex rank of the pair {i, j} among all 2-subsets."""
     if i > j:
@@ -263,10 +279,6 @@ def invariants(g: Graph) -> InvariantBundle:
         t=t,
         h3=h3,
     )
-
-
-def degree(g: Graph, x: int) -> int:
-    return g.degree(x)
 
 
 def is_regular(g: Graph) -> bool:

@@ -7,11 +7,14 @@ complementation, and so on down a ladder of weaker per-subset
 conditions (equal edge counts up to complementation, equal parity,
 equal 3-homogeneous data).
 
-Subset lanes: restrictions of size k <= 6 compare canonical-code table
-entries (O(1) per subset after a one-time table build); larger
-restrictions run a pairwise backtracking isomorphism per subset with a
-memo on the restriction code pair.  Subsets are always scanned in
-colexicographic order, so witnesses are deterministic.
+Subset lanes: every per-subset condition is one lazy scan over k-subset
+bitmasks in colexicographic order (`graphs.colex_masks`), stopping at the
+first subset that fails.  Witnesses are therefore deterministic, and an
+early exit pays only for the prefix scanned.  Restrictions of size
+k <= 6 compare canonical-code table entries (O(1) per subset after a
+one-time table build); larger restrictions compare edge counts, then run
+a pairwise backtracking isomorphism with a memo on the restriction code
+pair.
 
 Every theorem verifier computes both sides of its statement
 independently and reports whether the claimed implication or
@@ -25,29 +28,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Callable
 
 from . import codes as codetables
 from .errors import DomainError, HypothesisNotMet, KTooLarge, OrderMismatch
 from .graphs import (
     Graph,
+    bits_of,
     boolean_sum,
+    colex_masks,
     complement,
     invariants,
     is_claw_free,
     mask_of,
     subgraph_edge_count,
 )
-from .incidence import colex_subsets
-from .isomorphism import (
-    ISO_MAX_ORDER,
-    find_isomorphism,
-    isomorphic_up_to_complementation,
-)
+from .isomorphism import ISO_MAX_ORDER, find_isomorphism
 
 TABLE_MAX_K = 6
 
-_iso_memo: dict[tuple[int, int, int], bool] = {}
-_iso_utc_memo: dict[tuple[int, int, int], bool] = {}
+_iso_memo: dict[tuple[int, int, int, bool], bool] = {}
 
 
 @dataclass(frozen=True)
@@ -96,103 +96,101 @@ def _check_pair(g: Graph, h: Graph, k: int) -> None:
         raise DomainError(f"need 1 <= k <= {g.n}, got k={k}")
 
 
-def _subsets_with_masks(v: int, k: int) -> list[tuple[tuple[int, ...], int]]:
-    return [(s, mask_of(s)) for s in colex_subsets(v, k)]
+def _first_mismatch(g: Graph, h: Graph, k: int, differs: Callable[[int], bool]) -> HypoVerdict:
+    """Scan the k-subset masks in colex order; the first one that
+    `differs` accepts is the witness."""
+    _check_pair(g, h, k)
+    for m in colex_masks(g.n, k):
+        if differs(m):
+            return HypoVerdict(False, tuple(bits_of(m)))
+    return HypoVerdict(True)
 
 
-def _pair_iso(k: int, cg: int, ch: int) -> bool:
+def _table_differs(table, g: Graph, h: Graph) -> Callable[[int], bool]:
+    """Per-mask test: the table entries of the two restrictions differ."""
+
+    def differs(m: int) -> bool:
+        s = tuple(bits_of(m))
+        return table[codetables.restriction_code(g, s)] != table[codetables.restriction_code(h, s)]
+
+    return differs
+
+
+def _pair_iso(k: int, cg: int, ch: int, utc: bool) -> bool:
+    """Restriction codes cg and ch are isomorphic graphs (up to
+    complementation when utc)."""
+    if utc:
+        full = codetables.full_code(k)
+        cg, ch = min(cg, full ^ cg), min(ch, full ^ ch)
     if cg == ch:
         return True
-    key = (k, cg, ch) if cg <= ch else (k, ch, cg)
+    key = (k, cg, ch, utc) if cg < ch else (k, ch, cg, utc)
     if key not in _iso_memo:
         a = Graph.from_code(k, key[1])
         b = Graph.from_code(k, key[2])
-        _iso_memo[key] = find_isomorphism(a, b) is not None
+        _iso_memo[key] = find_isomorphism(a, b) is not None or (
+            utc and find_isomorphism(complement(a), b) is not None
+        )
     return _iso_memo[key]
 
 
-def _pair_iso_utc(k: int, cg: int, ch: int) -> bool:
-    full = codetables.full_code(k)
-    if ch in (cg, full ^ cg):
-        return True
-    key = (k, min(cg, full ^ cg), min(ch, full ^ ch))
-    if key not in _iso_utc_memo:
-        a = Graph.from_code(k, key[1])
-        b = Graph.from_code(k, key[2])
-        _iso_utc_memo[key] = bool(isomorphic_up_to_complementation(a, b))
-    return _iso_utc_memo[key]
+def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
+    _check_pair(g, h, k)  # before the k cap and the lane set-up
+    if k > ISO_MAX_ORDER:
+        raise KTooLarge(f"restriction isomorphism supports k <= {ISO_MAX_ORDER}")
+    if k <= TABLE_MAX_K:
+        table = (codetables.canonical_utc_table if utc else codetables.canonical_table)(k)
+        return _first_mismatch(g, h, k, _table_differs(table, g, h))
+
+    def differs(m: int) -> bool:
+        eg = subgraph_edge_count(g, m)
+        eh = subgraph_edge_count(h, m)
+        if eh != eg and not (utc and eh == comb(k, 2) - eg):
+            return True
+        s = tuple(bits_of(m))
+        return not _pair_iso(
+            k, codetables.restriction_code(g, s), codetables.restriction_code(h, s), utc
+        )
+
+    return _first_mismatch(g, h, k, differs)
 
 
 def k_hypomorphic(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """Every k-element restriction pair isomorphic."""
-    _check_pair(g, h, k)
-    if k > ISO_MAX_ORDER:
-        raise KTooLarge(f"restriction isomorphism supports k <= {ISO_MAX_ORDER}")
-    if k <= TABLE_MAX_K:
-        table = codetables.canonical_table(k)
-        for s, _ in _subsets_with_masks(g.n, k):
-            if table[codetables.restriction_code(g, s)] != table[codetables.restriction_code(h, s)]:
-                return HypoVerdict(False, s)
-        return HypoVerdict(True)
-    for s, m in _subsets_with_masks(g.n, k):
-        if subgraph_edge_count(g, m) != subgraph_edge_count(h, m):
-            return HypoVerdict(False, s)
-        if not _pair_iso(k, codetables.restriction_code(g, s), codetables.restriction_code(h, s)):
-            return HypoVerdict(False, s)
-    return HypoVerdict(True)
+    return _hypomorphic(g, h, k, utc=False)
 
 
 def k_hypomorphic_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """Every k-element restriction pair isomorphic up to complementation."""
-    _check_pair(g, h, k)
-    if k > ISO_MAX_ORDER:
-        raise KTooLarge(f"restriction isomorphism supports k <= {ISO_MAX_ORDER}")
-    if k <= TABLE_MAX_K:
-        table = codetables.canonical_utc_table(k)
-        for s, _ in _subsets_with_masks(g.n, k):
-            if table[codetables.restriction_code(g, s)] != table[codetables.restriction_code(h, s)]:
-                return HypoVerdict(False, s)
-        return HypoVerdict(True)
-    kk = comb(k, 2)
-    for s, m in _subsets_with_masks(g.n, k):
-        eg = subgraph_edge_count(g, m)
-        if subgraph_edge_count(h, m) not in (eg, kk - eg):
-            return HypoVerdict(False, s)
-        if not _pair_iso_utc(k, codetables.restriction_code(g, s), codetables.restriction_code(h, s)):
-            return HypoVerdict(False, s)
-    return HypoVerdict(True)
+    return _hypomorphic(g, h, k, utc=True)
 
 
 def same_edge_counts_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(h|K) equals e(g|K) or C(k,2) - e(g|K) for every K."""
-    _check_pair(g, h, k)
-    kk = comb(k, 2)
-    for s, m in _subsets_with_masks(g.n, k):
+
+    def differs(m: int) -> bool:
         eg = subgraph_edge_count(g, m)
-        if subgraph_edge_count(h, m) not in (eg, kk - eg):
-            return HypoVerdict(False, s)
-    return HypoVerdict(True)
+        return subgraph_edge_count(h, m) not in (eg, comb(k, 2) - eg)
+
+    return _first_mismatch(g, h, k, differs)
 
 
 def same_parity(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(g|K) and e(h|K) share parity for every K."""
-    _check_pair(g, h, k)
-    for s, m in _subsets_with_masks(g.n, k):
-        if (subgraph_edge_count(g, m) - subgraph_edge_count(h, m)) % 2:
-            return HypoVerdict(False, s)
-    return HypoVerdict(True)
+    return _first_mismatch(
+        g, h, k, lambda m: (subgraph_edge_count(g, m) - subgraph_edge_count(h, m)) % 2
+    )
 
 
 def same_parity_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(g|K) shares parity with e(h|K) or with C(k,2) - e(h|K)."""
-    _check_pair(g, h, k)
-    kk = comb(k, 2)
-    for s, m in _subsets_with_masks(g.n, k):
+
+    def differs(m: int) -> bool:
         eg = subgraph_edge_count(g, m)
         eh = subgraph_edge_count(h, m)
-        if (eg - eh) % 2 and (eg - (kk - eh)) % 2:
-            return HypoVerdict(False, s)
-    return HypoVerdict(True)
+        return (eg - eh) % 2 and (eg - (comb(k, 2) - eh)) % 2
+
+    return _first_mismatch(g, h, k, differs)
 
 
 def _is_homogeneous(g: Graph, mask: int) -> bool:
@@ -217,26 +215,24 @@ def restriction_h3_count(g: Graph, subset: tuple[int, ...]) -> int:
 
 def same_h3_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """h3(g|K) = h3(h|K) for every k-subset K (counts, not sets)."""
-    _check_pair(g, h, k)
+    _check_pair(g, h, k)  # before the lane set-up
     if k <= TABLE_MAX_K:
-        table = codetables.h3_count_table(k)
-        for s, _ in _subsets_with_masks(g.n, k):
-            if table[codetables.restriction_code(g, s)] != table[codetables.restriction_code(h, s)]:
-                return HypoVerdict(False, s)
-        return HypoVerdict(True)
-    for s, _ in _subsets_with_masks(g.n, k):
-        if restriction_h3_count(g, s) != restriction_h3_count(h, s):
-            return HypoVerdict(False, s)
-    return HypoVerdict(True)
+        return _first_mismatch(g, h, k, _table_differs(codetables.h3_count_table(k), g, h))
+
+    def differs(m: int) -> bool:
+        s = tuple(bits_of(m))
+        return restriction_h3_count(g, s) != restriction_h3_count(h, s)
+
+    return _first_mismatch(g, h, k, differs)
 
 
-def _restriction_a_counts(g: Graph, subset: tuple[int, ...], mask: int) -> tuple[int, int, int]:
+def _restriction_a_counts(g: Graph, mask: int) -> tuple[int, int, int]:
     """(a0, a1, a2) of the restriction, from edge counts and degrees."""
-    k = len(subset)
+    k = mask.bit_count()
     e = subgraph_edge_count(g, mask)
     ebar = comb(k, 2) - e
     a1 = 0
-    for x in subset:
+    for x in bits_of(mask):
         d = (g.adj[x] & mask).bit_count()
         a1 += d * (k - 1 - d)
     a2 = e * ebar
@@ -245,11 +241,9 @@ def _restriction_a_counts(g: Graph, subset: tuple[int, ...], mask: int) -> tuple
 
 def same_a0_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """a0(g|K) = a0(h|K) for every k-subset K."""
-    _check_pair(g, h, k)
-    for s, m in _subsets_with_masks(g.n, k):
-        if _restriction_a_counts(g, s, m)[0] != _restriction_a_counts(h, s, m)[0]:
-            return HypoVerdict(False, s)
-    return HypoVerdict(True)
+    return _first_mismatch(
+        g, h, k, lambda m: _restriction_a_counts(g, m)[0] != _restriction_a_counts(h, m)[0]
+    )
 
 
 def equal_up_to_complementation(g: Graph, h: Graph) -> bool:
@@ -266,7 +260,8 @@ def pair_profile(g: Graph, h: Graph, k: int) -> PairProfile:
         raise KTooLarge(f"profiles carry canonical codes, k <= {codetables.CANON_MAX_ORDER}")
     e_g, e_h, cg, ch, h3g, h3h = [], [], [], [], [], []
     full = codetables.full_code(k)
-    for s, m in _subsets_with_masks(g.n, k):
+    for m in colex_masks(g.n, k):
+        s = tuple(bits_of(m))
         rg = codetables.restriction_code(g, s)
         rh = codetables.restriction_code(h, s)
         e_g.append(subgraph_edge_count(g, m))
@@ -301,21 +296,18 @@ def verify_mixed_pair_identities(g: Graph, k: int) -> VerifierResult:
     left = {0: bundle.a0, 1: bundle.a1}
     checks: dict[str, bool] = {}
 
-    subs = _subsets_with_masks(v, k)
-    if applicable_a:
-        sums = {0: 0, 1: 0}
-        for s, m in subs:
-            a0, a1, _ = _restriction_a_counts(g, s, m)
-            sums[0] += a0
-            sums[1] += a1
-        for i in applicable_a:
-            checks[f"a{i}_subset_sum"] = comb(v - 4 + i, k - 4 + i) * left[i] == sums[i]
+    # one pass: a2(G|K) = e(G|K) * e_bar(G|K) is the product summed in b)
+    sums = {0: 0, 1: 0}
+    prod_sum = 0
+    for m in colex_masks(v, k):
+        a0, a1, a2 = _restriction_a_counts(g, m)
+        sums[0] += a0
+        sums[1] += a1
+        prod_sum += a2
+    for i in applicable_a:
+        checks[f"a{i}_subset_sum"] = comb(v - 4 + i, k - 4 + i) * left[i] == sums[i]
 
     if applicable_b:
-        prod_sum = 0
-        for s, m in subs:
-            e = subgraph_edge_count(g, m)
-            prod_sum += e * (comb(k, 2) - e)
         ee = bundle.e * bundle.e_bar
         coeff = Fraction(1, comb(v - 4, k - 3))
         rhs_a0 = Fraction(v - 3, v - k) * ee - coeff * prod_sum
@@ -421,7 +413,7 @@ def verify_dense_subset_equality(g: Graph, h: Graph, k: int) -> VerifierResult:
     kk = comb(k, 2)
     dense = any(
         max(e, kk - e) >= ell
-        for e in (subgraph_edge_count(g, m) for _, m in _subsets_with_masks(v, k))
+        for e in (subgraph_edge_count(g, m) for m in colex_masks(v, k))
     )
     if not dense:
         raise HypothesisNotMet(f"no k-subset reaches {ell} edges in g or its complement")

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, IndexOutOfRange, KernelTooLarge
-from .graphs import Graph, mask_of
+from .graphs import Graph, bits_of, colex_masks
 from .linalg import ModMatrix, binomial, is_prime, rank_exact, rank_mod, kernel_basis_mod
 
 BUILD_MAX_V = 16
@@ -54,16 +54,11 @@ def subset_unrank(r: int, size: int, v: int) -> tuple[int, ...]:
 
 def colex_subsets(v: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-subsets of {0..v-1} in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, v):
-        for rest in colex_subsets(top, k - 1):
-            yield rest + (top,)
+    return (tuple(bits_of(m)) for m in colex_masks(v, k))
 
 
 def _subset_masks(v: int, k: int) -> np.ndarray:
-    return np.array([mask_of(s) for s in colex_subsets(v, k)], dtype=np.int64)
+    return np.fromiter(colex_masks(v, k), dtype=np.int64, count=comb(v, k))
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class InclusionMatrix:
         return rank_exact(self.array)
 
     def mod(self, p: int) -> ModMatrix:
-        return _mod_from_numpy(self.array, p)
+        return ModMatrix(self.array, p)
 
     def row_subset(self, i: int) -> tuple[int, ...]:
         return subset_unrank(i, self.t, self.v)
@@ -99,28 +94,6 @@ class KneserMatrix:
 
     def exact_rank(self) -> int:
         return rank_exact(self.array)
-
-
-def _mod_from_numpy(arr: np.ndarray, p: int) -> ModMatrix:
-    m = object.__new__(ModMatrix)
-    if not is_prime(p):
-        from .errors import NonPrimeModulus
-
-        raise NonPrimeModulus(f"{p} is not prime")
-    m.p = p
-    m.nrows, m.ncols = arr.shape
-    reduced = (arr.astype(np.int64)) % p
-    if p == 2:
-        m.rows = [
-            int.from_bytes(
-                np.packbits(reduced[i].astype(np.uint8), bitorder="little").tobytes(),
-                "little",
-            )
-            for i in range(m.nrows)
-        ]
-    else:
-        m.rows = reduced.tolist()
-    return m
 
 
 def build_w(t: int, k: int, v: int) -> InclusionMatrix:
@@ -190,7 +163,7 @@ def kernel_graphs_mod2(k: int, v: int) -> list[Graph]:
     if not (2 <= k <= v - 2 and v <= MOD_RANK_MAX_V):
         raise DomainError(f"need 2 <= k <= v-2 and v <= {MOD_RANK_MAX_V}")
     wt = np.ascontiguousarray(build_w(2, k, v).array.T)
-    basis = kernel_basis_mod(_mod_from_numpy(wt, 2))
+    basis = kernel_basis_mod(ModMatrix(wt, 2))
     if len(basis) > KERNEL_DIM_CAP:
         raise KernelTooLarge(f"kernel dimension {len(basis)} exceeds {KERNEL_DIM_CAP}")
     basis_codes = [sum(bit << c for c, bit in enumerate(vec)) for vec in basis]

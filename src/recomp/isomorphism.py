@@ -120,12 +120,6 @@ def find_isomorphism(
     return None
 
 
-def isomorphic(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """Permutation witness mapping g onto h, or None.  Lexicographically
-    least witness for n <= 8; deterministic beyond."""
-    return find_isomorphism(g, h)
-
-
 class IsoUtcKind(Enum):
     ISO = "Iso"
     ISO_TO_COMPLEMENT = "IsoToComplement"

@@ -152,19 +152,23 @@ class ModMatrix:
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
-        mat = [list(int(x) % p for x in r) for r in rows]
-        if not mat or not mat[0]:
+        if isinstance(rows, np.ndarray):
+            if rows.ndim != 2:
+                raise DomainError("matrix must be two-dimensional")
+            mat = rows.astype(np.int64) % p
+        else:
+            mat = [list(int(x) % p for x in r) for r in rows]
+        if not len(mat) or not len(mat[0]):
             raise DomainError("matrix dimensions must be positive")
         self.nrows = len(mat)
         self.ncols = len(mat[0])
-        if any(len(r) != self.ncols for r in mat):
+        if isinstance(mat, list) and any(len(r) != self.ncols for r in mat):
             raise DomainError("ragged rows")
         if p == 2:
-            self.rows: list = [
-                sum(bit << c for c, bit in enumerate(r)) for r in mat
-            ]
+            packed = np.packbits(np.asarray(mat, dtype=np.uint8), axis=1, bitorder="little")
+            self.rows: list = [int.from_bytes(r.tobytes(), "little") for r in packed]
         else:
-            self.rows = mat
+            self.rows = mat if isinstance(mat, list) else mat.tolist()
 
     def row_entries(self, i: int) -> list[int]:
         if self.p == 2:

@@ -38,7 +38,7 @@ from recomp.incidence import (
     verify_wilson,
     wilson_rank_expected,
 )
-from recomp.isomorphism import IsoUtcKind, isomorphic, isomorphic_up_to_complementation
+from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
 from recomp.constructions import (
     class_g_member,
     clique_pair_counterexample,
@@ -182,7 +182,7 @@ def test_criterion_09_class_g():
             assert perm[x] == x
         char5 = verify_class_g_characterization(5)
         assert char5.ok and len(char5.details["members"]) == 1
-        assert isomorphic(decode(char5.details["members"][0]), Graph.cycle(5)) is not None
+        assert find_isomorphism(decode(char5.details["members"][0]), Graph.cycle(5)) is not None
 
 
 def test_criterion_10_atlas_s_row_v6():

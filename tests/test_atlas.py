@@ -11,6 +11,7 @@ from recomp.atlas import (
     AtlasRecord,
     bounded_jobs,
     enumerate_graphs,
+    lookup_jsonl,
     membership_with_resume,
     r_membership,
     s_membership,
@@ -190,6 +191,21 @@ def test_resume_log(tmp_path):
     assert len(lines) == 1
     entry = json.loads(lines[0])
     assert entry["relation"] == "S" and entry["v"] == 6 and entry["k"] == 3
+
+
+def test_resume_log_survives_truncated_tail(tmp_path):
+    # a crash mid-append leaves a partial last line without a newline
+    log = tmp_path / "atlas.jsonl"
+    other = membership_with_resume("S", 4, 1, resume_log=str(log))
+    log.write_text(log.read_text() + '{"k": 2, "relation": "S", "v": 4, "verd')
+    with pytest.warns(UserWarning, match="does not parse"):
+        rec = membership_with_resume("S", 4, 2, resume_log=str(log))
+    assert rec.to_json() == s_membership(4, 2).to_json()
+    with pytest.warns(UserWarning, match="does not parse"):
+        found = lookup_jsonl(str(log), "S", 4, 2)
+        kept = lookup_jsonl(str(log), "S", 4, 1)
+    assert found is not None and found.to_json() == rec.to_json()
+    assert kept is not None and kept.to_json() == other.to_json()
 
 
 def test_write_csv(tmp_path):

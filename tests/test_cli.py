@@ -116,6 +116,8 @@ def test_error_paths_emit_valid_json():
         ["kernel", "--k", "1", "--v", "6", "--mode", "json"],
         ["totally-bogus", "--mode", "json"],
         ["construct", "paley", "7", "--mode", "json"],
+        ["matrix", "--t", "2", "--mode=json"],  # parse error, --mode=VALUE spelling
+        ["check-pair", "Dhc", "Dhc", "--k", "2"],  # parse error; check-pair is always JSON
     ):
         code, out = run(*argv)
         payload = json.loads(out)

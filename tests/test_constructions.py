@@ -21,9 +21,9 @@ from recomp.hypomorphy import (
 )
 from recomp.isomorphism import (
     IsoUtcKind,
+    find_isomorphism,
     is_self_complementary,
     is_vertex_transitive,
-    isomorphic,
     isomorphic_up_to_complementation,
 )
 from recomp.constructions import (
@@ -219,7 +219,7 @@ def test_pair_json_roundtrip():
 
 def test_lex_product_identity():
     h = Graph.cycle(5)
-    assert isomorphic(lex_product(Graph.empty(1), h), h) is not None
+    assert find_isomorphism(lex_product(Graph.empty(1), h), h) is not None
 
 
 def test_lex_product_edge_count(rng):
@@ -306,7 +306,7 @@ def test_characterization_small_orders():
     assert res4.ok and res4.details["members"] == []
     res5 = verify_class_g_characterization(5)
     assert res5.ok and len(res5.details["members"]) == 1
-    assert decode(res5.details["members"][0]) == Graph.cycle(5) or isomorphic(
+    assert decode(res5.details["members"][0]) == Graph.cycle(5) or find_isomorphism(
         decode(res5.details["members"][0]), Graph.cycle(5)
     )
     for n in (3, 6, 7):
@@ -320,7 +320,7 @@ def test_characterization_order_9():
     assert res.ok
     members = [decode(s) for s in res.details["members"]]
     assert len(members) == 1
-    assert isomorphic(members[0], paley_graph(9)) is not None
+    assert find_isomorphism(members[0], paley_graph(9)) is not None
 
 
 # -- search -------------------------------------------------------------------
@@ -330,12 +330,12 @@ def test_search_class_g_order5():
     rep = search_class_g(5, 100)
     assert rep.exhaustive and rep.space_size == 2
     assert len(rep.members) == 1
-    assert isomorphic(rep.members[0], Graph.cycle(5)) is not None
+    assert find_isomorphism(rep.members[0], Graph.cycle(5)) is not None
 
 
 def test_search_class_g_order13_contains_paley():
     rep = search_class_g(13, 1000)
-    assert any(isomorphic(m, paley_graph(13)) is not None for m in rep.members)
+    assert any(find_isomorphism(m, paley_graph(13)) is not None for m in rep.members)
     for m in rep.members:  # every reported member is genuinely verified
         assert m.edge_count == 13 * 12 // 4
 

@@ -73,8 +73,8 @@ def test_rejects_malformed():
 def test_networkx_interop_if_available(rng):
     nx = pytest.importorskip("networkx")
     for _ in range(50):
-        n = rng.randint(1, 30)
-        g = Graph.random(n, rng)
+        n = rng.choice((rng.randint(1, 30), rng.randint(62, 64)))  # both order prefixes
+        g = Graph.random(n, rng, rng.choice((0.1, 0.5, 0.9)))
         nxg = nx.Graph()
         nxg.add_nodes_from(range(n))
         nxg.add_edges_from(g.edges())

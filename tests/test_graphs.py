@@ -10,7 +10,6 @@ from recomp.graphs import (
     boolean_sum,
     classify_bipartite_kernel,
     complement,
-    degree,
     induced,
     intersection,
     invariants,
@@ -148,7 +147,7 @@ def test_invariant_bundle_identities(rng):
 
 def test_degree_and_regularity():
     c5 = Graph.cycle(5)
-    assert degree(c5, 0) == 2 and is_regular(c5)
+    assert c5.degree(0) == 2 and is_regular(c5)
     assert not is_regular(Graph.path(4))
 
 

@@ -32,7 +32,7 @@ from recomp.hypomorphy import (
     verify_theorem_k0mod4,
     verify_theorem_k1mod4,
 )
-from recomp.isomorphism import IsoUtcKind, isomorphic_up_to_complementation
+from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -506,22 +506,22 @@ def test_edge_count_transfer_up(rng):
                 assert same_edge_counts_utc(pair.g, pair.g_prime, l).holds
 
 
+def colex_order(n: int, k: int) -> list[tuple[int, ...]]:
+    """k-subsets of range(n) in colex order, independently of recomp."""
+    return sorted(combinations(range(n), k), key=lambda s: s[::-1])
+
+
 def test_utc_hypo_lanes_agree_with_direct_route(rng):
     # table lane (k <= 6), pairwise lane (k >= 7), and a third
     # independent route (induced subgraphs + isomorphism search) must
     # give identical verdicts and witnesses
-    from itertools import islice
-
-    from recomp.incidence import colex_subsets
-    from recomp.isomorphism import find_isomorphism
-
     for trial in range(15):
         g = Graph.random(8, rng)
         h = Graph.random(8, rng) if trial % 3 else complement(g)
         for k in (5, 7):
             fast = k_hypomorphic_utc(g, h, k)
             slow_holds, slow_witness = True, None
-            for s in colex_subsets(8, k):
+            for s in colex_order(8, k):
                 gi, hi = induced(g, s), induced(h, s)
                 ok = (
                     find_isomorphism(gi, hi) is not None
@@ -540,3 +540,54 @@ def test_h3_counts_and_a0_counts(rng):
         k = rng.randint(3, n)
         assert same_h3_counts(g, complement(g), k).holds
         assert same_a0_counts(g, complement(g), k).holds
+
+
+def _iso(a: Graph, b: Graph) -> bool:
+    return find_isomorphism(a, b) is not None
+
+
+# per-subset failure of each ladder rung, from the two restrictions alone
+_RUNG_FAILS = {
+    k_hypomorphic: lambda a, b: not _iso(a, b),
+    k_hypomorphic_utc: lambda a, b: not _iso(a, b) and not _iso(complement(a), b),
+    same_edge_counts_utc: lambda a, b: b.edge_count
+    not in (a.edge_count, comb(a.n, 2) - a.edge_count),
+    same_parity: lambda a, b: (a.edge_count - b.edge_count) % 2 == 1,
+    same_parity_utc: lambda a, b: (a.edge_count - b.edge_count) % 2 == 1
+    and (a.edge_count - (comb(a.n, 2) - b.edge_count)) % 2 == 1,
+    same_h3_counts: lambda a, b: invariants(a).h3 != invariants(b).h3,
+    same_a0_counts: lambda a, b: invariants(a).a0 != invariants(b).a0,
+}
+
+
+def test_ladder_witness_is_first_failing_subset(rng):
+    # every rung, on both subset lanes, against a brute-force colex scan of
+    # induced restrictions
+    from recomp.constructions import clique_pair_counterexample, cycle_swap_pair, k7_counterexample
+
+    def flip(g: Graph) -> Graph:
+        i, j = rng.sample(range(g.n), 2)
+        edges = set(g.edges()) ^ {(min(i, j), max(i, j))}
+        return Graph.from_edges(g.n, edges)
+
+    pairs = []
+    for n in (7, 8, 9):
+        g = Graph.random(n, rng)
+        pairs += [(g, Graph.random(n, rng)), (g, complement(g)), (g, flip(g))]
+        pairs += [(g, flip(complement(g))), (g, relabel(complement(g), rng.sample(range(n), n)))]
+        for make in (clique_pair_counterexample, cycle_swap_pair):
+            pair = make(n, verify=False)
+            pairs.append((pair.g, pair.g_prime))
+    pair = k7_counterexample(9, verify=False)
+    pairs.append((pair.g, pair.g_prime))
+    for g, h in pairs:
+        for k in (2, 4, 6, 7, 8):
+            if k > g.n:
+                continue
+            for rung, fails in _RUNG_FAILS.items():
+                want = next(
+                    (s for s in colex_order(g.n, k) if fails(induced(g, s), induced(h, s))),
+                    None,
+                )
+                got = rung(g, h, k)
+                assert (got.holds, got.witness) == (want is None, want), (rung.__name__, k)

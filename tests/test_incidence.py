@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from recomp.errors import DomainError, IndexOutOfRange
-from recomp.graphs import Graph, mask_of, subgraph_edge_count
+from recomp.graphs import Graph, colex_masks, mask_of, subgraph_edge_count
 from recomp.graphs import classify_bipartite_kernel, BipartiteKernelClass
 from recomp.incidence import (
     build_kneser,
@@ -46,6 +46,15 @@ def test_colex_enumeration_matches_unrank():
         for k in range(v + 1):
             listed = list(colex_subsets(v, k))
             assert listed == [subset_unrank(r, k, v) for r in range(comb(v, k))]
+
+
+def test_colex_order_matches_sorted_combinations():
+    # colex order compares subsets by their reversed element tuples
+    for v in range(11):
+        for k in range(v + 2):
+            want = sorted(combinations(range(v), k), key=lambda s: s[::-1])
+            assert list(colex_subsets(v, k)) == want
+            assert list(colex_masks(v, k)) == [mask_of(s) for s in want]
 
 
 def test_build_w_shapes_and_entries():

@@ -11,7 +11,6 @@ from recomp.isomorphism import (
     find_isomorphism,
     is_self_complementary,
     is_vertex_transitive,
-    isomorphic,
     isomorphic_up_to_complementation,
 )
 
@@ -34,7 +33,7 @@ def test_witness_is_valid(rng):
         g = Graph.random(n, rng)
         perm = tuple(rng.sample(range(n), n))
         h = apply_perm(g, perm)
-        w = isomorphic(g, h)
+        w = find_isomorphism(g, h)
         assert w is not None
         assert apply_perm(g, w) == h
 
@@ -42,12 +41,12 @@ def test_witness_is_valid(rng):
 def test_spec_cases():
     c5 = Graph.cycle(5)
     relabeled = apply_perm(c5, (2, 0, 3, 1, 4))
-    assert isomorphic(c5, relabeled) is not None
+    assert find_isomorphism(c5, relabeled) is not None
     path = Graph.path(4)
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert isomorphic(path, star) is None
+    assert find_isomorphism(path, star) is None
     with pytest.raises(OrderMismatch):
-        isomorphic(c5, path)
+        find_isomorphism(c5, path)
 
 
 def test_lex_least_witness_small(rng):
@@ -55,14 +54,14 @@ def test_lex_least_witness_small(rng):
         n = rng.randint(2, 6)
         g = Graph.random(n, rng)
         h = apply_perm(g, tuple(rng.sample(range(n), n)))
-        assert isomorphic(g, h) == brute_isomorphic(g, h)
+        assert find_isomorphism(g, h) == brute_isomorphic(g, h)
 
 
 def test_brute_force_agreement_on_nonisomorphic(rng):
     for _ in range(60):
         n = rng.randint(3, 6)
         g, h = Graph.random(n, rng), Graph.random(n, rng)
-        assert (isomorphic(g, h) is not None) == (brute_isomorphic(g, h) is not None)
+        assert (find_isomorphism(g, h) is not None) == (brute_isomorphic(g, h) is not None)
 
 
 def test_equivalence_relation(rng):
@@ -71,13 +70,13 @@ def test_equivalence_relation(rng):
         g = Graph.random(n, rng)
         h = apply_perm(g, tuple(rng.sample(range(n), n)))
         f = apply_perm(g, tuple(rng.sample(range(n), n)))
-        w_gg = isomorphic(g, g)
+        w_gg = find_isomorphism(g, g)
         assert w_gg is not None and apply_perm(g, w_gg) == g
-        w_gh = isomorphic(g, h)
+        w_gh = find_isomorphism(g, h)
         assert w_gh is not None
         inv = tuple(w_gh.index(i) for i in range(n))
         assert apply_perm(h, inv) == g  # symmetry via witness inversion
-        w_hf = isomorphic(h, f)
+        w_hf = find_isomorphism(h, f)
         composed = tuple(w_hf[w_gh[i]] for i in range(n))
         assert apply_perm(g, composed) == f  # transitivity via composition
 
@@ -86,23 +85,43 @@ def test_refinement_path_large_orders(rng):
     for n in (10, 12, 14, 20):
         g = Graph.random(n, rng)
         h = apply_perm(g, tuple(rng.sample(range(n), n)))
-        w = isomorphic(g, h)
+        w = find_isomorphism(g, h)
         assert w is not None and apply_perm(g, w) == h
     g = Graph.random(12, rng)
     h = Graph.random(12, rng)
     if g.edge_count != h.edge_count:
-        assert isomorphic(g, h) is None
+        assert find_isomorphism(g, h) is None
+
+
+def test_agrees_with_networkx(rng):
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g: Graph):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from(g.edges())
+        return out
+
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        g = Graph.random(n, rng, rng.choice((0.2, 0.5, 0.8)))
+        relabeled = apply_perm(g, tuple(rng.sample(range(n), n)))
+        other = Graph.random(n, rng, rng.choice((0.2, 0.5, 0.8)))
+        for h in (relabeled, other):
+            w = find_isomorphism(g, h)
+            assert (w is not None) == nx.is_isomorphic(to_nx(g), to_nx(h))
+            assert w is None or apply_perm(g, w) == h
 
 
 def test_order_cap():
     with pytest.raises(OrderTooLarge):
-        isomorphic(Graph.empty(33), Graph.empty(33))
+        find_isomorphism(Graph.empty(33), Graph.empty(33))
 
 
 def test_paley5_is_c5():
     from recomp.constructions import paley_graph
 
-    assert isomorphic(paley_graph(5), Graph.cycle(5)) is not None
+    assert find_isomorphism(paley_graph(5), Graph.cycle(5)) is not None
 
 
 def test_utc_verdicts():
