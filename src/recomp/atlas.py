@@ -11,13 +11,18 @@ representatives, each joined to a new vertex in every way, are the
 candidates, and each unmarked candidate opens a class and marks every
 candidate in its orbit (`codes.relabelings`).
 
-Per-subset predicates are evaluated over the whole labeled code space
-at once: for each k-subset K the restriction codes of all 2^C(v,2)
-graphs form one gather, and canonical/parity/h3 lookup tables (canonical
-tables for orders up to 7) turn the hypothesis into a handful of numpy
-array operations per representative.  At k == v the hypothesis set of a
-representative is its orbit together with its complement's.  Order 7
-multiplies the space by 64 and is gated behind `long_running`.
+Every swept hypothesis asks whether a per-k-subset signature (iso-utc
+class, edge parity, edge count up to complementation, h3 count, or the
+set of 3-homogeneous triples at k = v) agrees for g and g'.  For each
+(order v, subset size k, signature) one label array over all 2^C(v,2)
+codes is built: the class id of each colex k-subset restriction is
+folded into the label, so two codes share a label iff they agree on
+every k-subset.  One loop (`_scan`) then runs over the representatives,
+and each statement is mask algebra on `labels == labels[g]`.  At k == v
+the hypothesis set of a membership sweep is the representative's orbit
+together with its complement's, enumerated directly.  Order 7
+multiplies the space by 64 and is gated behind `long_running`; sweeps
+run in one process (`jobs` is accepted and ignored).
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -29,8 +34,8 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -99,83 +104,71 @@ def enumerate_graphs(n: int) -> GraphCatalog:
     return cat
 
 
-# -- vectorized per-subset predicate layer ---------------------------------
+# -- per-subset signature labels ---------------------------------------------
 
-_extraction_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-
-def _restrictions(v: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Restriction code of every labeled order-v graph for one subset."""
-    key = (v, subset)
-    if key not in _extraction_cache:
-        arr = codetables.extract_restriction_codes(codetables.all_codes(v), subset)
-        bits = comb(len(subset), 2)
-        dtype = np.int16 if bits <= 15 else np.int32
-        _extraction_cache[key] = arr.astype(dtype)
-    return _extraction_cache[key]
+# Per-subset signatures of the swept statements, each a table over the
+# codes of one order k.  "edges" is the edge count up to complementation.
+SIGNATURES = {
+    "utc": codetables.canonical_utc_table,
+    "parity": lambda k: codetables.edge_count_table(k) & 1,
+    "edges": lambda k: np.minimum(e := codetables.edge_count_table(k), comb(k, 2) - e),
+    "h3": codetables.h3_count_table,
+    "h3set": codetables.h3_set_table,
+}
 
 
-def _subset_list(v: int, k: int) -> list[tuple[int, ...]]:
-    return list(colex_subsets(v, k))
+def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
+    """One label per labeled order-v graph; two graphs share a label iff
+    `table` takes equal values on their restrictions to every k-subset."""
+    codes = codetables.all_codes(v)
+    values, dense = np.unique(table, return_inverse=True)
+    width = len(values)
+    labels = np.zeros(len(codes), dtype=np.int64)
+    bound = 1  # labels < bound
+    for s in colex_subsets(v, k):
+        if bound * width > np.iinfo(np.int64).max:
+            _, labels = np.unique(labels, return_inverse=True)
+            bound = int(labels.max()) + 1
+        labels = labels * width + dense[codetables.extract_restriction_codes(codes, s)]
+        bound *= width
+    return labels
 
 
-def _hyp_utc_hypo(v: int, k: int, gcode: int, sl: slice) -> np.ndarray:
-    table = codetables.canonical_utc_table(k)
-    acc = None
-    for s in _subset_list(v, k):
-        rc = _restrictions(v, s)[sl]
-        want = table[int(codetables.restriction_code(Graph.from_code(v, gcode), s))]
-        cond = table[rc] == want
-        acc = cond if acc is None else (acc & cond)
-    return acc
+def _signature_equality(v: int):
+    """same(kind, k, g): mask of the codes whose `kind` signature on every
+    k-subset equals that of code g.  Labels are kept for one sweep only."""
+    cache: dict[tuple[str, int], np.ndarray] = {}
+
+    def same(kind: str, k: int, g: int) -> np.ndarray:
+        if (kind, k) not in cache:
+            cache[kind, k] = _labels(v, k, SIGNATURES[kind](k))
+        labels = cache[kind, k]
+        return labels == labels[g]
+
+    return same
 
 
-def _per_subset_equal(
-    v: int, k: int, gcode: int, sl: slice, table: np.ndarray
-) -> np.ndarray:
-    g = Graph.from_code(v, gcode)
-    acc = None
-    for s in _subset_list(v, k):
-        rc = _restrictions(v, s)[sl]
-        want = table[int(codetables.restriction_code(g, s))]
-        cond = table[rc] == want
-        acc = cond if acc is None else (acc & cond)
-    return acc
+def _equal_utc(v: int, g: int) -> np.ndarray:
+    """Mask of g and its complement over all order-v codes."""
+    mask = np.zeros(1 << comb(v, 2), dtype=bool)
+    mask[[g, codetables.full_code(v) ^ g]] = True
+    return mask
 
 
-def _hyp_parity(v: int, k: int, gcode: int, sl: slice) -> np.ndarray:
-    parity = codetables.edge_count_table(k) & 1
-    return _per_subset_equal(v, k, gcode, sl, parity)
-
-
-def _hyp_h3_counts(v: int, k: int, gcode: int, sl: slice) -> np.ndarray:
-    return _per_subset_equal(v, k, gcode, sl, codetables.h3_count_table(k))
-
-
-def _hyp_edges_utc(v: int, k: int, gcode: int, sl: slice) -> np.ndarray:
-    counts = codetables.edge_count_table(k)
-    kk = comb(k, 2)
-    g = Graph.from_code(v, gcode)
-    acc = None
-    for s in _subset_list(v, k):
-        rc = _restrictions(v, s)[sl]
-        eg = int(counts[int(codetables.restriction_code(g, s))])
-        ck = counts[rc]
-        cond = (ck == eg) | (ck == kk - eg)
-        acc = cond if acc is None else (acc & cond)
-    return acc
-
-
-def _concl_equal_utc(v: int, gcode: int, sl: slice) -> np.ndarray:
-    codes = codetables.all_codes(v)[sl]
-    gbar = codetables.full_code(v) ^ gcode
-    return (codes == gcode) | (codes == gbar)
-
-
-def _concl_iso_utc_table(v: int, gcode: int, sl: slice) -> np.ndarray:
-    table = codetables.canonical_utc_table(v)
-    codes = codetables.all_codes(v)[sl]
-    return table[codes] == table[gcode]
+def _scan(rep_codes: list[int], test) -> tuple[list[tuple[int, int]], int, int]:
+    """Apply `test(g) -> (hypothesis, violation)`, two masks over all codes,
+    to every representative code g.  Returns the first VIOLATION_LIST_CAP
+    violations (rep index, code) of each representative, sorted, and the
+    violation and hypothesis totals."""
+    violations: list[tuple[int, int]] = []
+    bad_total = hyp_total = 0
+    for rep_idx, g in enumerate(rep_codes):
+        hyp, bad = test(g)
+        hyp_total += int(np.count_nonzero(hyp))
+        bad_codes = np.flatnonzero(bad)
+        bad_total += len(bad_codes)
+        violations += [(rep_idx, int(c)) for c in bad_codes[:VIOLATION_LIST_CAP]]
+    return violations, bad_total, hyp_total
 
 
 # -- membership sweeps ------------------------------------------------------
@@ -216,53 +209,7 @@ def _check_sweep_order(v: int, long_running: bool) -> None:
     )
 
 
-def _membership_chunk(payload: dict) -> dict:
-    relation = payload["relation"]
-    v, k = payload["v"], payload["k"]
-    sl = slice(payload["lo"], payload["hi"])
-    violations: list[tuple[int, int]] = []
-    total_bad = 0
-    hyp_total = 0
-    codes = codetables.all_codes(v)[sl]
-    for rep_idx, gcode in enumerate(payload["rep_codes"]):
-        hyp = _hyp_utc_hypo(v, k, gcode, sl)
-        hyp_total += int(hyp.sum())
-        concl = _concl_equal_utc if relation == "S" else _concl_iso_utc_table
-        bad = hyp & ~concl(v, gcode, sl)
-        total_bad += int(bad.sum())
-        for pos in np.nonzero(bad)[0][:VIOLATION_LIST_CAP]:
-            violations.append((rep_idx, int(codes[pos])))
-    return {
-        "violations": violations,
-        "violation_total": total_bad,
-        "hyp_count": hyp_total,
-        "examined": len(codes) * len(payload["rep_codes"]),
-    }
-
-
-def bounded_jobs(jobs: int) -> int:
-    """Worker processes to start for `jobs`: at least 1, at most the CPUs
-    this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, min(jobs, len(os.sched_getaffinity(0))))
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
-def _run_chunks(worker, payload: dict, total: int, jobs: int) -> list[dict]:
-    jobs = bounded_jobs(jobs)
-    bounds = [(total * i) // jobs for i in range(jobs + 1)]
-    payloads = [
-        dict(payload, lo=lo, hi=hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-    ]
-    if len(payloads) == 1:
-        return [worker(payloads[0])]
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _membership(
-    relation: str, v: int, k: int, long_running: bool, jobs: int
-) -> AtlasRecord:
+def _membership(relation: str, v: int, k: int, long_running: bool) -> AtlasRecord:
     _check_sweep_order(v, long_running)
     if not 1 <= k <= v:
         raise DomainError(f"need 1 <= k <= v, got k={k}, v={v}")
@@ -282,12 +229,15 @@ def _membership(
                 violations.extend((rep_idx, int(c)) for c in bad[:VIOLATION_LIST_CAP])
             # for R the hypothesis class is exactly the conclusion class
     else:
-        payload = {"relation": relation, "v": v, "k": k, "rep_codes": rep_codes}
-        results = _run_chunks(_membership_chunk, payload, 1 << comb(v, 2), jobs)
-        for res in results:
-            violations.extend(res["violations"])
-            examined += res["examined"]
-    violations.sort()
+        same = _signature_equality(v)
+
+        def test(g: int) -> tuple[np.ndarray, np.ndarray]:
+            hyp = same("utc", k, g)
+            concl = _equal_utc(v, g) if relation == "S" else same("utc", v, g)
+            return hyp, hyp & ~concl
+
+        violations = _scan(rep_codes, test)[0]
+        examined = len(rep_codes) << comb(v, 2)
     if violations:
         rep_idx, code = violations[0]
         witness = (encode(reps[rep_idx]), encode(Graph.from_code(v, code)))
@@ -310,13 +260,13 @@ def _membership(
 def s_membership(v: int, k: int, long_running: bool = False, jobs: int = 1) -> AtlasRecord:
     """Does k-hypomorphy up to complementation force equality up to
     complementation at order v?  Exhaustive over (canonical g, labeled g')."""
-    return _membership("S", v, k, long_running, jobs)
+    return _membership("S", v, k, long_running)
 
 
 def r_membership(v: int, k: int, long_running: bool = False, jobs: int = 1) -> AtlasRecord:
     """Does k-hypomorphy up to complementation force isomorphy up to
     complementation at order v?"""
-    return _membership("R", v, k, long_running, jobs)
+    return _membership("R", v, k, long_running)
 
 
 # -- theorem sweeps ----------------------------------------------------------
@@ -352,85 +302,39 @@ class SweepReport:
         }
 
 
-def _theorem_chunk(payload: dict) -> dict:
-    theorem = payload["theorem"]
-    v, k = payload["v"], payload["k"]
-    sl = slice(payload["lo"], payload["hi"])
-    codes = codetables.all_codes(v)[sl]
-    violations: list[tuple[int, int]] = []
-    total_bad = 0
-    hyp_total = 0
-
+def _theorem_masks(theorem: str, v: int, k: int | None, same, g: int):
+    """(hypothesis, violation) masks of one theorem over all order-v codes
+    paired with code g."""
     if theorem == "clawfree":
-        h3set = codetables.h3_set_table(v)
-        cf_both = codetables.clawfree_both_table(v)
-        for rep_idx, gcode in enumerate(payload["rep_codes"]):
-            hyp = h3set[codes] == h3set[gcode]
-            hyp_total += int(hyp.sum())
-            bad = hyp & ~cf_both[codes ^ gcode]
-            total_bad += int(bad.sum())
-            for pos in np.nonzero(bad)[0][:VIOLATION_LIST_CAP]:
-                violations.append((rep_idx, int(codes[pos])))
-        return {
-            "violations": violations,
-            "violation_total": total_bad,
-            "hyp_count": hyp_total,
-            "examined": len(codes) * len(payload["rep_codes"]),
-        }
-
-    for rep_idx, gcode in enumerate(payload["rep_codes"]):
-        if theorem == "k0mod4":
-            hyp = _hyp_parity(v, k, gcode, sl)
-            bad = hyp ^ _concl_equal_utc(v, gcode, sl)
-        elif theorem == "k1mod4":
-            h3set = codetables.h3_set_table(v)
-            hyp = _hyp_parity(v, k, gcode, sl) & (h3set[codes] == h3set[gcode])
-            bad = hyp ^ _concl_equal_utc(v, gcode, sl)
-        elif theorem == "principal":
-            cond_i = _hyp_utc_hypo(v, k, gcode, sl)
-            edges_k = _hyp_edges_utc(v, k, gcode, sl)
-            cond_ii = edges_k & _hyp_h3_counts(v, k, gcode, sl)
-            cond_iii = edges_k.copy()
-            for kp in range(3, k):
-                cond_iii &= _hyp_edges_utc(v, kp, gcode, sl)
-            cond_iv = _concl_equal_utc(v, gcode, sl)
-            hyp = cond_i
-            bad = (cond_i != cond_ii) | (cond_i != cond_iii) | (cond_i != cond_iv)
-        elif theorem == "down":
-            hyp = _hyp_utc_hypo(v, k, gcode, sl)
-            concl = np.ones(len(codes), dtype=bool)
-            for t in range(1, min(k, v - k) + 1):
-                concl &= _hyp_utc_hypo(v, t, gcode, sl)
-            bad = hyp & ~concl
-        elif theorem == "corkk1":
-            edges_k = _hyp_edges_utc(v, k, gcode, sl)
-            cond_i = edges_k & _hyp_h3_counts(v, k, gcode, sl)
-            cond_iii = np.ones(len(codes), dtype=bool)
-            for l in range(k, v + 1):
-                cond_iii &= _hyp_edges_utc(v, l, gcode, sl)
-                cond_iii &= _hyp_h3_counts(v, l, gcode, sl)
-            bad = cond_i & ~cond_iii
-            any_ii = np.zeros(len(codes), dtype=bool)
-            for kp in range(3, k):
-                cond_ii = edges_k & _hyp_edges_utc(v, kp, gcode, sl)
-                any_ii |= cond_ii
-                bad |= cond_ii & ~cond_i
-            hyp = cond_i | any_ii
-        elif theorem == "kaplus":
-            hyp = _hyp_h3_counts(v, k, gcode, sl)
-            bad = hyp & ~_hyp_h3_counts(v, v - k, gcode, sl)
-        else:
-            raise DomainError(f"unknown theorem id {theorem!r}")
-        hyp_total += int(hyp.sum())
-        total_bad += int(bad.sum())
-        for pos in np.nonzero(bad)[0][:VIOLATION_LIST_CAP]:
-            violations.append((rep_idx, int(codes[pos])))
-    return {
-        "violations": violations,
-        "violation_total": total_bad,
-        "hyp_count": hyp_total,
-        "examined": len(codes) * len(payload["rep_codes"]),
-    }
+        hyp = same("h3set", v, g)
+        return hyp, hyp & ~codetables.clawfree_both_table(v)[codetables.all_codes(v) ^ g]
+    if theorem == "k0mod4":
+        hyp = same("parity", k, g)
+        return hyp, hyp ^ _equal_utc(v, g)
+    if theorem == "k1mod4":
+        hyp = same("parity", k, g) & same("h3set", v, g)
+        return hyp, hyp ^ _equal_utc(v, g)
+    if theorem == "principal":
+        cond_i = same("utc", k, g)
+        edges_k = same("edges", k, g)
+        cond_ii = edges_k & same("h3", k, g)
+        cond_iii = reduce(np.logical_and, (same("edges", kp, g) for kp in range(3, k)), edges_k)
+        cond_iv = _equal_utc(v, g)
+        return cond_i, (cond_i != cond_ii) | (cond_i != cond_iii) | (cond_i != cond_iv)
+    if theorem == "down":
+        hyp = same("utc", k, g)
+        concl = reduce(np.logical_and, (same("utc", t, g) for t in range(1, min(k, v - k) + 1)))
+        return hyp, hyp & ~concl
+    if theorem == "corkk1":
+        edges_k = same("edges", k, g)
+        cond_i = edges_k & same("h3", k, g)
+        cond_iii = reduce(
+            np.logical_and, (same("edges", l, g) & same("h3", l, g) for l in range(k, v + 1))
+        )
+        any_ii = edges_k & reduce(np.logical_or, (same("edges", kp, g) for kp in range(3, k)))
+        return cond_i | any_ii, (cond_i & ~cond_iii) | (any_ii & ~cond_i)
+    hyp = same("h3", k, g)  # kaplus
+    return hyp, hyp & ~same("h3", v - k, g)
 
 
 def _validate_sweep_params(theorem: str, v: int, k: int | None) -> None:
@@ -472,18 +376,10 @@ def sweep_theorem(
     else:
         reps = enumerate_graphs(v).representatives
         rep_codes = [g.code for g in reps]
-    payload = {"theorem": theorem_id, "v": v, "k": k, "rep_codes": rep_codes}
-    results = _run_chunks(_theorem_chunk, payload, 1 << comb(v, 2), jobs)
-    violations: list[tuple[int, int]] = []
-    total_bad = 0
-    hyp = 0
-    examined = 0
-    for res in results:
-        violations.extend(res["violations"])
-        total_bad += res["violation_total"]
-        hyp += res["hyp_count"]
-        examined += res["examined"]
-    violations.sort()
+    same = _signature_equality(v)
+    violations, total_bad, hyp = _scan(
+        rep_codes, lambda g: _theorem_masks(theorem_id, v, k, same, g)
+    )
     entries = tuple(
         {
             "g": encode(Graph.from_code(v, rep_codes[ri]) if reps is None else reps[ri]),
@@ -498,7 +394,7 @@ def sweep_theorem(
         violations=entries,
         violation_count=total_bad,
         hypothesis_count=hyp,
-        pairs_examined=examined,
+        pairs_examined=len(rep_codes) << comb(v, 2),
         wall_time_seconds=time.perf_counter() - start,
         code_version=__version__,
     )
@@ -568,7 +464,7 @@ def membership_with_resume(
         cached = lookup_jsonl(resume_log, relation, v, k)
         if cached is not None:
             return cached
-    record = _membership(relation, v, k, long_running, jobs)
+    record = _membership(relation, v, k, long_running)
     if resume_log:
         append_jsonl(resume_log, record)
     return record

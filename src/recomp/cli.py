@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("theorem", choices=THEOREM_IDS)
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
+    sp.add_argument("--jobs", type=int, default=1, help="accepted; sweeps run in one process")
     sp.add_argument("--long", action="store_true", help="allow order-7 sweeps")
     add_mode(sp)
 
@@ -110,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--resume", help="JSONL log to reuse and append")
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
+    sp.add_argument("--jobs", type=int, default=1, help="accepted; sweeps run in one process")
     sp.add_argument("--long", action="store_true", help="allow order-7 sweeps")
     add_mode(sp)
 
@@ -120,13 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_mode(sp)
 
     return p
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("RECOMP_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(payload: dict, mode: str) -> None:

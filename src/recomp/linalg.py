@@ -176,10 +176,7 @@ class ModMatrix:
         return list(self.rows[i])
 
     def transpose(self) -> "ModMatrix":
-        return ModMatrix(
-            [[self.row_entries(i)[c] for i in range(self.nrows)] for c in range(self.ncols)],
-            self.p,
-        )
+        return ModMatrix(list(zip(*map(self.row_entries, range(self.nrows)))), self.p)
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
         if self.p == 2:

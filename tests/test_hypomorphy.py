@@ -5,7 +5,15 @@ from math import comb
 import pytest
 
 from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
-from recomp.graphs import Graph, complement, induced, invariants, mask_of, subgraph_edge_count
+from recomp.graphs import (
+    Graph,
+    complement,
+    homogeneous_triples,
+    induced,
+    invariants,
+    mask_of,
+    subgraph_edge_count,
+)
 from recomp.hypomorphy import (
     PairProfile,
     dense_subset_edge_bound,
@@ -14,6 +22,7 @@ from recomp.hypomorphy import (
     k_hypomorphic,
     k_hypomorphic_utc,
     pair_profile,
+    restriction_h3_count,
     same_3_homogeneous,
     same_a0_counts,
     same_edge_counts_utc,
@@ -540,6 +549,16 @@ def test_h3_counts_and_a0_counts(rng):
         k = rng.randint(3, n)
         assert same_h3_counts(g, complement(g), k).holds
         assert same_a0_counts(g, complement(g), k).holds
+
+
+def test_restriction_h3_count_matches_triple_census(rng):
+    # Goodman's identity against a direct count of homogeneous triples
+    for n in range(3, 13):
+        for p in (0.2, 0.5, 0.8):
+            g = Graph.random(n, rng, p)
+            for k in {3, max(3, n // 2 + 1), n}:
+                s = tuple(sorted(rng.sample(range(n), k)))
+                assert restriction_h3_count(g, s) == len(homogeneous_triples(induced(g, s)))
 
 
 def _iso(a: Graph, b: Graph) -> bool:

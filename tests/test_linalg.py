@@ -104,6 +104,34 @@ def test_mod_transpose_and_gf2_packing(rng):
     assert rank_mod(m2) == rank_mod(ModMatrix(rows, 2).transpose())
 
 
+def test_mod_transpose_is_entrywise(rng):
+    from recomp.incidence import build_w
+
+    for p in (2, 3):
+        mats = [build_w(2, 4, 10).mod(p)]
+        for _ in range(20):
+            r, c = rng.randint(1, 12), rng.randint(1, 70)
+            mats.append(ModMatrix([[rng.randint(0, p - 1) for _ in range(c)] for _ in range(r)], p))
+        for m in mats:
+            t = m.transpose()
+            assert (t.nrows, t.ncols, t.p) == (m.ncols, m.nrows, p)
+            for i in range(m.nrows):
+                for j, x in enumerate(m.row_entries(i)):
+                    assert t.row_entries(j)[i] == x
+
+
+def test_rank_exact_agrees_with_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    for _ in range(60):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.5:  # rank-deficient stack: rows repeated and combined
+            m = m + [[2 * x - y for x, y in zip(m[0], m[-1])], list(m[0])]
+        if rng.random() < 0.5:
+            m = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in m]
+        assert rank_exact(m) == sympy.Matrix(m).rank()
+
+
 def test_binomial():
     assert binomial(6, -1) == 0
     assert binomial(6, 2) == 15
