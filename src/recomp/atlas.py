@@ -22,7 +22,7 @@ and each statement is mask algebra on `labels == labels[g]`.  At k == v
 the hypothesis set of a membership sweep is the representative's orbit
 together with its complement's, enumerated directly.  Order 7
 multiplies the space by 64 and is gated behind `long_running`; sweeps
-run in one process (`jobs` is accepted and ignored).
+run in one process.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -257,13 +257,13 @@ def _membership(relation: str, v: int, k: int, long_running: bool) -> AtlasRecor
     )
 
 
-def s_membership(v: int, k: int, long_running: bool = False, jobs: int = 1) -> AtlasRecord:
+def s_membership(v: int, k: int, long_running: bool = False) -> AtlasRecord:
     """Does k-hypomorphy up to complementation force equality up to
     complementation at order v?  Exhaustive over (canonical g, labeled g')."""
     return _membership("S", v, k, long_running)
 
 
-def r_membership(v: int, k: int, long_running: bool = False, jobs: int = 1) -> AtlasRecord:
+def r_membership(v: int, k: int, long_running: bool = False) -> AtlasRecord:
     """Does k-hypomorphy up to complementation force isomorphy up to
     complementation at order v?"""
     return _membership("R", v, k, long_running)
@@ -361,7 +361,6 @@ def sweep_theorem(
     v: int,
     k: int | None = None,
     long_running: bool = False,
-    jobs: int = 1,
 ) -> SweepReport:
     """Run one theorem verifier exhaustively over the order-v pair space."""
     if theorem_id not in THEOREM_IDS:
@@ -458,7 +457,6 @@ def membership_with_resume(
     k: int,
     resume_log: str | None = None,
     long_running: bool = False,
-    jobs: int = 1,
 ) -> AtlasRecord:
     if resume_log:
         cached = lookup_jsonl(resume_log, relation, v, k)

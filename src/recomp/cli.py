@@ -253,9 +253,7 @@ def _cmd_construct(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    report = sweep_theorem(
-        args.theorem, args.v, args.k, long_running=args.long, jobs=args.jobs
-    )
+    report = sweep_theorem(args.theorem, args.v, args.k, long_running=args.long)
     return report.to_json(), 0 if report.ok else 1
 
 
@@ -266,7 +264,6 @@ def _cmd_atlas(args) -> tuple[dict, int]:
         args.k,
         resume_log=args.resume,
         long_running=args.long,
-        jobs=args.jobs,
     )
     return record.to_json(), 0
 

@@ -1,28 +1,38 @@
 """Exact rational and prime-field dense linear algebra.
 
-Rank over the rationals runs fraction-free Bareiss elimination on Python
-ints (entries stay exact minors, division is always exact).  A sound
-short-circuit runs first: the rank modulo the fixed prime 2^31 - 1, done
-vectorized in int64, is a lower bound on the rational rank, so when it
-already equals min(rows, cols) the answer is certified without any big
-arithmetic.  Deficient-rank inputs fall through to Bareiss.
+Odd primes share one elimination kernel, `_rref_gfp`: the reduced row
+echelon form of a numpy array of residues, int64 for p < 2^31 (products
+of residues stay below 2^62) and Python ints in an object array above.
+Each column pivots on its first nonzero entry at or below the current
+row; the RREF is unique for given pivots, so kernel bases are
+reproducible.  GF(2) matrices pack each row into one int and eliminate
+with xor.
 
-GF(2) matrices pack each row into one int and eliminate with xor; other
-primes use scalar arithmetic.  Pivoting is always the first nonzero entry
-in row-major order so kernel bases are reproducible.
+Rank over the rationals: the rank r modulo 2^31 - 1 is a lower bound,
+and the answer when it equals min(rows, cols).  Otherwise the GF(p)
+kernel of the smaller side is lifted to integer vectors by rational
+reconstruction (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10)
+and checked against the matrix in exact integer arithmetic; the vectors
+are independent (each is nonzero only at its own free column among the
+free columns), so the rank is at most r.  When a lift or a check fails,
+the next prime below 2^31 is tried; once the product of the primes
+exceeds the Hadamard bound, the largest rank seen is the rational rank
+(Dixon, Numer. Math. 40, 1982).  No floating point is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
-from typing import Sequence
+from math import comb, gcd, isqrt, prod
+from numbers import Rational
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonPrimeModulus, VerificationError
 
-_CERT_PRIME = (1 << 31) - 1  # Mersenne prime; products fit in int64
+_CERT_PRIME = (1 << 31) - 1  # Mersenne prime; products of residues fit in int64
+_INT64_MAX = (1 << 63) - 1
 
 
 def is_prime(p: int) -> bool:
@@ -67,6 +77,8 @@ class ExactMatrix:
         self.ncols = len(self.entries[0])
         if any(len(r) != self.ncols for r in self.entries):
             raise DomainError("ragged rows")
+        if not all(isinstance(x, (Rational, np.bool_)) for r in self.entries for x in r):
+            raise DomainError("matrix entries must be integers or Fractions")
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(map(list, zip(*self.entries))))
@@ -83,100 +95,182 @@ class ExactMatrix:
         return out
 
 
-def _rank_mod_prime_numpy(rows: list[list[int]], p: int) -> int:
-    m = np.array(rows, dtype=np.int64) % p
-    nr, nc = m.shape
-    r = 0
-    for col in range(nc):
-        nz = np.nonzero(m[r:, col])[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, col]), p - 2, p)
-        m[r, col:] = m[r, col:] * inv % p
-        factors = m[r + 1 :, col].copy()
-        m[r + 1 :, col:] = (m[r + 1 :, col:] - factors[:, None] * m[r, col:][None, :]) % p
-        r += 1
-        if r == nr:
-            break
-    return r
+def _integer_array(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndarray) -> np.ndarray:
+    """m with its rows rescaled to integers: an int64 array, or an object
+    array of Python ints when an entry does not fit in int64.  An ndarray
+    must be two-dimensional, nonempty, and of integer or object dtype."""
+    if isinstance(m, np.ndarray):
+        if m.ndim != 2:
+            raise DomainError("matrix must be two-dimensional")
+        if m.dtype.kind not in "biuO":
+            raise DomainError(f"matrix entries must be integers, got dtype {m.dtype}")
+        if not m.size:
+            raise DomainError("matrix dimensions must be positive")
+        if m.dtype != object and (m.dtype != np.uint64 or m.max() <= _INT64_MAX):
+            return m.astype(np.int64)
+        m = m.tolist()
+    rows = (m if isinstance(m, ExactMatrix) else ExactMatrix(m)).integer_rows()
+    fits = all(-_INT64_MAX <= x <= _INT64_MAX for row in rows for x in row)
+    return np.array(rows, dtype=np.int64 if fits else object)
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    mat = [list(r) for r in rows]
-    nr, nc = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = next((i for i in range(rank, nr) if mat[i][col]), None)
-        if piv is None:
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """Entries of an integer array mod p: int64 for p < 2^31, where products
+    of residues fit, Python ints in an object array otherwise."""
+    if p <= _CERT_PRIME:
+        return (a % p).astype(np.int64, copy=False)
+    return a.astype(object) % p
+
+
+def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p), p an odd prime, of an array of
+    residues in [0, p): the nonzero rows and the pivot columns."""
+    work = a.copy()
+    nrows = work.shape[0]
+    pivots: list[int] = []
+    for col in range(work.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(work[r:, col])
+        if not below.size:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for i in range(rank + 1, nr):
-            row = mat[i]
-            f = row[col]
-            for c in range(col + 1, nc):
-                row[c] = (p * row[c] - f * prow[c]) // prev
-            row[col] = 0
-        prev = p
-        rank += 1
-        if rank == nr:
+        if below[0]:
+            work[[r, r + below[0]]] = work[[r + below[0], r]]
+        inv = pow(int(work[r, col]), -1, p)
+        if inv != 1:
+            work[r, col:] = work[r, col:] * inv % p
+        factors = work[:, col].copy()
+        factors[r] = 0
+        rows = np.flatnonzero(factors)
+        if rows.size:
+            cols = col + np.flatnonzero(work[r, col:])
+            block = np.ix_(rows, cols)
+            # adding (p - f) times the pivot row keeps entries in [0, p^2)
+            work[block] = (work[block] + (p - factors[rows, None]) * work[r, cols]) % p
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return rank
+    return work[: len(pivots)], pivots
+
+
+def _kernel_vectors(rref: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
+    """Basis of the right null space from an RREF, one row per free column
+    in column order: 1 at the free column, minus that column of the RREF at
+    the pivot columns, 0 elsewhere."""
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((len(free), ncols), dtype=rref.dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-rref[:, free].T) % p
+    return basis
+
+
+def _rational(u: int, p: int, bound: int) -> Fraction | None:
+    """The fraction a/b = u mod p with |a|, b <= bound, if there is one (then
+    it is unique, since 2 bound^2 < p): the half extended Euclid."""
+    r0, r1, s0, s1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lift(basis: np.ndarray, p: int) -> np.ndarray | None:
+    """Integer vectors, one per row of a GF(p) basis: each entry by rational
+    reconstruction, then the row's denominators cleared; None when an entry
+    has no reconstruction."""
+    bound = isqrt(p // 2)
+    rows = []
+    for vec in basis.tolist():
+        row = []
+        for u in vec:
+            x = _rational(u, p, bound)
+            if x is None:
+                return None
+            row.append(x)
+        rows.append(row)
+    return _integer_array(rows)
+
+
+def _magnitude(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min()))
+
+
+def _kernel_lifts(a: np.ndarray, rref: np.ndarray, pivots: list[int], p: int) -> bool:
+    """Do the lifted GF(p) kernel vectors of a lie in its rational kernel?
+    The product is exact: int64 when the magnitudes bound it below 2^63,
+    Python ints otherwise."""
+    lifted = _lift(_kernel_vectors(rref, pivots, a.shape[1], p), p)
+    if lifted is None:
+        return False
+    if a.dtype == lifted.dtype == np.int64 and (
+        _magnitude(a) * _magnitude(lifted) * a.shape[1] <= _INT64_MAX
+    ):
+        product = a @ lifted.T
+    else:
+        product = a.astype(object) @ lifted.T.astype(object)
+    return not product.any()
+
+
+def _hadamard_bound(a: np.ndarray) -> int:
+    """A bound on |det| of every square submatrix of a, which has no more
+    columns than rows: the product of the ncols largest row norms, each
+    rounded up."""
+    norms = sorted((isqrt(sum(x * x for x in row)) + 1 for row in a.tolist()), reverse=True)
+    return prod(norms[: a.shape[1]])
+
+
+def _cert_primes() -> Iterator[int]:
+    """The primes below 2^31, in descending order."""
+    yield _CERT_PRIME
+    for q in range(_CERT_PRIME - 2, 2, -2):
+        if is_prime(q):
+            yield q
 
 
 def rank_exact(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndarray) -> int:
     """Rank over the rationals, exact (no floating point)."""
-    if isinstance(m, np.ndarray):
-        rows = [[int(x) for x in r] for r in m]
-    elif isinstance(m, ExactMatrix):
-        rows = m.integer_rows()
-    else:
-        rows = ExactMatrix(m).integer_rows()
-    bound = max((abs(x) for row in rows for x in row), default=0)
-    if bound < _CERT_PRIME:
-        r = _rank_mod_prime_numpy(rows, _CERT_PRIME)
-        if r == min(len(rows), len(rows[0])):
-            return r
-    return _bareiss_rank(rows)
+    a = _integer_array(m)
+    if a.shape[0] < a.shape[1]:
+        a = a.T  # certify the smaller kernel
+    best, modulus, hadamard = 0, 1, None
+    for p in _cert_primes():
+        rref, pivots = _rref_gfp(_residues(a, p), p)
+        if len(pivots) == a.shape[1] or _kernel_lifts(a, rref, pivots, p):
+            return len(pivots)
+        best = max(best, len(pivots))
+        modulus *= p
+        if hadamard is None:
+            hadamard = _hadamard_bound(a)
+        if modulus > hadamard:
+            return best
+    raise VerificationError("ran out of primes below 2^31")
 
 
 class ModMatrix:
-    """Dense matrix over GF(p); rows are packed ints when p = 2."""
+    """Dense matrix over GF(p): an array of residues for odd p (see
+    `_residues`), one packed int per row for p = 2."""
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray, p: int):
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
-        if isinstance(rows, np.ndarray):
-            if rows.ndim != 2:
-                raise DomainError("matrix must be two-dimensional")
-            mat = rows.astype(np.int64) % p
-        else:
-            mat = [list(int(x) % p for x in r) for r in rows]
-        if not len(mat) or not len(mat[0]):
-            raise DomainError("matrix dimensions must be positive")
-        self.nrows = len(mat)
-        self.ncols = len(mat[0])
-        if isinstance(mat, list) and any(len(r) != self.ncols for r in mat):
-            raise DomainError("ragged rows")
+        mat = _residues(_integer_array(rows), p)
+        self.nrows, self.ncols = mat.shape
         if p == 2:
-            packed = np.packbits(np.asarray(mat, dtype=np.uint8), axis=1, bitorder="little")
-            self.rows: list = [int.from_bytes(r.tobytes(), "little") for r in packed]
+            packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
+            self.rows: list | np.ndarray = [int.from_bytes(r.tobytes(), "little") for r in packed]
         else:
-            self.rows = mat if isinstance(mat, list) else mat.tolist()
+            self.rows = mat
 
     def row_entries(self, i: int) -> list[int]:
         if self.p == 2:
             return [(self.rows[i] >> c) & 1 for c in range(self.ncols)]
-        return list(self.rows[i])
+        return self.rows[i].tolist()
 
     def transpose(self) -> "ModMatrix":
-        return ModMatrix(list(zip(*map(self.row_entries, range(self.nrows)))), self.p)
+        entries = _gf2_unpack(self.rows, self.ncols) if self.p == 2 else self.rows
+        return ModMatrix(entries.T, self.p)
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
         if self.p == 2:
@@ -186,6 +280,14 @@ class ModMatrix:
             sum(a * b for a, b in zip(self.row_entries(i), vec)) % self.p
             for i in range(self.nrows)
         ]
+
+
+def _gf2_unpack(rows: list[int], ncols: int) -> np.ndarray:
+    """Packed GF(2) rows as an int64 0/1 array."""
+    width = (ncols + 7) // 8
+    buf = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(buf.reshape(len(rows), width), axis=1, count=ncols, bitorder="little")
+    return bits.astype(np.int64)
 
 
 def _rref_gf2(m: ModMatrix) -> tuple[list[int], list[int]]:
@@ -207,54 +309,19 @@ def _rref_gf2(m: ModMatrix) -> tuple[list[int], list[int]]:
     return work, pivots
 
 
-def _rref_modp(m: ModMatrix) -> tuple[list[list[int]], list[int]]:
-    p = m.p
-    work = [list(r) for r in m.rows]
-    pivots = []
-    r = 0
-    for col in range(m.ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][col], p - 2, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
-
-
 def rank_mod(m: ModMatrix) -> int:
     """Rank over GF(p)."""
     if m.p == 2:
         return len(_rref_gf2(m)[1])
-    return len(_rref_modp(m)[1])
+    return len(_rref_gfp(m.rows, m.p)[1])
 
 
 def kernel_basis_mod(m: ModMatrix) -> list[tuple[int, ...]]:
     """Basis of the right null space {x : m x = 0 over GF(p)}, one vector
     per free column, in column order."""
-    p = m.p
-    if p == 2:
-        rref, pivots = _rref_gf2(m)
-        entry = lambda i, c: rref[i] >> c & 1
+    if m.p == 2:
+        rows, pivots = _rref_gf2(m)
+        rref = _gf2_unpack(rows[: len(pivots)], m.ncols)
     else:
-        rref, pivots = _rref_modp(m)
-        entry = lambda i, c: rref[i][c]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * m.ncols
-        vec[free] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-entry(i, free)) % p
-        basis.append(tuple(vec))
-    return basis
+        rref, pivots = _rref_gfp(m.rows, m.p)
+    return list(map(tuple, _kernel_vectors(rref, pivots, m.ncols, m.p).tolist()))

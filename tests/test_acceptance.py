@@ -128,12 +128,14 @@ def test_criterion_05_kernel_characterizations():
 
 def test_criterion_06_parity_theorem_exhaustive():
     with criterion(6, "parity theorem sweep (v=6, k=4), single-threaded", 600):
-        rep = sweep_theorem("k0mod4", 6, 4, jobs=1)
+        rep = sweep_theorem("k0mod4", 6, 4)
         assert rep.ok and rep.violation_count == 0
         assert rep.pairs_examined == 156 * (1 << 15)
-    with criterion(6, "parity theorem sweep (v=6, k=4), 8 workers", 120):
-        rep8 = sweep_theorem("k0mod4", 6, 4, jobs=8)
-        assert rep8.ok and rep8.to_json() == rep.to_json()
+    with criterion(6, "parity theorem sweep (v=6, k=4), CLI with --jobs 8", 120):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(["verify", "k0mod4", "--v", "6", "--k", "4", "--jobs", "8", "--mode", "json"])
+        assert code == 0 and json.loads(buf.getvalue()) == rep.to_json()
 
 
 def test_criterion_07_clawfree_exhaustive():

@@ -169,11 +169,11 @@ def test_sweep_param_validation():
 
 
 def test_sweep_determinism_and_jobs():
-    a = sweep_theorem("k0mod4", 6, 4, jobs=1)
-    b = sweep_theorem("k0mod4", 6, 4, jobs=3)
+    a = sweep_theorem("k0mod4", 6, 4)
+    b = sweep_theorem("k0mod4", 6, 4)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
-    r1 = s_membership(6, 5, jobs=1)
-    r2 = s_membership(6, 5, jobs=3)
+    r1 = s_membership(6, 5)
+    r2 = s_membership(6, 5)
     assert r1.to_json() == r2.to_json()
 
 
@@ -238,7 +238,7 @@ def test_atlas_record_json_is_stable():
 
 
 def test_gated_order7_smembership():
-    rec = s_membership(7, 5, long_running=True, jobs=4)
+    rec = s_membership(7, 5, long_running=True)
     assert rec.verdict == "NonMember"
     g, h = decode(rec.witness[0]), decode(rec.witness[1])
     assert k_hypomorphic_utc(g, h, 5).holds
@@ -246,5 +246,5 @@ def test_gated_order7_smembership():
 
 
 def test_gated_order7_k1mod4_sweep():
-    rep = sweep_theorem("k1mod4", 7, 5, long_running=True, jobs=4)
+    rep = sweep_theorem("k1mod4", 7, 5, long_running=True)
     assert rep.ok

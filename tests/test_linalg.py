@@ -3,17 +3,78 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from recomp import linalg
 from recomp.errors import DomainError, NonPrimeModulus
+from recomp.incidence import build_w
 from recomp.linalg import (
     ExactMatrix,
     ModMatrix,
-    _bareiss_rank,
+    _rref_gfp,
     binomial,
     cramer_determinant,
     kernel_basis_mod,
     rank_exact,
     rank_mod,
 )
+
+
+P31 = (1 << 31) - 1
+
+
+def _fraction_rank(m):
+    """Reference rational rank: Gauss-Jordan elimination over Fractions."""
+    work = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(work[0])):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / work[rank][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def _scalar_rref(rows, p):
+    """Reference GF(p) RREF, one entry at a time: (nonzero rows, pivot columns)."""
+    work = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(work[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = pow(work[r][col], p - 2, p)
+        work[r] = [x * inv % p for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
+def _scalar_kernel(rref, pivots, ncols, p):
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = (-rref[i][free]) % p
+        basis.append(tuple(vec))
+    return basis
+
+
+def _low_rank(rng, r, c, rk, lo=-5, hi=5):
+    a = [[rng.randint(lo, hi) for _ in range(rk)] for _ in range(r)]
+    b = [[rng.randint(lo, hi) for _ in range(c)] for _ in range(rk)]
+    return [[sum(a[i][t] * b[t][j] for t in range(rk)) for j in range(c)] for i in range(r)]
 
 
 def test_rank_exact_basics():
@@ -24,8 +85,6 @@ def test_rank_exact_basics():
 
 
 def test_rank_exact_w23_v6_full_row_rank():
-    from recomp.incidence import build_w
-
     w = build_w(2, 3, 6)
     assert rank_exact(w.array) == 15
 
@@ -45,16 +104,14 @@ def test_rank_exact_transpose_invariant(rng):
         assert rank_exact(m) == rank_exact(t)
 
 
-def test_bareiss_agrees_with_certificate_path(rng):
-    # low-rank products force the Bareiss lane; compare on full-rank too
+def test_rank_exact_agrees_with_fraction_reference(rng):
+    # low-rank products force the certificate lane; compare on full-rank too
     for _ in range(40):
         r, c = rng.randint(2, 8), rng.randint(2, 8)
         rk = rng.randint(1, min(r, c))
-        a = [[rng.randint(-5, 5) for _ in range(rk)] for _ in range(r)]
-        b = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(rk)]
-        m = [[sum(a[i][t] * b[t][j] for t in range(rk)) for j in range(c)] for i in range(r)]
+        m = _low_rank(rng, r, c, rk)
         got = rank_exact(m)
-        assert got == _bareiss_rank(m) <= rk
+        assert got == _fraction_rank(m) <= rk
         assert got == np.linalg.matrix_rank(np.array(m, dtype=float))
 
 
@@ -63,6 +120,98 @@ def test_bareiss_handles_large_entries():
     m = [[big, big + 1], [1, 1]]
     assert rank_exact(m) == 2
     assert rank_exact([[big, 2 * big], [3 * big, 6 * big]]) == 1
+
+
+def test_rank_exact_when_first_prime_is_unlucky():
+    # the rank mod 2^31 - 1 is too low; its kernel lifts, but the exact check
+    # rejects the lift and the next prime decides (under python -O too)
+    assert rank_exact([[P31, 0], [0, 1]]) == 2
+    assert rank_exact(np.array([[P31, 1, 0], [0, 1, 1], [0, 0, P31]])) == 3
+
+
+def test_certificate_fallback_when_lift_is_corrupted(monkeypatch, rng):
+    # adding 1 to every lifted entry moves each vector off the kernel of a
+    # matrix with a nonzero row sum, so the exact check fails and no
+    # unverified rank is returned: primes run on until their product passes
+    # the Hadamard bound, and the largest rank seen is the answer
+    real_lift = linalg._lift
+    calls = []
+
+    def corrupted(basis, p):
+        calls.append(p)
+        lifted = real_lift(basis, p)
+        return None if lifted is None else lifted + 1
+
+    monkeypatch.setattr(linalg, "_lift", corrupted)
+    cases = [_low_rank(rng, rng.randint(2, 6), rng.randint(2, 6), 1, 1, 5) for _ in range(8)]
+    cases += [[[P31, 0], [0, 1]], [[1, 2], [2, 4], [3, 6]]]
+    cases.append([[10**12, 2 * 10**12], [1, 2]])  # Hadamard bound above 2^31: two primes
+    q2 = 2147483629  # the second prime tried, unlucky here: the first prime's rank stands
+    cases.append([[q2, 0, 0], [0, 1, 0], [0, 0, 0]])
+    for m in cases:
+        assert rank_exact(m) == _fraction_rank(m)
+    assert len(calls) >= len(cases) and len(set(calls)) == 2
+
+
+BAD_ARRAYS = [
+    np.array([[1.5, 2]]),
+    np.array([[1 + 0j, 2]]),
+    np.zeros((0, 3), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int64),
+    np.zeros((2, 2, 2), dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_ARRAYS)
+def test_validation_rejects_bad_arrays(bad):
+    with pytest.raises(DomainError):
+        rank_exact(bad)
+    with pytest.raises(DomainError):
+        ModMatrix(bad, 3)
+
+
+def test_validation_rejects_bad_lists():
+    for bad in ([], [[]], [[1, 2], [3]], [[0.5, 1], [1, 2]], [[1, 2.0]], [[1j, 1]]):
+        with pytest.raises(DomainError):
+            rank_exact(bad)
+        with pytest.raises(DomainError):
+            ModMatrix(bad, 5)
+
+
+def test_rank_exact_integer_dtypes():
+    base = [[3, 1, 4], [1, 5, 9], [4, 6, 13]]  # third row = first + second
+    for dtype in (np.uint8, np.int8, np.int32, np.int64, np.uint64, bool, object):
+        arr = np.array(base, dtype=dtype)
+        assert rank_exact(arr) == _fraction_rank(arr.astype(np.int64).tolist())
+    huge = np.array([[2**64 - 1, 1], [2**64 - 1, 1]], dtype=np.uint64)
+    assert rank_exact(huge) == 1
+    assert rank_mod(ModMatrix(huge, 3)) == 1
+    fractions = np.array([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], dtype=object)
+    assert rank_exact(fractions) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, P31, 2147483659])
+def test_odd_prime_kernel_matches_scalar_rref(rng, p):
+    mats = [
+        build_w(2, 3, 6).array.tolist(),
+        build_w(4, 6, 9).array.tolist(),  # more rows than columns
+        build_w(1, 2, 5).array.T.tolist(),
+        np.vstack([build_w(2, 4, 7).array, build_w(1, 4, 7).array]).tolist(),
+    ]
+    for _ in range(25):
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        mats.append([[rng.randrange(p) for _ in range(c)] for _ in range(r)])
+        rows = _low_rank(rng, r, c, rng.randint(1, min(r, c)), 0, p - 1)
+        mats.append(rows + rows[:1])  # rank deficient, a repeated row
+    for rows in mats:
+        ncols = len(rows[0])
+        ref_rows, ref_pivots = _scalar_rref(rows, p)
+        m = ModMatrix(rows, p)
+        got_rows, got_pivots = _rref_gfp(m.rows, p)
+        assert got_pivots == ref_pivots
+        assert got_rows.tolist() == ref_rows
+        assert rank_mod(m) == len(ref_pivots)
+        assert kernel_basis_mod(m) == _scalar_kernel(ref_rows, ref_pivots, ncols, p)
 
 
 def test_rank_mod_basics():
@@ -105,8 +254,6 @@ def test_mod_transpose_and_gf2_packing(rng):
 
 
 def test_mod_transpose_is_entrywise(rng):
-    from recomp.incidence import build_w
-
     for p in (2, 3):
         mats = [build_w(2, 4, 10).mod(p)]
         for _ in range(20):
