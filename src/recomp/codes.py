@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from .errors import OrderTooLarge
-from .graphs import Graph, pair_rank, pair_unrank
+from .graphs import Graph, pair_rank
 
 CANON_MAX_ORDER = 8
 TABLE_MAX_ORDER = 7
@@ -54,9 +54,8 @@ def dest_weights(n: int) -> np.ndarray:
         raise OrderTooLarge(f"canonical codes support n <= {CANON_MAX_ORDER}")
     if n not in _dest_weights:
         perms = np.array(list(permutations(range(n))), dtype=np.int64)
-        rank = np.array([pair_rank(i, j) for i in range(n) for j in range(n)], dtype=np.int64)
-        rank = rank.reshape(n, n)
-        sources = [pair_unrank(s) for s in range(n_pairs(n))]
+        rank = np.array([[pair_rank(i, j) for j in range(n)] for i in range(n)], dtype=np.int64)
+        sources = [(i, j) for j in range(n) for i in range(j)]  # colex pair order
         i, j = np.array(sources, dtype=np.int64).reshape(-1, 2).T
         _dest_weights[n] = np.int64(1) << rank[perms[:, i], perms[:, j]].T
     return _dest_weights[n]
@@ -72,6 +71,12 @@ def relabelings(n: int, code: int) -> np.ndarray:
 def canonical_code(n: int, code: int) -> int:
     """Minimum code over all relabelings of one graph."""
     return int(relabelings(n, code).min())
+
+
+def canonical_utc_code(n: int, code: int) -> int:
+    """Minimum code over all relabelings of one graph and of its
+    complement; equal codes iff isomorphic up to complementation."""
+    return min(canonical_code(n, code), canonical_code(n, full_code(n) ^ code))
 
 
 def all_codes(n: int) -> np.ndarray:
@@ -108,13 +113,17 @@ def canonical_utc_table(n: int) -> np.ndarray:
     return _canon_utc_tables[n]
 
 
+def _bit_counts(values: np.ndarray, nbits: int) -> np.ndarray:
+    """Number of set bits among the low nbits of each entry."""
+    cnt = np.zeros(len(values), dtype=np.int16)
+    for b in range(nbits):
+        cnt += ((values >> b) & 1).astype(np.int16)
+    return cnt
+
+
 def popcount_table(nbits: int) -> np.ndarray:
     if nbits not in _popcount_tables:
-        codes = np.arange(1 << nbits, dtype=np.int64)
-        cnt = np.zeros(1 << nbits, dtype=np.int16)
-        for b in range(nbits):
-            cnt += ((codes >> b) & 1).astype(np.int16)
-        _popcount_tables[nbits] = cnt
+        _popcount_tables[nbits] = _bit_counts(np.arange(1 << nbits, dtype=np.int64), nbits)
     return _popcount_tables[nbits]
 
 
@@ -123,18 +132,10 @@ def edge_count_table(n: int) -> np.ndarray:
 
 
 def h3_count_table(n: int) -> np.ndarray:
-    """Number of 3-homogeneous subsets, per code."""
+    """Number of 3-homogeneous subsets, per code: the set bits of
+    `h3_set_table`."""
     if n not in _h3_count_tables:
-        codes = all_codes(n)
-        cnt = np.zeros(len(codes), dtype=np.int16)
-        for a, b, c in combinations(range(n), 3):
-            s = (
-                ((codes >> pair_rank(a, b)) & 1)
-                + ((codes >> pair_rank(a, c)) & 1)
-                + ((codes >> pair_rank(b, c)) & 1)
-            )
-            cnt += ((s == 0) | (s == 3)).astype(np.int16)
-        _h3_count_tables[n] = cnt
+        _h3_count_tables[n] = _bit_counts(h3_set_table(n), comb(n, 3))
     return _h3_count_tables[n]
 
 
@@ -143,13 +144,9 @@ def h3_set_table(n: int) -> np.ndarray:
     if n not in _h3_set_tables:
         codes = all_codes(n)
         mask = np.zeros(len(codes), dtype=np.int64)
-        for t, (a, b, c) in enumerate(combinations(range(n), 3)):
-            s = (
-                ((codes >> pair_rank(a, b)) & 1)
-                + ((codes >> pair_rank(a, c)) & 1)
-                + ((codes >> pair_rank(b, c)) & 1)
-            )
-            mask |= (((s == 0) | (s == 3)).astype(np.int64)) << t
+        for t, trip in enumerate(combinations(range(n), 3)):
+            r = extract_restriction_codes(codes, trip)
+            mask |= ((r == 0) | (r == 7)).astype(np.int64) << t
         _h3_set_tables[n] = mask
     return _h3_set_tables[n]
 
@@ -167,30 +164,11 @@ def clawfree_both_table(n: int) -> np.ndarray:
     return _clawfree_both_tables[n]
 
 
-def restriction_bit_sources(subset: tuple[int, ...]) -> list[int]:
-    """Global pair ranks feeding each local pair bit of the restriction to
-    `subset` (subset sorted ascending, matching induced() relabeling)."""
-    k = len(subset)
-    return [
-        pair_rank(subset[a], subset[b]) for a, b in (pair_unrank(d) for d in range(comb(k, 2)))
-    ]
-
-
 def extract_restriction_codes(codes: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-    """Restriction code of every entry of `codes` for one vertex subset."""
+    """Restriction code of every entry of `codes` for one vertex subset
+    (sorted ascending, matching induced() relabeling)."""
     out = np.zeros(len(codes), dtype=np.int64)
-    for d, src in enumerate(restriction_bit_sources(subset)):
-        out |= ((codes >> src) & 1) << d
+    local = [(subset[a], subset[b]) for b in range(len(subset)) for a in range(b)]
+    for d, (i, j) in enumerate(local):  # local pair d, in colex order
+        out |= ((codes >> pair_rank(i, j)) & 1) << d
     return out
-
-
-def restriction_code(g: Graph, subset: tuple[int, ...]) -> int:
-    """Code of the restriction of one graph to a sorted vertex subset."""
-    c = 0
-    d = 0
-    for b in range(1, len(subset)):
-        jb = subset[b]
-        for a in range(b):
-            c |= (g.adj[subset[a]] >> jb & 1) << d
-            d += 1
-    return c

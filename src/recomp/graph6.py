@@ -1,16 +1,24 @@
-"""Bit-exact graph6 text encoding.
+"""Bit-exact graph6 text encoding, a text format over `Graph.code`.
 
 Order prefix: one byte n + 63 for n <= 62, else '~' followed by three
 bytes holding n in 18 bits, 6 bits per byte, most significant group
-first.  Adjacency: upper-triangle bits in column order x(0,1), x(0,2),
-x(1,2), x(0,3), ..., zero-padded to a multiple of 6, each 6-bit group
-(first bit most significant) + 63 printed as one byte.
+first.  Adjacency: the upper-triangle bits in column order x(0,1), x(0,2),
+x(1,2), x(0,3), ..., which is colex pair order, so the bit stream is
+`Graph.code` read from its lowest bit.  It is zero-padded to a multiple
+of 6, and each 6-bit group (first bit most significant) + 63 is printed
+as one byte.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import DomainError
 from .graphs import MAX_ORDER, Graph
+
+# Six code bits, lowest first, read as a graph6 group (first bit most
+# significant): the bit reversal, which is its own inverse.
+_REVERSED = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
 
 
 def _encode_order(n: int) -> str:
@@ -20,20 +28,9 @@ def _encode_order(n: int) -> str:
 
 
 def encode(g: Graph) -> str:
-    out = [_encode_order(g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    code = g.code
+    body = (chr(_REVERSED[code >> s & 63] + 63) for s in range(0, comb(g.n, 2), 6))
+    return _encode_order(g.n) + "".join(body)
 
 
 def decode(s: str) -> Graph:
@@ -42,12 +39,10 @@ def decode(s: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise DomainError("empty graph6 string")
-    vals = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise DomainError(f"byte {ch!r} outside graph6 range")
-        vals.append(v)
+    vals = [ord(ch) - 63 for ch in s]
+    if min(vals) < 0 or max(vals) > 63:
+        bad = next(ch for ch, v in zip(s, vals) if not 0 <= v <= 63)
+        raise DomainError(f"byte {bad!r} outside graph6 range")
     if vals[0] == 63:  # '~' long form
         if len(vals) < 4:
             raise DomainError("truncated graph6 order")
@@ -58,21 +53,12 @@ def decode(s: str) -> Graph:
         body = vals[1:]
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"graph6 order {n} unsupported (1..{MAX_ORDER})")
-    m = n * (n - 1) // 2
+    m = comb(n, 2)
     if len(body) != (m + 5) // 6:
         raise DomainError("graph6 body length does not match the order")
-    bits = []
-    for v in body:
-        for s_ in range(5, -1, -1):
-            bits.append(v >> s_ & 1)
-    if any(bits[m:]):
+    code = 0
+    for v in reversed(body):
+        code = code << 6 | _REVERSED[v]
+    if code >> m:
         raise DomainError("nonzero padding bits")
-    rows = [0] * n
-    b = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[b]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            b += 1
-    return Graph(n, tuple(rows))
+    return Graph.from_code(n, code)

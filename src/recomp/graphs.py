@@ -5,7 +5,11 @@ A graph on n vertices (1 <= n <= 64) is stored as n adjacency rows, one
 subsets travel as plain int bitmasks.  Pairs {i, j} with i < j are indexed
 in colexicographic order, rank(i, j) = i + C(j, 2), and the `code` of a
 graph packs its upper triangle into one int using that order (the same
-order graph6 uses for its bit stream).
+order graph6 uses for its bit stream): row j puts its bits below j at
+offset C(j, 2).  Rows packed w bits apart (w the least power of two >= n)
+form a w x w bit matrix, which `_transpose` transposes in log2(w) masked
+block swaps: a code's lower triangle L gives the rows L | transpose(L),
+and validation checks that the packed rows equal their transpose.
 
 The a0/a1/a2 counts classify unordered {edge, non-edge} pairs: a0 counts
 the vertex-disjoint ones, a1 the ones sharing a vertex, a2 = a0 + a1 all
@@ -15,12 +19,13 @@ triangle in the graph or in its complement; h3 counts those.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, EmptySubset, OrderMismatch
 
@@ -65,11 +70,33 @@ def pair_rank(i: int, j: int) -> int:
     return i + comb(j, 2)
 
 
-def pair_unrank(r: int) -> tuple[int, int]:
-    j = 1
-    while comb(j + 1, 2) <= r:
-        j += 1
-    return r - comb(j, 2), j
+def _width(n: int) -> int:
+    """Bits per row of a packed adjacency matrix: the least power of two
+    >= n.  Rejects orders outside 1..MAX_ORDER, so masks stay small."""
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    return 1 << (operator.index(n) - 1).bit_length()
+
+
+_transpose_masks: dict[int, list[tuple[int, int]]] = {}
+
+
+def _transpose(x: int, w: int) -> int:
+    """Transpose of the w x w bit matrix packed in x (entry (i, j) at bit
+    i*w + j, w a power of two).  Round s swaps the off-diagonal s x s
+    blocks of every 2s x 2s block with one masked delta swap (Warren,
+    Hacker's Delight, 7-3); the mask marks entries with bit s clear in i
+    and set in j, and each moves by s*(w - 1)."""
+    rounds = _transpose_masks.get(w)
+    if rounds is None:
+        rounds = _transpose_masks[w] = []
+        for s in (w >> b for b in range(1, w.bit_length())):
+            m = sum(1 << i * w + j for i in range(w) for j in range(w) if j & s and not i & s)
+            rounds.append((s * (w - 1), m))
+    for d, m in rounds:
+        t = (x ^ x >> d) & m
+        x ^= t ^ t << d
+    return x
 
 
 @dataclass(frozen=True)
@@ -80,20 +107,23 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_ORDER:
-            raise DomainError(f"order must be in 1..{MAX_ORDER}, got {self.n}")
+        w = _width(self.n)
         if len(self.adj) != self.n:
             raise DomainError("adjacency row count must equal the order")
+        adj = tuple(map(operator.index, self.adj))  # numpy ints become ints
+        object.__setattr__(self, "adj", adj)
         full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
+        x = 0  # the rows packed w bits apart, row 0 lowest
+        for i, row in enumerate(adj):
             if row & ~full:
                 raise DomainError(f"row {i} has bits at or beyond the order")
             if row >> i & 1:
                 raise DomainError(f"nonzero diagonal at vertex {i}")
-        for i in range(self.n):
-            for j in bits_of(self.adj[i]):
-                if not self.adj[j] >> i & 1:
-                    raise DomainError(f"asymmetric adjacency at {{{i},{j}}}")
+            x |= row << i * w
+        lone = x & ~_transpose(x, w)  # (i, j) set, (j, i) clear
+        if lone:
+            i, j = divmod((lone & -lone).bit_length() - 1, w)
+            raise DomainError(f"asymmetric adjacency at {{{i},{j}}}")
 
     # -- basic accessors -------------------------------------------------
 
@@ -115,10 +145,7 @@ class Graph:
     @property
     def code(self) -> int:
         """Upper triangle packed in colex pair order."""
-        c = 0
-        for i, j in self.edges():
-            c |= 1 << pair_rank(i, j)
-        return c
+        return sum((row & ((1 << j) - 1)) << comb(j, 2) for j, row in enumerate(self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges())})"
@@ -137,12 +164,17 @@ class Graph:
 
     @staticmethod
     def from_code(n: int, code: int) -> "Graph":
-        rows = [0] * n
-        for b in bits_of(code):
-            i, j = pair_unrank(b)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return Graph(n, tuple(rows))
+        w = _width(n)
+        rest = operator.index(code)
+        lower = 0
+        for j in range(1, n):  # row j of the lower triangle: the next j bits
+            lower |= (rest & ((1 << j) - 1)) << j * w
+            rest >>= j
+        if rest:
+            raise DomainError(f"code {code} is not in [0, 2^{comb(n, 2)}) for order {n}")
+        x = lower | _transpose(lower, w)
+        full = (1 << n) - 1
+        return Graph(n, [x >> s & full for s in range(0, n * w, w)])
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -216,14 +248,19 @@ def induced(g: Graph, vertices: Iterable[int] | int) -> Graph:
         raise EmptySubset("induced subgraph needs at least one vertex")
     if sub[-1] >= g.n or sub[0] < 0:
         raise DomainError("subset contains a vertex outside the graph")
-    rows = []
-    for i in sub:
-        row = 0
-        for b, j in enumerate(sub):
-            if g.adj[i] >> j & 1:
-                row |= 1 << b
-        rows.append(row)
-    return Graph(len(sub), tuple(rows))
+    return Graph.from_code(len(sub), restriction_code(g, sub))
+
+
+def restriction_code(g: Graph, subset: Sequence[int]) -> int:
+    """Code of the restriction of one graph to a sorted vertex subset."""
+    c = 0
+    d = 0
+    for b in range(1, len(subset)):
+        jb = subset[b]
+        for a in range(b):
+            c |= (g.adj[subset[a]] >> jb & 1) << d
+            d += 1
+    return c
 
 
 def subgraph_edge_count(g: Graph, mask: int) -> int:

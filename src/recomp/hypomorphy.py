@@ -41,6 +41,7 @@ from .graphs import (
     invariants,
     is_claw_free,
     mask_of,
+    restriction_code,
     subgraph_edge_count,
 )
 from .isomorphism import ISO_MAX_ORDER, find_isomorphism
@@ -111,7 +112,7 @@ def _table_differs(table, g: Graph, h: Graph) -> Callable[[int], bool]:
 
     def differs(m: int) -> bool:
         s = tuple(bits_of(m))
-        return table[codetables.restriction_code(g, s)] != table[codetables.restriction_code(h, s)]
+        return table[restriction_code(g, s)] != table[restriction_code(h, s)]
 
     return differs
 
@@ -149,7 +150,7 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
             return True
         s = tuple(bits_of(m))
         return not _pair_iso(
-            k, codetables.restriction_code(g, s), codetables.restriction_code(h, s), utc
+            k, restriction_code(g, s), restriction_code(h, s), utc
         )
 
     return _first_mismatch(g, h, k, differs)
@@ -262,15 +263,14 @@ def pair_profile(g: Graph, h: Graph, k: int) -> PairProfile:
     if k > codetables.CANON_MAX_ORDER:
         raise KTooLarge(f"profiles carry canonical codes, k <= {codetables.CANON_MAX_ORDER}")
     e_g, e_h, cg, ch, h3g, h3h = [], [], [], [], [], []
-    full = codetables.full_code(k)
     for m in colex_masks(g.n, k):
         s = tuple(bits_of(m))
-        rg = codetables.restriction_code(g, s)
-        rh = codetables.restriction_code(h, s)
+        rg = restriction_code(g, s)
+        rh = restriction_code(h, s)
         e_g.append(subgraph_edge_count(g, m))
         e_h.append(subgraph_edge_count(h, m))
-        cg.append(min(codetables.canonical_code(k, rg), codetables.canonical_code(k, full ^ rg)))
-        ch.append(min(codetables.canonical_code(k, rh), codetables.canonical_code(k, full ^ rh)))
+        cg.append(codetables.canonical_utc_code(k, rg))
+        ch.append(codetables.canonical_utc_code(k, rh))
         h3g.append(restriction_h3_count(g, s))
         h3h.append(restriction_h3_count(h, s))
     return PairProfile(k, tuple(e_g), tuple(e_h), tuple(cg), tuple(ch), tuple(h3g), tuple(h3h))

@@ -177,9 +177,8 @@ def restriction_edge_counts_via_matrix(g: Graph, k: int) -> list[int]:
     """Per-k-subset restriction edge counts computed as the product of the
     graph's edge row vector with W(2, k), colex column order."""
     w = build_w(2, k, g.n)
-    edge_row = np.array(
-        [g.has_edge(*pair) for pair in colex_subsets(g.n, 2)], dtype=np.int64
-    )
+    code = g.code
+    edge_row = np.array([code >> r & 1 for r in range(comb(g.n, 2))], dtype=np.int64)
     return (edge_row @ w.array.astype(np.int64)).tolist()
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .codes import CANON_MAX_ORDER, canonical_code
+from .codes import CANON_MAX_ORDER, canonical_code, canonical_utc_code
 from .errors import OrderMismatch, OrderTooLarge
 from .graphs import Graph, bits_of, complement
 
@@ -164,7 +164,7 @@ def canonical_form_utc(g: Graph) -> int:
     complement; equal codes iff isomorphic up to complementation."""
     if g.n > CANON_MAX_ORDER:
         raise OrderTooLarge(f"canonical codes support n <= {CANON_MAX_ORDER}")
-    return min(canonical_code(g.n, g.code), canonical_code(g.n, complement(g).code))
+    return canonical_utc_code(g.n, g.code)
 
 
 def is_self_complementary(g: Graph) -> bool:

@@ -47,6 +47,17 @@ def test_matrix_wilson_row():
     assert row["expected_rank"] == row["computed_rank"] == 14 and row["pass"]
 
 
+def test_matrix_large_prime_returns():
+    code, row = run_json(
+        "matrix", "--t", "1", "--k", "2", "--v", "5", "--p", "2305843009213693951", "--mode", "json"
+    )
+    assert code == 0 and row["field"] == (1 << 61) - 1 and row["computed_rank"] == 5 and row["pass"]
+    code, payload = run_json(
+        "matrix", "--t", "1", "--k", "2", "--v", "5", "--p", str(10**25), "--mode", "json"
+    )
+    assert code == 2 and "primality" in payload["error"]
+
+
 def test_matrix_rational_row():
     code, row = run_json("matrix", "--t", "2", "--k", "3", "--v", "6", "--mode", "json")
     assert code == 0 and row["field"] == "Q" and row["expected_rank"] == 15 and row["pass"]

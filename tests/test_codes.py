@@ -1,11 +1,12 @@
 """Canonical tables and catalogs against independent oracles."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from recomp.atlas import enumerate_graphs
-from recomp.codes import canonical_table
+from recomp.codes import all_codes, canonical_table, h3_count_table
 from recomp.graphs import Graph
 
 
@@ -36,3 +37,16 @@ def test_catalog_matches_networkx_atlas(n):
         if h.number_of_nodes() == n
     }
     assert atlas_codes == {g.code for g in enumerate_graphs(n).representatives}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_h3_count_table_matches_per_triple_count(n):
+    """Reference: per triple, the three pair bits sum to 0 or 3."""
+    codes = all_codes(n)
+    expected = np.zeros(len(codes), dtype=np.int16)
+    for a, b, c in combinations(range(n), 3):
+        ab, ac, bc = (x + y * (y - 1) // 2 for x, y in ((a, b), (a, c), (b, c)))
+        s = (codes >> ab & 1) + (codes >> ac & 1) + (codes >> bc & 1)
+        expected += ((s == 0) | (s == 3)).astype(np.int16)
+    table = h3_count_table(n)
+    assert table.dtype == expected.dtype and np.array_equal(table, expected)

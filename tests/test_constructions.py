@@ -190,7 +190,6 @@ def test_threshold_pair_fails_inside_equality_range():
         assert not k_hypomorphic_utc(pair.g, pair.g_prime, k).holds
 
 
-@pytest.mark.slow
 def test_threshold_pair_m9():
     pair = threshold_pair(9, 2)
     assert pair.g.n == 11

@@ -57,17 +57,35 @@ def test_header_stripping():
     assert decode(">>graph6<<Dhc") == Graph.cycle(5)
 
 
+MALFORMED = [
+    ("", "empty graph6 string"),
+    (">>graph6<<", "empty graph6 string"),
+    ("D" + chr(200), "byte 'È' outside graph6 range"),
+    ("Dh c", "byte ' ' outside graph6 range"),
+    ("Dhc?", "graph6 body length does not match the order"),  # body too long
+    ("Dh", "graph6 body length does not match the order"),  # body too short
+    ("Dhd", "nonzero padding bits"),  # C5 tail group + stray bit
+    ("A`", "nonzero padding bits"),
+    ("?", "graph6 order 0 unsupported (1..64)"),
+    ("~??", "truncated graph6 order"),
+    ("~?A??", "graph6 order 128 unsupported (1..64)"),
+    ("~??~", "graph6 body length does not match the order"),
+]
+
+
 def test_rejects_malformed():
-    with pytest.raises(DomainError):
-        decode("")
-    with pytest.raises(DomainError):
-        decode("D" + chr(200))  # byte outside range
-    with pytest.raises(DomainError):
-        decode("Dhc?")  # body too long
-    with pytest.raises(DomainError):
-        decode("Dh")  # body too short
-    with pytest.raises(DomainError):
-        decode("Dhd")  # nonzero padding bits (C5 tail group + stray bit)
+    for text, message in MALFORMED:
+        with pytest.raises(DomainError) as err:
+            decode(text)
+        assert str(err.value) == message
+
+
+def test_rejects_nonzero_padding_in_long_form():
+    text = encode(Graph.empty(63))  # 1953 bits: 3 padding bits in the last group
+    with pytest.raises(DomainError) as err:
+        decode(text[:-1] + chr(63 + 1))
+    assert str(err.value) == "nonzero padding bits"
+    assert decode(text[:-1] + chr(63 + 8)).has_edge(61, 62)
 
 
 def test_networkx_interop_if_available(rng):

@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from recomp.errors import DomainError, EmptySubset, OrderMismatch
@@ -39,6 +40,130 @@ def test_code_roundtrip(rng):
         n = rng.randint(1, 20)
         g = Graph.random(n, rng)
         assert Graph.from_code(n, g.code) == g
+
+
+# Reference implementations: pair by pair in colex order, and the
+# row-by-row symmetry scan, independent of the packed transpose.
+
+
+def reference_pairs(n):
+    return [(i, j) for j in range(n) for i in range(j)]  # colex: rank i + C(j, 2)
+
+
+def reference_code(rows):
+    return sum(1 << r for r, (i, j) in enumerate(reference_pairs(len(rows))) if rows[i] >> j & 1)
+
+
+def reference_rows(n, code):
+    rows = [0] * n
+    for r, (i, j) in enumerate(reference_pairs(n)):
+        if code >> r & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def reference_asymmetry(rows):
+    """Message for the first (i, j), row by row, with j in row i but not i in row j."""
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if row >> j & 1 and not rows[j] >> i & 1:
+                return f"asymmetric adjacency at {{{i},{j}}}"
+    return None
+
+
+def random_code(n, p, rng):
+    return sum(1 << r for r in range(comb(n, 2)) if rng.random() < p)
+
+
+def check_code_and_rows(n, code):
+    rows = reference_rows(n, code)
+    g = Graph(n, rows)
+    assert g.code == code == reference_code(rows)
+    assert Graph.from_code(n, code).adj == rows
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_code_and_from_code_match_reference(n, rng):
+    for p in (0, 0.1, 0.5, 0.9, 1):
+        check_code_and_rows(n, random_code(n, p, rng))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_code_matches_reference(n):
+    for code in range(1 << comb(n, 2)):
+        check_code_and_rows(n, code)
+
+
+def flip_positions(n, rng):
+    pos = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return pos if n <= 10 else rng.sample(pos, 200)
+
+
+@pytest.mark.parametrize("n", [*range(2, 11), 63, 64])
+def test_validation_asymmetry_names_the_reference_pair(n, rng):
+    for p in (0, 0.5, 1):
+        rows = reference_rows(n, random_code(n, p, rng))
+        for i, j in flip_positions(n, rng):
+            bad = list(rows)
+            bad[i] ^= 1 << j
+            with pytest.raises(DomainError) as err:
+                Graph(n, tuple(bad))
+            assert str(err.value) == reference_asymmetry(bad)
+        for _ in range(20):  # several flips: the first pair row by row is named
+            bad = list(rows)
+            positions = flip_positions(n, rng)
+            for i, j in rng.sample(positions, min(5, len(positions))):
+                bad[i] ^= 1 << j
+            message = reference_asymmetry(bad)
+            if message is None:
+                Graph(n, tuple(bad))
+                continue
+            with pytest.raises(DomainError) as err:
+                Graph(n, tuple(bad))
+            assert str(err.value) == message
+
+
+def test_validation_order_of_checks():
+    cases = [
+        (2, (0b10,), "adjacency row count must equal the order"),
+        (3, (0b110, 0b1000, 0b001), "row 1 has bits at or beyond the order"),
+        (3, (0b010, 0b011, 0b100), "nonzero diagonal at vertex 1"),
+        (3, (0b1010, 0b010, 0b000), "row 0 has bits at or beyond the order"),
+        (3, (0b100, 0b100, 0b000), "asymmetric adjacency at {0,2}"),
+        (65, (0,) * 65, "order must be in 1..64, got 65"),
+    ]
+    for n, rows, message in cases:
+        with pytest.raises(DomainError) as err:
+            Graph(n, rows)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 5, 31, 62, 63, 64])
+def test_validation_numpy_integer_rows(n, rng):
+    rows = reference_rows(n, random_code(n, 0.5, rng))
+    dtype = np.uint64 if n == 64 else np.int64
+    g = Graph(n, tuple(dtype(r) for r in rows))
+    assert g == Graph(n, rows) and all(type(r) is int for r in g.adj)
+    assert g.code == reference_code(rows)
+    for i, j in rng.sample(flip_positions(n, rng), min(n * (n - 1), 40)):
+        bad = list(rows)
+        bad[i] ^= 1 << j
+        with pytest.raises(DomainError) as err:
+            Graph(n, tuple(dtype(r) for r in bad))
+        assert str(err.value) == reference_asymmetry(bad)
+    code = g.code
+    if code < 1 << 63:
+        assert Graph.from_code(n, np.int64(code)) == g
+
+
+def test_validation_from_code_rejects_codes_out_of_range():
+    assert Graph.from_code(4, (1 << 6) - 1) == Graph.complete(4)
+    for n, code in ((4, 1 << 6), (4, -1), (1, 1), (64, 1 << comb(64, 2))):
+        with pytest.raises(DomainError):
+            Graph.from_code(n, code)
+    with pytest.raises(DomainError):
+        Graph.from_code(65, 0)
 
 
 def test_complement_of_empty_is_complete():

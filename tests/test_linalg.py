@@ -12,6 +12,7 @@ from recomp.linalg import (
     _rref_gfp,
     binomial,
     cramer_determinant,
+    is_prime,
     kernel_basis_mod,
     rank_exact,
     rank_mod,
@@ -298,3 +299,25 @@ def test_cramer_determinant():
         cramer_determinant(6, 3)
     with pytest.raises(DomainError):
         cramer_determinant(6, 6)
+
+
+def test_is_prime_matches_sieve():
+    limit = 100_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, limit, q))
+    assert [is_prime(q) for q in range(-3, limit)] == [False] * 3 + sieve
+
+
+def test_is_prime_large_and_adversarial():
+    for carmichael in (561, 41041, 825265):
+        assert not is_prime(carmichael)
+    for p in (P31, 2147483659, (1 << 61) - 1):
+        assert is_prime(p)
+    assert not is_prime((1 << 61) + 1) and not is_prime(P31 * 2147483659)
+    # strong pseudoprime to every prime base up to 37 (Sorenson & Webster)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(DomainError):
+        is_prime(linalg._MR_LIMIT)  # the least strong pseudoprime to bases up to 41
+    assert not is_prime(linalg._MR_LIMIT - 1)
