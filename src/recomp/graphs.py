@@ -241,6 +241,8 @@ def induced(g: Graph, vertices: Iterable[int] | int) -> Graph:
     """Restriction to a vertex subset, relabeled 0..|K|-1 in increasing
     order of original labels."""
     if isinstance(vertices, int):
+        if vertices < 0:
+            raise DomainError(f"subset mask must be non-negative, got {vertices}")
         sub = list(bits_of(vertices))
     else:
         sub = sorted(set(vertices))
@@ -284,10 +286,12 @@ def triangle_count(g: Graph) -> int:
 def homogeneous_triples(g: Graph) -> set[tuple[int, int, int]]:
     """3-element subsets inducing a triangle in g or in its complement."""
     out = set()
-    for trip in combinations(range(g.n), 3):
-        e = subgraph_edge_count(g, mask_of(trip))
-        if e == 0 or e == 3:
-            out.add(trip)
+    full = (1 << g.n) - 1
+    for i, j in combinations(range(g.n), 2):
+        # third vertices l > j joined to both i and j, or to neither, as i to j
+        a, b = g.adj[i], g.adj[j]
+        third = a & b if a >> j & 1 else full & ~(a | b)
+        out.update((i, j, l) for l in bits_of(third >> j + 1 << j + 1))
     return out
 
 

@@ -7,14 +7,22 @@ complementation, and so on down a ladder of weaker per-subset
 conditions (equal edge counts up to complementation, equal parity,
 equal 3-homogeneous data).
 
-Subset lanes: every per-subset condition is one lazy scan over k-subset
-bitmasks in colexicographic order (`graphs.colex_masks`), stopping at the
-first subset that fails.  Witnesses are therefore deterministic, and an
-early exit pays only for the prefix scanned.  Restrictions of size
-k <= 6 compare canonical-code table entries (O(1) per subset after a
-one-time table build); larger restrictions compare edge counts, then run
-a pairwise backtracking isomorphism with a memo on the restriction code
-pair.
+Subset lanes: every per-subset condition is one scan over the k-subsets
+in colexicographic order, stopping at the first subset that fails, so
+witnesses are deterministic.  The scan reads chunks of subsets that grow
+geometrically from a few rows, so an early exit pays only for a short
+prefix.  A chunk holds, per graph, one row of restriction bits per
+subset: the graph's code bits gathered at the global colex pair ranks
+i + C(j,2) of the subset's local pairs.  Colex order of k-subsets does
+not depend on the vertex count, so one prefix table per k of the subsets
+and those ranks, grown on demand within a fixed byte budget, serves
+every graph.  Each
+condition is one vectorised test per chunk.  Edge counts are row sums;
+restrictions of size k <= 6 compare canonical-code table entries; larger
+ones compare edge counts, then run a pairwise backtracking isomorphism,
+memoised on the restriction code pair, on the rows that differ as
+labeled graphs, in row order.  h3 and a0 counts come from the
+restriction degrees by Goodman's identity.
 
 Every theorem verifier computes both sides of its statement
 independently and reports whether the claimed implication or
@@ -25,24 +33,23 @@ implementation bug or a genuine falsification, never assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Callable
+from math import ceil, comb
+from typing import Callable, Iterator
+
+import numpy as np
 
 from . import codes as codetables
 from .errors import DomainError, HypothesisNotMet, KTooLarge, OrderMismatch
 from .graphs import (
+    MAX_ORDER,
     Graph,
-    bits_of,
     boolean_sum,
-    colex_masks,
     complement,
+    homogeneous_triples,
     invariants,
     is_claw_free,
-    mask_of,
-    restriction_code,
-    subgraph_edge_count,
 )
 from .isomorphism import ISO_MAX_ORDER, find_isomorphism
 
@@ -97,24 +104,133 @@ def _check_pair(g: Graph, h: Graph, k: int) -> None:
         raise DomainError(f"need 1 <= k <= {g.n}, got k={k}")
 
 
-def _first_mismatch(g: Graph, h: Graph, k: int, differs: Callable[[int], bool]) -> HypoVerdict:
-    """Scan the k-subset masks in colex order; the first one that
-    `differs` accepts is the witness."""
+# -- subset lanes ----------------------------------------------------------
+
+# Byte cap on each cached prefix table and on the subset rows of one chunk.
+_BUDGET_BYTES = 1 << 20
+_FIRST_CHUNK = 8
+
+_subset_tables: dict[int, np.ndarray] = {}
+
+
+def _max_rows(k: int) -> int:
+    """Rows of `_subset_rows(k, ...)` that fit the budget."""
+    return max(_FIRST_CHUNK, _BUDGET_BYTES // (np.dtype(np.intp).itemsize * (k + comb(k, 2))))
+
+
+def _colex_vertices(k: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, k) array: row r lists, ascending, the vertices of
+    the colex k-subset of rank start + r.  The subset v_1 < ... < v_k has
+    rank C(v_1, 1) + ... + C(v_k, k), so v_i is read off greedily from
+    i = k down, by a search in the column C(., i)."""
+    rest = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((len(rest), k), dtype=np.intp)
+    for i in range(k, 0, -1):
+        col = np.array([comb(c, i) for c in range(MAX_ORDER)], dtype=np.int64)
+        out[:, i - 1] = np.searchsorted(col, rest, side="right") - 1
+        rest -= col[out[:, i - 1]]
+    return out
+
+
+def _rows_of(vertices: np.ndarray) -> np.ndarray:
+    """Each row of ascending vertices, followed by the global colex pair
+    ranks i + C(j,2) of its local pairs in colex order."""
+    j, i = np.tril_indices(vertices.shape[1], -1)
+    vj = vertices[:, j]
+    return np.hstack([vertices, vertices[:, i] + vj * (vj - 1) // 2])
+
+
+def _subset_rows(k: int, start: int, stop: int) -> np.ndarray:
+    """`_rows_of` the colex k-subsets of rank start..stop-1.  Colex order
+    of k-subsets does not depend on the ground set, so one prefix table
+    per k serves every order.  It grows to the rows asked for, up to the
+    byte budget; rows beyond it are computed per call."""
+    if stop > _max_rows(k):
+        return _rows_of(_colex_vertices(k, start, stop))
+    table = _subset_tables.get(k)
+    have = 0 if table is None else len(table)
+    if stop > have:
+        more = _rows_of(_colex_vertices(k, have, stop))
+        table = _subset_tables[k] = more if table is None else np.concatenate([table, more])
+    return table[start:stop]
+
+
+@lru_cache(maxsize=8)
+def _codebits(g: Graph) -> np.ndarray:
+    """Entry r is bit r of g.code: 1 iff the pair of colex rank r is an
+    edge.  Cached for the few graphs a ladder walk asks about; read-only."""
+    raw = g.code.to_bytes((comb(g.n, 2) + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    bits.flags.writeable = False
+    return bits
+
+
+def _restriction_bits(
+    k: int, *graphs: Graph
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """The colex k-subsets of the common vertex set in chunks: yields the
+    chunk's (rows, k) vertex array and, per graph, a (rows, C(k,2)) uint8
+    array whose row r holds the bits of the restriction code for the
+    subset in vertex row r.  Chunks grow geometrically from a few rows, so
+    an early exit pays only for a short prefix, and stay within the
+    budget."""
+    codebits = [_codebits(g) for g in graphs]
+    total, most = comb(graphs[0].n, k), _max_rows(k)
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        stop = min(total, start + size)
+        rows = _subset_rows(k, start, stop)
+        yield rows[:, :k], [bits[rows[:, k:]] for bits in codebits]
+        start, size = stop, min(2 * size, most)
+
+
+def _first_mismatch(
+    g: Graph, h: Graph, k: int, fails: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> HypoVerdict:
+    """Scan the k-subsets in colex order; `fails` maps a chunk of the two
+    graphs' restriction bits to one bool per row, and the subset of the
+    first True row is the witness."""
     _check_pair(g, h, k)
-    for m in colex_masks(g.n, k):
-        if differs(m):
-            return HypoVerdict(False, tuple(bits_of(m)))
+    for vertices, (bg, bh) in _restriction_bits(k, g, h):
+        bad = fails(bg, bh)
+        if bad.any():
+            return HypoVerdict(False, tuple(vertices[bad.argmax()].tolist()))
     return HypoVerdict(True)
 
 
-def _table_differs(table, g: Graph, h: Graph) -> Callable[[int], bool]:
-    """Per-mask test: the table entries of the two restrictions differ."""
+def _edges(bits: np.ndarray) -> np.ndarray:
+    """Edge count of each row's restriction."""
+    return bits.sum(axis=1, dtype=np.int64)
 
-    def differs(m: int) -> bool:
-        s = tuple(bits_of(m))
-        return table[restriction_code(g, s)] != table[restriction_code(h, s)]
 
-    return differs
+def _codes(bits: np.ndarray) -> np.ndarray:
+    """Restriction code of each row, for C(k,2) <= 62."""
+    return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
+
+
+def _code(row: np.ndarray) -> int:
+    """Restriction code of one row, any k."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def _a_counts(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a0, a1, a2) of each row's restriction, from its degrees: a pair
+    {edge, non-edge} shares a vertex x in d(x) * (k - 1 - d(x)) ways."""
+    j, i = np.tril_indices(k, -1)
+    inc = np.zeros((len(i), k), dtype=np.int64)  # local pair -> its two ends
+    inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1
+    deg = bits @ inc
+    e = deg.sum(axis=1) // 2
+    a1 = (deg * (k - 1 - deg)).sum(axis=1)
+    a2 = e * (comb(k, 2) - e)
+    return a2 - a1, a1, a2
+
+
+def _h3(bits: np.ndarray, k: int) -> np.ndarray:
+    """3-homogeneous triples of each row's restriction, by Goodman's
+    identity: a triple that is not homogeneous has exactly two vertices
+    meeting one edge and one non-edge of it, so h3 = C(k,3) - a1/2."""
+    return comb(k, 3) - _a_counts(bits, k)[1] // 2
 
 
 def _pair_iso(k: int, cg: int, ch: int, utc: bool) -> bool:
@@ -141,19 +257,28 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
         raise KTooLarge(f"restriction isomorphism supports k <= {ISO_MAX_ORDER}")
     if k <= TABLE_MAX_K:
         table = (codetables.canonical_utc_table if utc else codetables.canonical_table)(k)
-        return _first_mismatch(g, h, k, _table_differs(table, g, h))
+        return _first_mismatch(g, h, k, lambda bg, bh: table[_codes(bg)] != table[_codes(bh)])
+    kk = comb(k, 2)
 
-    def differs(m: int) -> bool:
-        eg = subgraph_edge_count(g, m)
-        eh = subgraph_edge_count(h, m)
-        if eh != eg and not (utc and eh == comb(k, 2) - eg):
-            return True
-        s = tuple(bits_of(m))
-        return not _pair_iso(
-            k, restriction_code(g, s), restriction_code(h, s), utc
-        )
+    def fails(bg: np.ndarray, bh: np.ndarray) -> np.ndarray:
+        eg, eh = _edges(bg), _edges(bh)
+        bad = eh != eg
+        if utc:
+            bad &= eh != kk - eg
+        # equal (or, up to complementation, complementary) labeled
+        # restrictions pass; the rest before the first edge failure are
+        # searched in row order
+        equal = (bg == bh).all(axis=1)
+        if utc:
+            equal |= (bg != bh).all(axis=1)
+        end = int(bad.argmax()) if bad.any() else len(bad)
+        for r in np.flatnonzero(~equal[:end]).tolist():
+            if not _pair_iso(k, _code(bg[r]), _code(bh[r]), utc):
+                bad[r] = True
+                break
+        return bad
 
-    return _first_mismatch(g, h, k, differs)
+    return _first_mismatch(g, h, k, fails)
 
 
 def k_hypomorphic(g: Graph, h: Graph, k: int) -> HypoVerdict:
@@ -169,85 +294,52 @@ def k_hypomorphic_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
 def same_edge_counts_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(h|K) equals e(g|K) or C(k,2) - e(g|K) for every K."""
 
-    def differs(m: int) -> bool:
-        eg = subgraph_edge_count(g, m)
-        return subgraph_edge_count(h, m) not in (eg, comb(k, 2) - eg)
+    def fails(bg: np.ndarray, bh: np.ndarray) -> np.ndarray:
+        eg, eh = _edges(bg), _edges(bh)
+        return (eh != eg) & (eh != comb(k, 2) - eg)
 
-    return _first_mismatch(g, h, k, differs)
+    return _first_mismatch(g, h, k, fails)
 
 
 def same_parity(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(g|K) and e(h|K) share parity for every K."""
-    return _first_mismatch(
-        g, h, k, lambda m: (subgraph_edge_count(g, m) - subgraph_edge_count(h, m)) % 2
-    )
+    return _first_mismatch(g, h, k, lambda bg, bh: (_edges(bg) - _edges(bh)) % 2 == 1)
 
 
 def same_parity_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(g|K) shares parity with e(h|K) or with C(k,2) - e(h|K)."""
 
-    def differs(m: int) -> bool:
-        eg = subgraph_edge_count(g, m)
-        eh = subgraph_edge_count(h, m)
-        return (eg - eh) % 2 and (eg - (comb(k, 2) - eh)) % 2
+    def fails(bg: np.ndarray, bh: np.ndarray) -> np.ndarray:
+        eg, eh = _edges(bg), _edges(bh)
+        return ((eg - eh) % 2 == 1) & ((eg - (comb(k, 2) - eh)) % 2 == 1)
 
-    return _first_mismatch(g, h, k, differs)
-
-
-def _is_homogeneous(g: Graph, mask: int) -> bool:
-    e = subgraph_edge_count(g, mask)
-    return e == 0 or e == 3
+    return _first_mismatch(g, h, k, fails)
 
 
 def same_3_homogeneous(g: Graph, h: Graph) -> HypoVerdict:
-    """The two graphs have identical sets of 3-homogeneous subsets."""
+    """The two graphs have identical sets of 3-homogeneous subsets; the
+    witness is the lex-least triple in exactly one of them."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    for trip in combinations(range(g.n), 3):
-        m = mask_of(trip)
-        if _is_homogeneous(g, m) != _is_homogeneous(h, m):
-            return HypoVerdict(False, trip)
-    return HypoVerdict(True)
+    differ = homogeneous_triples(g) ^ homogeneous_triples(h)
+    return HypoVerdict(False, min(differ)) if differ else HypoVerdict(True)
 
 
 def restriction_h3_count(g: Graph, subset: tuple[int, ...]) -> int:
-    """3-homogeneous triples of the restriction, by Goodman's identity: a
-    triple that is not homogeneous has exactly two vertices meeting one
-    edge and one non-edge of it, so h3 = C(k,3) - a1/2."""
-    return comb(len(subset), 3) - _restriction_a_counts(g, mask_of(subset))[1] // 2
+    """3-homogeneous triples of the restriction to a vertex subset."""
+    k = len(subset)
+    ranks = _rows_of(np.array(sorted(subset), dtype=np.intp).reshape(1, k))[:, k:]
+    return int(_h3(_codebits(g)[ranks], k)[0])
 
 
 def same_h3_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """h3(g|K) = h3(h|K) for every k-subset K (counts, not sets)."""
-    _check_pair(g, h, k)  # before the lane set-up
-    if k <= TABLE_MAX_K:
-        return _first_mismatch(g, h, k, _table_differs(codetables.h3_count_table(k), g, h))
-
-    def differs(m: int) -> bool:
-        s = tuple(bits_of(m))
-        return restriction_h3_count(g, s) != restriction_h3_count(h, s)
-
-    return _first_mismatch(g, h, k, differs)
-
-
-def _restriction_a_counts(g: Graph, mask: int) -> tuple[int, int, int]:
-    """(a0, a1, a2) of the restriction, from edge counts and degrees."""
-    k = mask.bit_count()
-    e = subgraph_edge_count(g, mask)
-    ebar = comb(k, 2) - e
-    a1 = 0
-    for x in bits_of(mask):
-        d = (g.adj[x] & mask).bit_count()
-        a1 += d * (k - 1 - d)
-    a2 = e * ebar
-    return a2 - a1, a1, a2
+    return _first_mismatch(g, h, k, lambda bg, bh: _h3(bg, k) != _h3(bh, k))
 
 
 def same_a0_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """a0(g|K) = a0(h|K) for every k-subset K."""
-    return _first_mismatch(
-        g, h, k, lambda m: _restriction_a_counts(g, m)[0] != _restriction_a_counts(h, m)[0]
-    )
+    return _first_mismatch(g, h, k, lambda bg, bh: _a_counts(bg, k)[0] != _a_counts(bh, k)[0])
 
 
 def equal_up_to_complementation(g: Graph, h: Graph) -> bool:
@@ -263,16 +355,13 @@ def pair_profile(g: Graph, h: Graph, k: int) -> PairProfile:
     if k > codetables.CANON_MAX_ORDER:
         raise KTooLarge(f"profiles carry canonical codes, k <= {codetables.CANON_MAX_ORDER}")
     e_g, e_h, cg, ch, h3g, h3h = [], [], [], [], [], []
-    for m in colex_masks(g.n, k):
-        s = tuple(bits_of(m))
-        rg = restriction_code(g, s)
-        rh = restriction_code(h, s)
-        e_g.append(subgraph_edge_count(g, m))
-        e_h.append(subgraph_edge_count(h, m))
-        cg.append(codetables.canonical_utc_code(k, rg))
-        ch.append(codetables.canonical_utc_code(k, rh))
-        h3g.append(restriction_h3_count(g, s))
-        h3h.append(restriction_h3_count(h, s))
+    for _, (bg, bh) in _restriction_bits(k, g, h):
+        e_g += _edges(bg).tolist()
+        e_h += _edges(bh).tolist()
+        cg += [codetables.canonical_utc_code(k, c) for c in _codes(bg).tolist()]
+        ch += [codetables.canonical_utc_code(k, c) for c in _codes(bh).tolist()]
+        h3g += _h3(bg, k).tolist()
+        h3h += _h3(bh, k).tolist()
     return PairProfile(k, tuple(e_g), tuple(e_h), tuple(cg), tuple(ch), tuple(h3g), tuple(h3h))
 
 
@@ -302,11 +391,11 @@ def verify_mixed_pair_identities(g: Graph, k: int) -> VerifierResult:
     # one pass: a2(G|K) = e(G|K) * e_bar(G|K) is the product summed in b)
     sums = {0: 0, 1: 0}
     prod_sum = 0
-    for m in colex_masks(v, k):
-        a0, a1, a2 = _restriction_a_counts(g, m)
-        sums[0] += a0
-        sums[1] += a1
-        prod_sum += a2
+    for _, (bits,) in _restriction_bits(k, g):
+        a0, a1, a2 = _a_counts(bits, k)
+        sums[0] += int(a0.sum())
+        sums[1] += int(a1.sum())
+        prod_sum += int(a2.sum())
     for i in applicable_a:
         checks[f"a{i}_subset_sum"] = comb(v - 4 + i, k - 4 + i) * left[i] == sums[i]
 
@@ -413,10 +502,10 @@ def verify_dense_subset_equality(g: Graph, h: Graph, k: int) -> VerifierResult:
     hyp1 = same_edge_counts_utc(g, h, k)
     if not hyp1:
         raise HypothesisNotMet(f"edge counts differ up to complementation at {hyp1.witness}")
-    kk = comb(k, 2)
+    kk, need = comb(k, 2), ceil(ell)  # edge counts are ints
     dense = any(
-        max(e, kk - e) >= ell
-        for e in (subgraph_edge_count(g, m) for m in colex_masks(v, k))
+        bool((np.maximum(e, kk - e) >= need).any())
+        for e in (_edges(bits) for _, (bits,) in _restriction_bits(k, g))
     )
     if not dense:
         raise HypothesisNotMet(f"no k-subset reaches {ell} edges in g or its complement")

@@ -11,6 +11,7 @@ from recomp.graphs import (
     boolean_sum,
     classify_bipartite_kernel,
     complement,
+    homogeneous_triples,
     induced,
     intersection,
     invariants,
@@ -220,6 +221,25 @@ def test_induced():
         induced(c5, ())
     with pytest.raises(DomainError):
         induced(c5, (0, 7))
+
+
+def test_induced_validation_rejects_negative_mask():
+    # a negative int has infinitely many set bits: it must raise, not loop
+    c5 = Graph.cycle(5)
+    for mask in (-1, -2, -(1 << 70)):
+        with pytest.raises(DomainError, match="non-negative"):
+            induced(c5, mask)
+    assert induced(c5, 0b111) == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_homogeneous_triples_matches_per_triple_count(rng):
+    for n in range(1, 14):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = Graph.random(n, rng, p)
+            want = {
+                t for t in combinations(range(n), 3) if subgraph_edge_count(g, mask_of(t)) in (0, 3)
+            }
+            assert homogeneous_triples(g) == want
 
 
 def test_induced_preserves_label_order(rng):

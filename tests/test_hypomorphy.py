@@ -151,7 +151,7 @@ def test_same_parity_utc():
     assert not same_parity(pair.g, pair.g_prime, 6).holds
 
 
-def test_same_3_homogeneous():
+def test_same_3_homogeneous(rng):
     g = Graph.cycle(6)
     assert same_3_homogeneous(g, complement(g)).holds
     assert same_3_homogeneous(Graph.complete(4), Graph.empty(4)).holds
@@ -159,6 +159,21 @@ def test_same_3_homogeneous():
     star1 = Graph.from_edges(5, [(1, i) for i in (0, 2, 3, 4)])
     r = same_3_homogeneous(star0, star1)
     assert not r.holds and r.witness is not None
+    # the witness is the lex-first triple homogeneous in exactly one graph
+    for n in range(3, 11):
+        g = Graph.random(n, rng)
+        for h in (Graph.random(n, rng), _flip(g, n - 2, n - 1), complement(g)):
+            want = next(
+                (
+                    t
+                    for t in combinations(range(n), 3)
+                    if (subgraph_edge_count(g, mask_of(t)) in (0, 3))
+                    != (subgraph_edge_count(h, mask_of(t)) in (0, 3))
+                ),
+                None,
+            )
+            got = same_3_homogeneous(g, h)
+            assert (got.holds, got.witness) == (want is None, want)
 
 
 def test_equal_up_to_complementation():
@@ -579,34 +594,136 @@ _RUNG_FAILS = {
 }
 
 
+def _first_failures(g: Graph, h: Graph, k: int) -> dict:
+    """Brute-force first failing colex k-subset of every rung, or None."""
+    want = dict.fromkeys(_RUNG_FAILS)
+    for s in colex_order(g.n, k):
+        open_rungs = [rung for rung in _RUNG_FAILS if want[rung] is None]
+        if not open_rungs:
+            break
+        a, b = induced(g, s), induced(h, s)
+        for rung in open_rungs:
+            if _RUNG_FAILS[rung](a, b):
+                want[rung] = s
+    return want
+
+
+def _assert_ladder_matches(g: Graph, h: Graph, k: int) -> None:
+    for rung, want in _first_failures(g, h, k).items():
+        got = rung(g, h, k)
+        assert (got.holds, got.witness) == (want is None, want), (rung.__name__, g.n, k)
+
+
+def _flip(g: Graph, i: int, j: int) -> Graph:
+    return Graph.from_edges(g.n, set(g.edges()) ^ {(min(i, j), max(i, j))})
+
+
 def test_ladder_witness_is_first_failing_subset(rng):
     # every rung, on both subset lanes, against a brute-force colex scan of
-    # induced restrictions
+    # induced restrictions; k = 12 restrictions carry 66 code bits
     from recomp.constructions import clique_pair_counterexample, cycle_swap_pair, k7_counterexample
 
-    def flip(g: Graph) -> Graph:
-        i, j = rng.sample(range(g.n), 2)
-        edges = set(g.edges()) ^ {(min(i, j), max(i, j))}
-        return Graph.from_edges(g.n, edges)
-
-    pairs = []
-    for n in (7, 8, 9):
+    for n in (7, 8, 9, 13):
         g = Graph.random(n, rng)
-        pairs += [(g, Graph.random(n, rng)), (g, complement(g)), (g, flip(g))]
-        pairs += [(g, flip(complement(g))), (g, relabel(complement(g), rng.sample(range(n), n)))]
+        pairs = [(g, Graph.random(n, rng)), (g, complement(g))]
+        pairs += [(g, _flip(g, *rng.sample(range(n), 2)))]
+        pairs += [(g, _flip(complement(g), *rng.sample(range(n), 2)))]
+        pairs += [(g, relabel(complement(g), rng.sample(range(n), n)))]
         for make in (clique_pair_counterexample, cycle_swap_pair):
             pair = make(n, verify=False)
             pairs.append((pair.g, pair.g_prime))
-    pair = k7_counterexample(9, verify=False)
-    pairs.append((pair.g, pair.g_prime))
-    for g, h in pairs:
-        for k in (2, 4, 6, 7, 8):
-            if k > g.n:
-                continue
-            for rung, fails in _RUNG_FAILS.items():
-                want = next(
-                    (s for s in colex_order(g.n, k) if fails(induced(g, s), induced(h, s))),
-                    None,
-                )
-                got = rung(g, h, k)
-                assert (got.holds, got.witness) == (want is None, want), (rung.__name__, k)
+        if n >= 9:
+            pair = k7_counterexample(n, verify=False)
+            pairs.append((pair.g, pair.g_prime))
+        ks = (2, 4, 6, 7, 8) if n < 13 else (2, 3, 7, 11, 12)
+        for a, b in pairs:
+            for k in ks:
+                if k <= n:
+                    _assert_ladder_matches(a, b, k)
+
+
+def _chunk_edges(k: int, total: int) -> set[int]:
+    """Ranks of the first and the last row of every chunk after the first."""
+    from recomp.hypomorphy import _FIRST_CHUNK, _max_rows
+
+    edges, start, size = set(), 0, _FIRST_CHUNK
+    while start < total:
+        start, size = start + size, min(2 * size, _max_rows(k))
+        edges |= {start - 1, start}
+    return {r for r in edges if 0 < r < total}
+
+
+def test_ladder_witness_on_chunk_edges(rng):
+    # one-edge flips of a pair {i, j}: the first failing subset is the first
+    # one holding both ends, chosen to sit on the first or the last row of
+    # a chunk
+    n = 13
+    g = Graph.random(n, rng)
+    hit = set()
+    for k in (2, 3, 4, 7):
+        order = colex_order(n, k)
+        edges = _chunk_edges(k, len(order))
+        for i, j in combinations(range(n), 2):
+            first = next(r for r, s in enumerate(order) if i in s and j in s)
+            if first in edges and (k, first) not in hit:
+                hit.add((k, first))
+                h = _flip(g, i, j)
+                assert same_parity(g, h, k).witness == order[first]
+                _assert_ladder_matches(g, h, k)
+    assert {r for k, r in hit if k == 2} == _chunk_edges(2, comb(n, 2))
+
+
+def test_subset_table_rows_are_colex_combinations(rng):
+    # the cached prefix rows for k are the same whatever order asked first
+    from recomp.graphs import pair_rank
+    from recomp.hypomorphy import (
+        MAX_ORDER,
+        _code,
+        _colex_vertices,
+        _max_rows,
+        _restriction_bits,
+        _subset_rows,
+    )
+
+    for n in (10, 4, 7, 9, 10):
+        for k in range(1, n + 1):
+            order = colex_order(n, k)
+            rows = _subset_rows(k, 0, len(order))
+            assert rows[:, :k].tolist() == [list(s) for s in order]
+            ranks = [[pair_rank(s[a], s[b]) for b in range(k) for a in range(b)] for s in order]
+            assert rows[:, k:].tolist() == ranks
+    # a scan past the cached prefix meets every subset once, in order, with
+    # the bits of its restriction
+    n, k = 16, 8
+    assert comb(n, k) > _max_rows(k)
+    g = Graph.random(n, rng)
+    seen, codes = [], []
+    for vertices, (bits,) in _restriction_bits(k, g):
+        seen += map(tuple, vertices.tolist())
+        codes += [_code(row) for row in bits]
+    assert seen == colex_order(n, k)
+    assert codes == [induced(g, s).code for s in seen]
+    for k in range(1, MAX_ORDER + 1):
+        last = comb(MAX_ORDER, k) - 1
+        top = list(range(MAX_ORDER - k, MAX_ORDER))
+        assert _colex_vertices(k, last, last + 1).tolist() == [top]
+
+
+def test_scan_is_lazy_and_bounded_at_order_48(rng):
+    import time
+
+    from recomp.hypomorphy import _BUDGET_BYTES, _subset_tables
+
+    n, k = 48, 8
+    g, h = Graph.random(n, rng), Graph.random(n, rng)
+    t0 = time.perf_counter()
+    got = k_hypomorphic_utc(g, h, k)
+    assert time.perf_counter() - t0 < 0.5
+    # the first C(12, k) colex k-subsets are those of range(12)
+    head = tuple(range(12))
+    assert got.witness == _first_failures(induced(g, head), induced(h, head), k)[k_hypomorphic_utc]
+    # the flip of {0, 20} first shows on {0, ..., 6, 20}, rank C(20, 8),
+    # past the cached prefix
+    assert same_parity(g, _flip(g, 0, 20), k).witness == (*range(7), 20)
+    assert _subset_tables[k].nbytes <= _BUDGET_BYTES
+    assert all(table.nbytes <= _BUDGET_BYTES for table in _subset_tables.values())
