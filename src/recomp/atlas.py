@@ -17,12 +17,22 @@ set of 3-homogeneous triples at k = v) agrees for g and g'.  For each
 (order v, subset size k, signature) one label array over all 2^C(v,2)
 codes is built: the class id of each colex k-subset restriction is
 folded into the label, so two codes share a label iff they agree on
-every k-subset.  One loop (`_scan`) then runs over the representatives,
-and each statement is mask algebra on `labels == labels[g]`.  At k == v
-the hypothesis set of a membership sweep is the representative's orbit
-together with its complement's, enumerated directly.  Order 7
-multiplies the space by 64 and is gated behind `long_running`; sweeps
-run in one process.
+every k-subset.
+
+Membership cells (S, R) are decided from class counts.  The partitions
+respect relabeling, so a relation holds on the whole pair space iff,
+for every representative g, g's hypothesis class is no larger than its
+part where the conclusion holds: {g, complement of g} for S, the codes
+also in g's iso-utc class for R (counted on the join of the utc-k
+labels with the utc-v classes).  One `np.unique` per label array gives
+all class sizes, and the witness is the smallest offending code in the
+class of the first representative whose counts differ.  At k == v the
+hypothesis class is g's iso-utc class, whose size is v!/|Aut g| by
+orbit-stabilizer, doubled unless g is self-complementary; the orbit
+sizes must add up to 2^C(v,2).  Theorem sweeps still loop (`_scan`)
+over the representatives, each statement mask algebra on
+`labels == labels[g]`.  Order 7 multiplies the space by 64 and is gated
+behind `long_running`; sweeps run in one process.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -209,38 +219,75 @@ def _check_sweep_order(v: int, long_running: bool) -> None:
     )
 
 
-def _membership(relation: str, v: int, k: int, long_running: bool) -> AtlasRecord:
+def _check_cell(v: int, k: int, long_running: bool) -> None:
     _check_sweep_order(v, long_running)
     if not 1 <= k <= v:
         raise DomainError(f"need 1 <= k <= v, got k={k}, v={v}")
+
+
+def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class id of every entry of `labels` and the size of every class."""
+    _, ids = np.unique(labels, return_inverse=True)
+    return ids, np.bincount(ids)
+
+
+def _utc_class_sizes(v: int, rep_codes: np.ndarray) -> np.ndarray:
+    """Size of each representative's iso-utc class: v!/|Aut g| relabelings
+    by orbit-stabilizer, twice that unless g is self-complementary (the
+    complement has the same automorphisms, so its orbit is as large)."""
+    full = codetables.full_code(v)
+    orbits, sizes = [], []
+    for g in rep_codes.tolist():
+        orbit = codetables.relabelings(v, g)
+        size = len(orbit) // int(np.count_nonzero(orbit == g))
+        orbits.append(size)
+        sizes.append(size if np.any(orbit == full ^ g) else 2 * size)
+    if sum(orbits) != 1 << comb(v, 2):
+        raise VerificationError(
+            f"order-{v} orbits cover {sum(orbits)} codes, expected {1 << comb(v, 2)}"
+        )
+    return np.array(sizes, dtype=np.int64)
+
+
+def _membership(relation: str, v: int, k: int, long_running: bool) -> AtlasRecord:
+    _check_cell(v, k, long_running)
     start = time.perf_counter()
     reps = enumerate_graphs(v).representatives
-    rep_codes = [g.code for g in reps]
-    violations: list[tuple[int, int]] = []
-    examined = 0
+    rep_codes = np.array([g.code for g in reps], dtype=np.int64)
+    full = codetables.full_code(v)
+    # hyp: size of each representative's hypothesis class; held: size of
+    # the part of it where the conclusion holds.  The relation holds for
+    # every pair iff the two agree for every representative.
     if k == v:
-        # hypothesis set = the iso-utc class of g, enumerated directly
-        for rep_idx, gcode in enumerate(rep_codes):
-            gbar = codetables.full_code(v) ^ gcode
-            cls = np.union1d(codetables.relabelings(v, gcode), codetables.relabelings(v, gbar))
-            examined += len(cls)
-            if relation == "S":
-                bad = cls[(cls != gcode) & (cls != gbar)]
-                violations.extend((rep_idx, int(c)) for c in bad[:VIOLATION_LIST_CAP])
-            # for R the hypothesis class is exactly the conclusion class
+        hyp = _utc_class_sizes(v, rep_codes)
+        examined = int(hyp.sum())
     else:
-        same = _signature_equality(v)
-
-        def test(g: int) -> tuple[np.ndarray, np.ndarray]:
-            hyp = same("utc", k, g)
-            concl = _equal_utc(v, g) if relation == "S" else same("utc", v, g)
-            return hyp, hyp & ~concl
-
-        violations = _scan(rep_codes, test)[0]
+        cls, counts = _classes(_labels(v, k, codetables.canonical_utc_table(k)))
+        hyp = counts[cls[rep_codes]]
         examined = len(rep_codes) << comb(v, 2)
-    if violations:
-        rep_idx, code = violations[0]
-        witness = (encode(reps[rep_idx]), encode(Graph.from_code(v, code)))
+    if relation == "S":
+        held = np.where(rep_codes == full ^ rep_codes, 1, 2)  # {g, complement}
+    elif k == v:
+        held = hyp  # the hypothesis class is the conclusion class
+    else:
+        utc = codetables.canonical_utc_table(v)
+        joint, joint_counts = _classes(cls << comb(v, 2) | utc)
+        held = joint_counts[joint[rep_codes]]
+    failing = np.flatnonzero(hyp != held)
+    if len(failing):
+        rep_idx = int(failing[0])
+        g = int(rep_codes[rep_idx])
+        if k == v:
+            members = np.union1d(
+                codetables.relabelings(v, g), codetables.relabelings(v, full ^ g)
+            )
+        else:
+            members = np.flatnonzero(cls == cls[g])
+        if relation == "S":
+            bad = members[(members != g) & (members != full ^ g)]
+        else:
+            bad = members[utc[members] != utc[g]]
+        witness = (encode(reps[rep_idx]), encode(Graph.from_code(v, int(bad[0]))))
         verdict = "NonMember"
     else:
         witness = None
@@ -458,6 +505,7 @@ def membership_with_resume(
     resume_log: str | None = None,
     long_running: bool = False,
 ) -> AtlasRecord:
+    _check_cell(v, k, long_running)
     if resume_log:
         cached = lookup_jsonl(resume_log, relation, v, k)
         if cached is not None:

@@ -108,8 +108,7 @@ def canonical_utc_table(n: int) -> np.ndarray:
     """Canonical code up to complementation of every labeled graph."""
     if n not in _canon_utc_tables:
         t = canonical_table(n)
-        comp = np.arange(len(t))[::-1]  # code -> full_code ^ code
-        _canon_utc_tables[n] = np.minimum(t, t[comp])
+        _canon_utc_tables[n] = np.minimum(t, t[::-1])  # t[::-1][c] = t[full_code ^ c]
     return _canon_utc_tables[n]
 
 

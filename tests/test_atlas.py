@@ -1,11 +1,15 @@
 import json
+import resource
 import subprocess
 import sys
+import time
+from math import comb
 
 import numpy as np
 import pytest
 
 from recomp import atlas
+from recomp import codes
 from recomp.atlas import (
     CATALOG_COUNTS,
     AtlasRecord,
@@ -19,7 +23,7 @@ from recomp.atlas import (
     write_witness_files,
 )
 from recomp.errors import DomainError, OrderTooLarge, VerificationError
-from recomp.graph6 import decode
+from recomp.graph6 import decode, encode
 from recomp.graphs import Graph
 from recomp.hypomorphy import equal_up_to_complementation, k_hypomorphic_utc
 from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_to_complementation
@@ -248,3 +252,92 @@ def test_gated_order7_smembership():
 def test_gated_order7_k1mod4_sweep():
     rep = sweep_theorem("k1mod4", 7, 5, long_running=True)
     assert rep.ok
+
+
+def _mask_scan_membership(relation: str, v: int, k: int) -> tuple[str, tuple | None, int]:
+    """Reference for S/R cells: per representative g, the mask of codes
+    sharing g's utc-k label (at k == v, the union of the orbits of g and
+    its complement), minus the codes where the conclusion holds.  Returns
+    (verdict, witness, pairs_examined)."""
+    reps = enumerate_graphs(v).representatives
+    full = codes.full_code(v)
+    if k < v:
+        labels = atlas._labels(v, k, codes.canonical_utc_table(k))
+        utc = codes.canonical_utc_table(v)
+    witness, examined = None, 0
+    for g in reps:
+        gbar = full ^ g.code
+        if k == v:
+            cls = np.union1d(codes.relabelings(v, g.code), codes.relabelings(v, gbar))
+            examined += len(cls)
+            # for R the hypothesis class is exactly the conclusion class
+            bad = cls[(cls != g.code) & (cls != gbar)] if relation == "S" else cls[:0]
+        else:
+            hyp = labels == labels[g.code]
+            if relation == "S":
+                concl = np.zeros(len(labels), dtype=bool)
+                concl[[g.code, gbar]] = True
+            else:
+                concl = utc == utc[g.code]
+            bad = np.flatnonzero(hyp & ~concl)
+            examined += len(labels)
+        if len(bad) and witness is None:
+            witness = (encode(g), encode(Graph.from_code(v, int(bad[0]))))
+    return ("NonMember" if witness else "Member"), witness, examined
+
+
+def test_membership_matches_mask_scan_oracle():
+    for v in range(1, 7):
+        for k in range(1, v + 1):
+            for relation, fn in (("S", s_membership), ("R", r_membership)):
+                rec = fn(v, k)
+                want = _mask_scan_membership(relation, v, k)
+                assert (rec.verdict, rec.witness, rec.pairs_examined) == want, (relation, v, k)
+
+
+def test_order7_k7_cells():
+    s = s_membership(7, 7, long_running=True)
+    assert s.verdict == "NonMember" and s.witness == ("F_???", "FO???")
+    r = r_membership(7, 7, long_running=True)
+    assert r.verdict == "Member" and r.witness is None
+    assert s.pairs_examined == r.pairs_examined == 4_194_304
+    # no order-7 graph is self-complementary: each code is in two classes,
+    # its own representative's and its complement's
+
+
+def test_orbit_count_mismatch_raises(monkeypatch):
+    enumerate_graphs(4)  # the catalog is built with the true relabelings
+    real = codes.relabelings
+
+    def extra_automorphism(n, code):
+        orbit = real(n, code).copy()
+        orbit[-1] = code
+        return orbit
+
+    monkeypatch.setattr(codes, "relabelings", extra_automorphism)
+    with pytest.raises(VerificationError, match="orbits cover"):
+        s_membership(4, 4)
+
+
+@pytest.mark.slow
+def test_order7_rows():
+    for k in range(1, 8):
+        for relation, fn, members in (
+            ("S", s_membership, {4}),
+            ("R", r_membership, {4, 5, 6, 7}),
+        ):
+            start = time.perf_counter()
+            rec = fn(7, k, long_running=True)
+            wall = time.perf_counter() - start
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"{relation}(7,{k}) {rec.verdict} {wall:.2f} s, peak RSS {rss:.0f} MB")
+            assert rss < 512
+            assert rec.verdict == ("Member" if k in members else "NonMember"), (relation, k)
+            assert rec.pairs_examined == (1044 << comb(7, 2) if k < 7 else 2 << comb(7, 2))
+            if rec.verdict == "Member":
+                continue
+            g, h = decode(rec.witness[0]), decode(rec.witness[1])
+            assert k_hypomorphic_utc(g, h, k).holds
+            assert not equal_up_to_complementation(g, h)
+            if relation == "R":
+                assert not isomorphic_up_to_complementation(g, h)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from recomp import __version__
 from recomp.cli import main
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph
@@ -105,6 +106,24 @@ def test_atlas_subcommand(tmp_path):
     assert code == 0 and rec["verdict"] == "Member"
     code2, rec2 = run_json(*args)  # resumed from the log
     assert code2 == 0 and rec2 == rec
+
+
+def test_atlas_resume_log_does_not_bypass_input_checks(tmp_path):
+    log = tmp_path / "log.jsonl"
+    for v, k in ((12, 0), (12, 4), (6, 0), (6, 7)):
+        forged = {
+            "relation": "S",
+            "v": v,
+            "k": k,
+            "verdict": "Member",
+            "witness": None,
+            "pairs_examined": 0,
+            "code_version": __version__,
+        }
+        log.write_text(json.dumps(forged) + "\n")
+        argv = ("atlas", "--relation", "S", "--v", str(v), "--k", str(k), "--resume", str(log))
+        code, payload = run_json(*argv, "--mode", "json")
+        assert code == 2 and "error" in payload, (v, k)
 
 
 def test_search_class_g_subcommand():
