@@ -480,22 +480,37 @@ def lookup_jsonl(path: str, relation: str, v: int, k: int) -> AtlasRecord | None
                 warnings.warn(f"{path}: skipping a resume-log line that does not parse")
                 continue
             if (
-                entry.get("relation") == relation
+                isinstance(entry, dict)
+                and entry.get("relation") == relation
                 and entry.get("v") == v
                 and entry.get("k") == k
                 and entry.get("code_version") == __version__
             ):
-                return AtlasRecord(
-                    relation=relation,
-                    v=v,
-                    k=k,
-                    verdict=entry["verdict"],
-                    witness=tuple(entry["witness"]) if entry.get("witness") else None,
-                    pairs_examined=entry["pairs_examined"],
-                    wall_time_seconds=entry.get("wall_time_seconds", 0.0),
-                    code_version=entry["code_version"],
-                )
+                if _valid_record(entry):
+                    return AtlasRecord(
+                        relation=relation,
+                        v=v,
+                        k=k,
+                        verdict=entry["verdict"],
+                        witness=tuple(entry["witness"]) if entry["witness"] else None,
+                        pairs_examined=entry["pairs_examined"],
+                        wall_time_seconds=entry.get("wall_time_seconds", 0.0),
+                        code_version=entry["code_version"],
+                    )
+                warnings.warn(f"{path}: skipping a resume-log line that is not a valid record")
     return None
+
+
+def _valid_record(entry: dict) -> bool:
+    """Member with no witness or NonMember with a graph6 pair, and a
+    non-negative int pairs_examined."""
+    examined, witness = entry.get("pairs_examined"), entry.get("witness", False)
+    if type(examined) is not int or examined < 0:
+        return False
+    if entry.get("verdict") == "Member":
+        return witness is None
+    pair = isinstance(witness, list) and len(witness) == 2
+    return entry.get("verdict") == "NonMember" and pair and all(isinstance(t, str) for t in witness)
 
 
 def membership_with_resume(

@@ -32,13 +32,6 @@ from .errors import DomainError, EmptySubset, OrderMismatch
 MAX_ORDER = 64
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def bits_of(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in increasing order."""
     while mask:
@@ -263,17 +256,6 @@ def restriction_code(g: Graph, subset: Sequence[int]) -> int:
             c |= (g.adj[subset[a]] >> jb & 1) << d
             d += 1
     return c
-
-
-def subgraph_edge_count(g: Graph, mask: int) -> int:
-    """Edge count of the restriction to the vertex bitmask, no relabeling."""
-    e = 0
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        e += (g.adj[low.bit_length() - 1] & m).bit_count()
-    return e
 
 
 def triangle_count(g: Graph) -> int:

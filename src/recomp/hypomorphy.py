@@ -18,11 +18,14 @@ not depend on the vertex count, so one prefix table per k of the subsets
 and those ranks, grown on demand within a fixed byte budget, serves
 every graph.  Each
 condition is one vectorised test per chunk.  Edge counts are row sums;
-restrictions of size k <= 6 compare canonical-code table entries; larger
-ones compare edge counts, then run a pairwise backtracking isomorphism,
-memoised on the restriction code pair, on the rows that differ as
-labeled graphs, in row order.  h3 and a0 counts come from the
-restriction degrees by Goodman's identity.
+restrictions of size k <= 6 compare canonical-code table entries.
+Larger ones compare edge counts, then try the few isomorphism witnesses
+the scan found most recently useful on whole chunks: w, kept as the
+pair-index array idx[rank(i,j)] = rank(w[i], w[j]), settles a row when
+h's bits gathered by idx equal g's (or, up to complementation, differ in
+every column).  Each row left gets a backtracking search, in row order,
+whose witness is then tried on the rest of the chunk.  h3 and a0 counts
+come from the restriction degrees by Goodman's identity.
 
 Every theorem verifier computes both sides of its statement
 independently and reports whether the claimed implication or
@@ -54,8 +57,8 @@ from .graphs import (
 from .isomorphism import ISO_MAX_ORDER, find_isomorphism
 
 TABLE_MAX_K = 6
-
-_iso_memo: dict[tuple[int, int, int, bool], bool] = {}
+# isomorphism witnesses one k > TABLE_MAX_K scan keeps, most recently useful first
+_WITNESSES = 4
 
 
 @dataclass(frozen=True)
@@ -233,22 +236,30 @@ def _h3(bits: np.ndarray, k: int) -> np.ndarray:
     return comb(k, 3) - _a_counts(bits, k)[1] // 2
 
 
-def _pair_iso(k: int, cg: int, ch: int, utc: bool) -> bool:
-    """Restriction codes cg and ch are isomorphic graphs (up to
-    complementation when utc)."""
+def _maps(bg: np.ndarray, bh: np.ndarray, idx: np.ndarray, utc: bool) -> np.ndarray:
+    """Per row: witness idx maps g's restriction (or, if utc, its complement) onto h's."""
+    same = bh[:, idx] == bg
+    hit = same.all(axis=1)
     if utc:
-        full = codetables.full_code(k)
-        cg, ch = min(cg, full ^ cg), min(ch, full ^ ch)
-    if cg == ch:
-        return True
-    key = (k, cg, ch, utc) if cg < ch else (k, ch, cg, utc)
-    if key not in _iso_memo:
-        a = Graph.from_code(k, key[1])
-        b = Graph.from_code(k, key[2])
-        _iso_memo[key] = find_isomorphism(a, b) is not None or (
-            utc and find_isomorphism(complement(a), b) is not None
-        )
-    return _iso_memo[key]
+        hit |= ~same.any(axis=1)
+    return hit
+
+
+def _pair_iso(k: int, rg: np.ndarray, rh: np.ndarray, utc: bool) -> np.ndarray | None:
+    """An isomorphism w from the restriction in row rg (or, if utc, its
+    complement) onto the one in row rh, as the pair-index array
+    idx[rank(i,j)] = rank(w[i], w[j]), rank(i,j) = i + C(j,2) for i < j;
+    None if there is none."""
+    a, b = Graph.from_code(k, _code(rg)), Graph.from_code(k, _code(rh))
+    w = find_isomorphism(a, b)
+    if w is None and utc:
+        w = find_isomorphism(complement(a), b)
+    if w is None:
+        return None
+    j, i = np.tril_indices(k, -1)
+    wi, wj = np.take(w, i), np.take(w, j)
+    lo, hi = np.minimum(wi, wj), np.maximum(wi, wj)
+    return lo + hi * (hi - 1) // 2
 
 
 def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
@@ -259,23 +270,31 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
         table = (codetables.canonical_utc_table if utc else codetables.canonical_table)(k)
         return _first_mismatch(g, h, k, lambda bg, bh: table[_codes(bg)] != table[_codes(bh)])
     kk = comb(k, 2)
+    witnesses: list[np.ndarray] = []
 
     def fails(bg: np.ndarray, bh: np.ndarray) -> np.ndarray:
         eg, eh = _edges(bg), _edges(bh)
         bad = eh != eg
         if utc:
             bad &= eh != kk - eg
-        # equal (or, up to complementation, complementary) labeled
-        # restrictions pass; the rest before the first edge failure are
-        # searched in row order
-        equal = (bg == bh).all(axis=1)
-        if utc:
-            equal |= (bg != bh).all(axis=1)
+        # rows before the first edge failure are settled by the identity,
+        # then by the stored witnesses, then searched in row order
         end = int(bad.argmax()) if bad.any() else len(bad)
-        for r in np.flatnonzero(~equal[:end]).tolist():
-            if not _pair_iso(k, _code(bg[r]), _code(bh[r]), utc):
-                bad[r] = True
+        rows = np.flatnonzero(~_maps(bg[:end], bh[:end], np.arange(kk), utc))
+        hits, misses = [], []
+        for idx in witnesses:
+            hit = _maps(bg[rows], bh[rows], idx, utc)
+            (hits if hit.any() else misses).append(idx)
+            rows = rows[~hit]
+        witnesses[:] = hits + misses
+        while len(rows):
+            idx = _pair_iso(k, bg[rows[0]], bh[rows[0]], utc)
+            if idx is None:
+                bad[rows[0]] = True
                 break
+            witnesses.insert(0, idx)
+            del witnesses[_WITNESSES:]
+            rows = rows[1:][~_maps(bg[rows[1:]], bh[rows[1:]], idx, utc)]
         return bad
 
     return _first_mismatch(g, h, k, fails)

@@ -1,11 +1,12 @@
 """Exact graph isomorphism at desk scale.
 
-Two lanes share one backtracking engine.  For n <= 8 the search runs in
+Two lanes share one backtracking engine.  Both start from a joint color
+refinement of the two graphs (a vertex's next color is its color and its
+neighbor count in each color class).  For n <= 8 the search runs in
 plain vertex order with candidates ascending, so the first witness found
-is the lexicographically least permutation.  For 9 <= n <= 32 the engine
-first computes a joint color refinement (iterated degree signatures) of
-both graphs and orders the search by color-class size; the witness is
-deterministic but not necessarily lex-least.
+is the lexicographically least permutation.  For 9 <= n <= 32 it orders
+the search by color-class size; the witness is deterministic but not
+necessarily lex-least.
 
 A witness is a tuple p with h.has_edge(p[i], p[j]) == g.has_edge(i, j)
 for all pairs, i.e. h = p(g).
@@ -28,7 +29,8 @@ def _refine_pair(
     g: Graph, h: Graph, fixed: dict[int, int] | None
 ) -> tuple[list[int], list[int]] | None:
     """Joint stable coloring of both vertex sets; None when the color
-    multisets ever disagree (then no isomorphism respects `fixed`)."""
+    multisets ever disagree (then no isomorphism respects `fixed`).  A
+    signature is a color and the neighbor count in each color class."""
     n = g.n
     gcol = [0] * n
     hcol = [0] * n
@@ -42,8 +44,11 @@ def _refine_pair(
         newg = [0] * n
         newh = [0] * n
         for col, new, graph in ((gcol, newg, g), (hcol, newh, h)):
-            for v in range(n):
-                sig = (col[v], tuple(sorted(col[u] for u in bits_of(graph.adj[v]))))
+            class_masks = [0] * (max(col, default=-1) + 1)
+            for v, c in enumerate(col):
+                class_masks[c] |= 1 << v
+            for v, row in enumerate(graph.adj):
+                sig = (col[v], *[(row & m).bit_count() for m in class_masks])
                 new[v] = sig_ids.setdefault(sig, len(sig_ids))
         if Counter(newg) != Counter(newh):
             return None

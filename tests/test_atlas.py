@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from math import comb
 
 import numpy as np
@@ -214,6 +215,63 @@ def test_resume_log_survives_truncated_tail(tmp_path):
         kept = lookup_jsonl(str(log), "S", 4, 1)
     assert found is not None and found.to_json() == rec.to_json()
     assert kept is not None and kept.to_json() == other.to_json()
+
+
+def _forged_lines(relation: str, v: int, k: int) -> list[dict]:
+    """Resume-log lines that match the cell but are not valid records."""
+    base = {"relation": relation, "v": v, "k": k, "code_version": atlas.__version__}
+    member = dict(base, verdict="Member", witness=None, pairs_examined=10)
+    nonmember = dict(base, verdict="NonMember", witness=["C?", "C_"], pairs_examined=10)
+    no_verdict = dict(member)
+    del no_verdict["verdict"]
+    no_count = dict(member)
+    del no_count["pairs_examined"]
+    return [
+        no_verdict,
+        no_count,
+        dict(member, verdict="Maybe", pairs_examined=-5),
+        dict(member, verdict="Maybe"),
+        dict(member, pairs_examined=-5),
+        dict(member, pairs_examined=True),
+        dict(member, pairs_examined=10.0),
+        dict(member, pairs_examined="10"),
+        dict(member, witness=["C?", "C_"]),
+        dict(nonmember, witness=None),
+        dict(nonmember, witness=["C?"]),
+        dict(nonmember, witness=["C?", 5]),
+        dict(nonmember, witness="C?C_"),
+    ]
+
+
+def test_resume_log_rejects_invalid_records(tmp_path):
+    # a matching line that is not a valid record is skipped with a
+    # warning; the cell is recomputed and appended after it
+    want = s_membership(4, 2).to_json()
+    for forged in _forged_lines("S", 4, 2):
+        log = tmp_path / "atlas.jsonl"
+        log.write_text(json.dumps(forged) + "\n")
+        with pytest.warns(UserWarning, match="skipping a resume-log line"):
+            rec = membership_with_resume("S", 4, 2, resume_log=str(log))
+        assert rec.to_json() == want, forged
+        assert len(log.read_text().splitlines()) == 2, forged
+        with pytest.warns(UserWarning, match="skipping a resume-log line"):
+            found = lookup_jsonl(str(log), "S", 4, 2)
+        assert found is not None and found.to_json() == want, forged
+
+
+def test_resume_log_accepts_valid_records(tmp_path):
+    # valid records are returned as written, with no warning
+    log = tmp_path / "atlas.jsonl"
+    base = {"relation": "S", "v": 4, "k": 2, "code_version": atlas.__version__}
+    for entry in (
+        dict(base, verdict="Member", witness=None, pairs_examined=0),
+        dict(base, verdict="NonMember", witness=["C?", "C_"], pairs_examined=704),
+    ):
+        log.write_text("[1, 2]\n" + json.dumps(entry) + "\n")  # not an object: no match
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = lookup_jsonl(str(log), "S", 4, 2)
+        assert rec is not None and rec.to_json() == entry
 
 
 def test_write_csv(tmp_path):

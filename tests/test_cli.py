@@ -126,6 +126,18 @@ def test_atlas_resume_log_does_not_bypass_input_checks(tmp_path):
         assert code == 2 and "error" in payload, (v, k)
 
 
+def test_atlas_resume_log_invalid_record_is_recomputed(tmp_path):
+    log = tmp_path / "log.jsonl"
+    want = run_json("atlas", "--relation", "S", "--v", "4", "--k", "2", "--mode", "json")
+    base = {"relation": "S", "v": 4, "k": 2, "code_version": __version__}
+    for forged in (dict(base, witness=None, pairs_examined=0), dict(base, verdict="Maybe", pairs_examined=-5)):
+        log.write_text(json.dumps(forged) + "\n")
+        argv = ("atlas", "--relation", "S", "--v", "4", "--k", "2", "--resume", str(log), "--mode", "json")
+        with pytest.warns(UserWarning, match="skipping a resume-log line"):
+            got = run_json(*argv)
+        assert got == want, forged
+
+
 def test_search_class_g_subcommand():
     code, rep = run_json("search-class-g", "--n", "5", "--budget", "100", "--mode", "json")
     assert code == 0 and rep["members"] == ["Dhc"]

@@ -11,8 +11,6 @@ from recomp.graphs import (
     homogeneous_triples,
     induced,
     invariants,
-    mask_of,
-    subgraph_edge_count,
 )
 from recomp.hypomorphy import (
     PairProfile,
@@ -42,6 +40,8 @@ from recomp.hypomorphy import (
     verify_theorem_k1mod4,
 )
 from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
+
+from graph_reference import mask_of, subgraph_edge_count
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -594,11 +594,11 @@ _RUNG_FAILS = {
 }
 
 
-def _first_failures(g: Graph, h: Graph, k: int) -> dict:
+def _first_failures(g: Graph, h: Graph, k: int, rungs=tuple(_RUNG_FAILS)) -> dict:
     """Brute-force first failing colex k-subset of every rung, or None."""
-    want = dict.fromkeys(_RUNG_FAILS)
+    want = dict.fromkeys(rungs)
     for s in colex_order(g.n, k):
-        open_rungs = [rung for rung in _RUNG_FAILS if want[rung] is None]
+        open_rungs = [rung for rung in rungs if want[rung] is None]
         if not open_rungs:
             break
         a, b = induced(g, s), induced(h, s)
@@ -608,8 +608,8 @@ def _first_failures(g: Graph, h: Graph, k: int) -> dict:
     return want
 
 
-def _assert_ladder_matches(g: Graph, h: Graph, k: int) -> None:
-    for rung, want in _first_failures(g, h, k).items():
+def _assert_ladder_matches(g: Graph, h: Graph, k: int, rungs=tuple(_RUNG_FAILS)) -> None:
+    for rung, want in _first_failures(g, h, k, rungs).items():
         got = rung(g, h, k)
         assert (got.holds, got.witness) == (want is None, want), (rung.__name__, g.n, k)
 
@@ -640,6 +640,62 @@ def test_ladder_witness_is_first_failing_subset(rng):
             for k in ks:
                 if k <= n:
                     _assert_ladder_matches(a, b, k)
+
+
+def test_search_lane_matches_brute_force(rng):
+    # the k > TABLE_MAX_K lane, witnesses reused within each scan, against
+    # a search per subset; both graphs of a construction are relabeled by
+    # one permutation, which keeps every rung's verdict
+    from recomp.constructions import cycle_swap_pair, k7_counterexample, threshold_pair
+
+    rungs = (k_hypomorphic, k_hypomorphic_utc)
+    for n in (11, 12, 13):
+        perm = rng.sample(range(n), n)
+        made = (threshold_pair(9, n - 9), cycle_swap_pair(n), k7_counterexample(n))
+        pairs = [(relabel(p.g, perm), relabel(p.g_prime, perm)) for p in made]
+        g = Graph.random(n, rng)
+        pairs.append((g, complement(g)))
+        for a, b in pairs:
+            for k in range(7, n):
+                _assert_ladder_matches(a, b, k, rungs)
+
+
+def test_search_lane_reuses_witnesses(monkeypatch):
+    # at n = 13, k = 10 the threshold pair is k-hypomorphic up to
+    # complementation, so every candidate row (its restrictions neither
+    # equal nor complementary as labeled graphs) must be settled; stored
+    # witnesses settle most of them without a search
+    from recomp import hypomorphy
+    from recomp.constructions import threshold_pair
+
+    pair = threshold_pair(9, 4)
+    g, h, k = pair.g, pair.g_prime, 10
+    full = (1 << comb(k, 2)) - 1
+    candidates = 0
+    for s in combinations(range(13), k):
+        cg, ch = induced(g, s).code, induced(h, s).code
+        candidates += ch not in (cg, full ^ cg)
+    searches, searched = [], []
+    real_find, real_pair_iso = hypomorphy.find_isomorphism, hypomorphy._pair_iso
+
+    def find(a, b):
+        searches.append((a, b))
+        return real_find(a, b)
+
+    def pair_iso(k, rg, rh, utc):
+        idx = real_pair_iso(k, rg, rh, utc)
+        searched.append((rg.tolist(), rh.tolist(), idx))
+        return idx
+
+    monkeypatch.setattr(hypomorphy, "find_isomorphism", find)
+    monkeypatch.setattr(hypomorphy, "_pair_iso", pair_iso)
+    assert k_hypomorphic_utc(g, h, k).holds
+    assert 0 < len(searches) < candidates
+    # each new witness is tried on the rest of its chunk at once and stays
+    # stored, so the next search is never on a row it maps
+    for (_, _, idx), (rg, rh, _) in zip(searched, searched[1:]):
+        mapped = [rh[x] for x in idx.tolist()]
+        assert mapped != rg and mapped != [1 - bit for bit in rg]
 
 
 def _chunk_edges(k: int, total: int) -> set[int]:

@@ -1,9 +1,12 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from recomp import isomorphism
+from recomp.constructions import circulant, paley_graph
 from recomp.errors import OrderMismatch, OrderTooLarge
-from recomp.graphs import Graph, complement
+from recomp.graphs import Graph, bits_of, complement
 from recomp.isomorphism import (
     IsoUtcKind,
     canonical_form,
@@ -207,3 +210,69 @@ def test_pinned_search():
     assert w is not None and w[0] == 3
     path = Graph.path(4)
     assert find_isomorphism(path, path, fixed={0: 1}) is None  # endpoint to center
+
+
+def reference_refine_pair(g: Graph, h: Graph, fixed):
+    """Joint refinement with each signature the color and the sorted
+    colors of the neighbors, recomputed from the adjacency bits."""
+    n = g.n
+    gcol = [0] * n
+    hcol = [0] * n
+    if fixed:
+        for seed, (u, w) in enumerate(sorted(fixed.items()), start=1):
+            gcol[u] = seed
+            hcol[w] = seed
+    ncolors = 0
+    while True:
+        sig_ids: dict[tuple, int] = {}
+        newg = [0] * n
+        newh = [0] * n
+        for col, new, graph in ((gcol, newg, g), (hcol, newh, h)):
+            for v in range(n):
+                sig = (col[v], tuple(sorted(col[u] for u in bits_of(graph.adj[v]))))
+                new[v] = sig_ids.setdefault(sig, len(sig_ids))
+        if Counter(newg) != Counter(newh):
+            return None
+        gcol, hcol = newg, newh
+        if len(sig_ids) == ncolors:
+            return gcol, hcol
+        ncolors = len(sig_ids)
+
+
+def _refinement_cases(rng):
+    """Seeded random pairs, relabeled copies, and regular graphs against
+    relabeled copies and other regular graphs of the same order."""
+    for n in range(1, 17):
+        for _ in range(3):
+            g = Graph.random(n, rng, rng.uniform(0.2, 0.8))
+            perm = rng.sample(range(n), n)
+            yield g, Graph.random(n, rng, rng.uniform(0.2, 0.8))
+            yield g, apply_perm(g, perm)
+            yield g, apply_perm(complement(g), perm)
+        if n >= 5:
+            a = circulant(n, [1, 2])
+            yield a, apply_perm(a, perm)
+            yield a, circulant(n, [1, n // 2 - 1 if n >= 6 else 2])
+            yield Graph.cycle(n), apply_perm(Graph.cycle(n), perm)
+    for q in (5, 9, 13):
+        p = paley_graph(q)
+        yield p, apply_perm(p, rng.sample(range(q), q))
+        yield p, complement(p)
+
+
+def test_refinement_matches_sorted_signature_reference(rng, monkeypatch):
+    cases = list(_refinement_cases(rng))
+    pins = []
+    for g, h in cases:
+        n = g.n
+        fixed = [None, {0: rng.randrange(n)}]
+        if n >= 3:
+            fixed.append({1: rng.randrange(n), n - 1: rng.randrange(n)})
+        pins.append(fixed)
+        for pin in fixed:
+            assert isomorphism._refine_pair(g, h, pin) == reference_refine_pair(g, h, pin)
+    found = [[find_isomorphism(g, h, pin) for pin in fixed] for (g, h), fixed in zip(cases, pins)]
+    assert any(w is not None for row in found for w in row)
+    monkeypatch.setattr(isomorphism, "_refine_pair", reference_refine_pair)
+    want = [[find_isomorphism(g, h, pin) for pin in fixed] for (g, h), fixed in zip(cases, pins)]
+    assert found == want
