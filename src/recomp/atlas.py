@@ -12,12 +12,14 @@ candidates, and each unmarked candidate opens a class and marks every
 candidate in its orbit (`codes.relabelings`).
 
 Every swept hypothesis asks whether a per-k-subset signature (iso-utc
-class, edge parity, edge count up to complementation, h3 count, or the
-set of 3-homogeneous triples at k = v) agrees for g and g'.  For each
-(order v, subset size k, signature) one label array over all 2^C(v,2)
-codes is built: the class id of each colex k-subset restriction is
-folded into the label, so two codes share a label iff they agree on
-every k-subset.
+class, edge parity, edge count up to complementation, or h3 count; equal
+3-homogeneous sets are equal h3 counts at k = 3) agrees for g and g'.
+The signatures are the ladder's own row functions
+(`hypomorphy.SIGNATURES`), tabulated over the order-k codes by
+`hypomorphy.signature_table`.  For each (order v, subset size k,
+signature) one label array over all 2^C(v,2) codes is built: the class
+id of each colex k-subset restriction is folded into the label, so two
+codes share a label iff they agree on every k-subset.
 
 Membership cells (S, R) are decided from class counts.  The partitions
 respect relabeling, so a relation holds on the whole pair space iff,
@@ -55,7 +57,7 @@ from . import codes as codetables
 from .errors import DomainError, OrderTooLarge, VerificationError
 from .graph6 import encode
 from .graphs import Graph
-from .hypomorphy import equality_threshold
+from .hypomorphy import equality_threshold, signature_table
 from .incidence import colex_subsets
 
 CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -116,17 +118,6 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
 # -- per-subset signature labels ---------------------------------------------
 
-# Per-subset signatures of the swept statements, each a table over the
-# codes of one order k.  "edges" is the edge count up to complementation.
-SIGNATURES = {
-    "utc": codetables.canonical_utc_table,
-    "parity": lambda k: codetables.edge_count_table(k) & 1,
-    "edges": lambda k: np.minimum(e := codetables.edge_count_table(k), comb(k, 2) - e),
-    "h3": codetables.h3_count_table,
-    "h3set": codetables.h3_set_table,
-}
-
-
 def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
     """One label per labeled order-v graph; two graphs share a label iff
     `table` takes equal values on their restrictions to every k-subset."""
@@ -151,7 +142,7 @@ def _signature_equality(v: int):
 
     def same(kind: str, k: int, g: int) -> np.ndarray:
         if (kind, k) not in cache:
-            cache[kind, k] = _labels(v, k, SIGNATURES[kind](k))
+            cache[kind, k] = _labels(v, k, signature_table(kind, k))
         labels = cache[kind, k]
         return labels == labels[g]
 
@@ -262,7 +253,7 @@ def _membership(relation: str, v: int, k: int, long_running: bool) -> AtlasRecor
         hyp = _utc_class_sizes(v, rep_codes)
         examined = int(hyp.sum())
     else:
-        cls, counts = _classes(_labels(v, k, codetables.canonical_utc_table(k)))
+        cls, counts = _classes(_labels(v, k, signature_table("utc", k)))
         hyp = counts[cls[rep_codes]]
         examined = len(rep_codes) << comb(v, 2)
     if relation == "S":
@@ -352,14 +343,15 @@ class SweepReport:
 def _theorem_masks(theorem: str, v: int, k: int | None, same, g: int):
     """(hypothesis, violation) masks of one theorem over all order-v codes
     paired with code g."""
+    # equal 3-homogeneous sets: a 3-subset has h3 = 1 iff it is homogeneous
     if theorem == "clawfree":
-        hyp = same("h3set", v, g)
+        hyp = same("h3", 3, g)
         return hyp, hyp & ~codetables.clawfree_both_table(v)[codetables.all_codes(v) ^ g]
     if theorem == "k0mod4":
         hyp = same("parity", k, g)
         return hyp, hyp ^ _equal_utc(v, g)
     if theorem == "k1mod4":
-        hyp = same("parity", k, g) & same("h3set", v, g)
+        hyp = same("parity", k, g) & same("h3", 3, g)
         return hyp, hyp ^ _equal_utc(v, g)
     if theorem == "principal":
         cond_i = same("utc", k, g)

@@ -19,6 +19,7 @@ from .atlas import THEOREM_IDS, membership_with_resume, sweep_theorem
 from .errors import RecompError, VerificationError
 from .graph6 import decode, encode
 from .graphs import (
+    Graph,
     classify_bipartite_kernel,
     complement,
     induced,
@@ -207,48 +208,40 @@ def _cmd_kernel(args) -> tuple[dict, int]:
     return payload, 1 if falsified else 0
 
 
+# name -> (constructor, parameter names).  The lambdas look the
+# constructors up when called, so a patched module attribute is used.
+CONSTRUCTIONS = {
+    "paley": (lambda q: paley_graph(q), ("q",)),
+    "star": (lambda v: star_graph(v), ("v",)),
+    "lex-paley": (lambda q1, q2: lex_product(paley_graph(q1), paley_graph(q2)), ("q1", "q2")),
+    "clique-pair": (lambda v: clique_pair_counterexample(v), ("v",)),
+    "cycle-swap": (lambda v: cycle_swap_pair(v), ("v",)),
+    "k7-pair": (lambda v: k7_counterexample(v), ("v",)),
+    "star-parity": (lambda k, v: star_parity_pair(k, v), ("k", "v")),
+    "threshold-pair": (lambda m, r: threshold_pair(m, r), ("m", "r")),
+}
+
+
 def _cmd_construct(args) -> tuple[dict, int]:
     name, params = args.name, args.params
-    single = None
-    pair = None
-    if name == "paley":
-        (q,) = params
-        single = paley_graph(q)
-    elif name == "star":
-        (v,) = params
-        single = star_graph(v)
-    elif name == "lex-paley":
-        q1, q2 = params
-        single = lex_product(paley_graph(q1), paley_graph(q2))
-    elif name == "clique-pair":
-        (v,) = params
-        pair = clique_pair_counterexample(v)
-    elif name == "cycle-swap":
-        (v,) = params
-        pair = cycle_swap_pair(v)
-    elif name == "k7-pair":
-        (v,) = params
-        pair = k7_counterexample(v)
-    elif name == "star-parity":
-        k, v = params
-        pair = star_parity_pair(k, v)
-    elif name == "threshold-pair":
-        m, r = params
-        pair = threshold_pair(m, r)
-    else:
+    if name not in CONSTRUCTIONS:
+        raise RecompError(f"unknown construction; use one of {', '.join(CONSTRUCTIONS)}")
+    build, names = CONSTRUCTIONS[name]
+    if len(params) != len(names):
         raise RecompError(
-            "unknown construction; use paley, star, lex-paley, clique-pair, "
-            "cycle-swap, k7-pair, star-parity, or threshold-pair"
+            f"construction {name!r} takes {len(names)} integer parameter(s) "
+            f"({' '.join(names)}), got {len(params)}"
         )
-    if single is not None:
+    built = build(*params)
+    if isinstance(built, Graph):
         payload = {
             "name": name,
             "params": list(params),
-            "graph6": encode(single),
+            "graph6": encode(built),
             "code_version": __version__,
         }
     else:
-        payload = dict(pair.to_json(), name=name, code_version=__version__)
+        payload = dict(built.to_json(), name=name, code_version=__version__)
     return payload, 0
 
 

@@ -2,10 +2,11 @@
 
 A labeled graph on n vertices is a code in [0, 2^C(n,2)): bit r holds the
 pair of colex rank r.  Relabeling by a permutation is a bit permutation of
-codes, so canonical forms, edge counts, parities, 3-homogeneous data and
-similar per-graph quantities become numpy gathers over the whole space.
-That is what makes exhaustive order-6 sweeps (156 canonical graphs against
-all 32768 labeled graphs) run in seconds.
+codes, so canonical forms, restriction codes and the claw-free table
+become numpy gathers over the whole space.  That is what makes exhaustive
+order-6 sweeps (156 canonical graphs against all 32768 labeled graphs) run
+in seconds.  The other per-subset signatures (parity, edge counts, h3)
+are row functions in `hypomorphy`, tabulated by `signature_table`.
 
 One primitive applies relabelings: `relabelings(n, code)` returns the
 codes of all n! relabelings of one graph, as a sum of rows of a
@@ -33,9 +34,6 @@ TABLE_MAX_ORDER = 7
 _dest_weights: dict[int, np.ndarray] = {}
 _canon_tables: dict[int, np.ndarray] = {}
 _canon_utc_tables: dict[int, np.ndarray] = {}
-_popcount_tables: dict[int, np.ndarray] = {}
-_h3_count_tables: dict[int, np.ndarray] = {}
-_h3_set_tables: dict[int, np.ndarray] = {}
 _clawfree_both_tables: dict[int, np.ndarray] = {}
 
 
@@ -112,53 +110,17 @@ def canonical_utc_table(n: int) -> np.ndarray:
     return _canon_utc_tables[n]
 
 
-def _bit_counts(values: np.ndarray, nbits: int) -> np.ndarray:
-    """Number of set bits among the low nbits of each entry."""
-    cnt = np.zeros(len(values), dtype=np.int16)
-    for b in range(nbits):
-        cnt += ((values >> b) & 1).astype(np.int16)
-    return cnt
-
-
-def popcount_table(nbits: int) -> np.ndarray:
-    if nbits not in _popcount_tables:
-        _popcount_tables[nbits] = _bit_counts(np.arange(1 << nbits, dtype=np.int64), nbits)
-    return _popcount_tables[nbits]
-
-
-def edge_count_table(n: int) -> np.ndarray:
-    return popcount_table(n_pairs(n))
-
-
-def h3_count_table(n: int) -> np.ndarray:
-    """Number of 3-homogeneous subsets, per code: the set bits of
-    `h3_set_table`."""
-    if n not in _h3_count_tables:
-        _h3_count_tables[n] = _bit_counts(h3_set_table(n), comb(n, 3))
-    return _h3_count_tables[n]
-
-
-def h3_set_table(n: int) -> np.ndarray:
-    """Bitmask over triples (lex order) marking the 3-homogeneous ones."""
-    if n not in _h3_set_tables:
-        codes = all_codes(n)
-        mask = np.zeros(len(codes), dtype=np.int64)
-        for t, trip in enumerate(combinations(range(n), 3)):
-            r = extract_restriction_codes(codes, trip)
-            mask |= ((r == 0) | (r == 7)).astype(np.int64) << t
-        _h3_set_tables[n] = mask
-    return _h3_set_tables[n]
-
-
 def clawfree_both_table(n: int) -> np.ndarray:
-    """Per code: the graph and its complement are both claw-free."""
-    from .graphs import complement, is_claw_free
-
+    """Per code: the graph and its complement are both claw-free, that is,
+    no 4-subset induces a claw or the claw's complement, the two graphs of
+    the claw's class up to complementation."""
     if n not in _clawfree_both_tables:
-        out = np.zeros(1 << n_pairs(n), dtype=bool)
-        for c in range(1 << n_pairs(n)):
-            g = Graph.from_code(n, c)
-            out[c] = is_claw_free(g) and is_claw_free(complement(g))
+        codes = all_codes(n)
+        utc4 = canonical_utc_table(4)
+        claw = utc4[Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).code]
+        out = np.ones(len(codes), dtype=bool)
+        for s in combinations(range(n), 4):
+            out &= utc4[extract_restriction_codes(codes, s)] != claw
         _clawfree_both_tables[n] = out
     return _clawfree_both_tables[n]
 

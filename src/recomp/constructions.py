@@ -547,6 +547,8 @@ def search_class_g(n: int, budget: int) -> ClassGSearchReport:
     """
     if n % 4 != 1 or not 5 <= n <= 29:
         raise DomainError(f"need n = 1 (mod 4) with 5 <= n <= 29, got {n}")
+    if budget < 0:
+        raise DomainError(f"budget must be non-negative, got {budget}")
     half = (n - 1) // 2
     pick = (n - 1) // 4
     space = comb(half, pick)

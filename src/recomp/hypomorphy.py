@@ -9,23 +9,25 @@ equal 3-homogeneous data).
 
 Subset lanes: every per-subset condition is one scan over the k-subsets
 in colexicographic order, stopping at the first subset that fails, so
-witnesses are deterministic.  The scan reads chunks of subsets that grow
-geometrically from a few rows, so an early exit pays only for a short
-prefix.  A chunk holds, per graph, one row of restriction bits per
-subset: the graph's code bits gathered at the global colex pair ranks
-i + C(j,2) of the subset's local pairs.  Colex order of k-subsets does
-not depend on the vertex count, so one prefix table per k of the subsets
-and those ranks, grown on demand within a fixed byte budget, serves
-every graph.  Each
-condition is one vectorised test per chunk.  Edge counts are row sums;
-restrictions of size k <= 6 compare canonical-code table entries.
-Larger ones compare edge counts, then try the few isomorphism witnesses
-the scan found most recently useful on whole chunks: w, kept as the
-pair-index array idx[rank(i,j)] = rank(w[i], w[j]), settles a row when
-h's bits gathered by idx equal g's (or, up to complementation, differ in
-every column).  Each row left gets a backtracking search, in row order,
-whose witness is then tried on the rest of the chunk.  h3 and a0 counts
-come from the restriction degrees by Goodman's identity.
+witnesses are deterministic.  The scan reads chunks of subsets that
+grow geometrically from a few rows, so an early exit pays only for a
+short prefix.  A chunk holds, per graph, one row of restriction bits
+per subset: the graph's code bits gathered at the global colex pair
+ranks i + C(j,2) of the subset's local pairs.  Colex order of k-subsets
+does not depend on the vertex count, so one prefix table per k of the
+subsets and those ranks, grown on demand within a fixed byte budget,
+serves every graph.  Each condition compares one row function of
+`SIGNATURES`, which maps a chunk of restriction bits to a value per
+row: parity, edge count up to complementation, h3, a0, or for k <= 6 a
+canonical-code table entry.  `signature_table` applies the same
+function to every code of one order, for the atlas labels.  Larger
+restrictions compare edge counts, then try the few isomorphism
+witnesses the scan found most recently useful on whole chunks: w, kept
+as the pair-index array idx[rank(i,j)] = rank(w[i], w[j]), settles a
+row when h's bits gathered by idx equal g's (or, up to complementation,
+differ in every column).  Each row left gets a backtracking search, in
+row order, whose witness is then tried on the rest of the chunk.  h3
+and a0 counts come from the restriction degrees by Goodman's identity.
 
 Every theorem verifier computes both sides of its statement
 independently and reports whether the claimed implication or
@@ -236,6 +238,41 @@ def _h3(bits: np.ndarray, k: int) -> np.ndarray:
     return comb(k, 3) - _a_counts(bits, k)[1] // 2
 
 
+# Per-subset signatures: row functions (bits, k) -> one value per row of
+# restriction bits, equal for two restrictions iff they agree on the
+# signature.  Up to complementation, parity is a signature only when
+# C(k,2) is even; when it is odd, complementing flips the parity, so
+# every pair agrees.
+SIGNATURES: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
+    "parity": lambda bits, k: _edges(bits) % 2,
+    "parity_utc": lambda bits, k: _edges(bits) % 2 * (1 - comb(k, 2) % 2),
+    "edges": lambda bits, k: np.minimum(e := _edges(bits), comb(k, 2) - e),
+    "h3": _h3,
+    "a0": lambda bits, k: _a_counts(bits, k)[0],
+    "iso": lambda bits, k: codetables.canonical_table(k)[_codes(bits)],
+    "utc": lambda bits, k: codetables.canonical_utc_table(k)[_codes(bits)],
+}
+
+
+def _same_signature(kind: str, g: Graph, h: Graph, k: int) -> HypoVerdict:
+    """The two graphs agree on the `kind` signature of every k-subset."""
+    sig = SIGNATURES[kind]
+    return _first_mismatch(g, h, k, lambda bg, bh: sig(bg, k) != sig(bh, k))
+
+
+def signature_table(kind: str, k: int) -> np.ndarray:
+    """The `kind` signature of every labeled graph of order k, indexed by
+    code: the row function applied to the bits of all 2^C(k,2) codes, in
+    chunks of `_max_rows(k)` rows so its int64 temporaries stay small."""
+    sig, codes, step = SIGNATURES[kind], codetables.all_codes(k), _max_rows(k)
+    shifts = np.arange(comb(k, 2), dtype=np.int64)
+    out = np.empty(len(codes), dtype=np.int64)
+    for start in range(0, len(codes), step):
+        chunk = codes[start : start + step, None]
+        out[start : start + len(chunk)] = sig((chunk >> shifts & 1).astype(np.uint8), k)
+    return out
+
+
 def _maps(bg: np.ndarray, bh: np.ndarray, idx: np.ndarray, utc: bool) -> np.ndarray:
     """Per row: witness idx maps g's restriction (or, if utc, its complement) onto h's."""
     same = bh[:, idx] == bg
@@ -267,8 +304,7 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
     if k > ISO_MAX_ORDER:
         raise KTooLarge(f"restriction isomorphism supports k <= {ISO_MAX_ORDER}")
     if k <= TABLE_MAX_K:
-        table = (codetables.canonical_utc_table if utc else codetables.canonical_table)(k)
-        return _first_mismatch(g, h, k, lambda bg, bh: table[_codes(bg)] != table[_codes(bh)])
+        return _same_signature("utc" if utc else "iso", g, h, k)
     kk = comb(k, 2)
     witnesses: list[np.ndarray] = []
 
@@ -312,27 +348,17 @@ def k_hypomorphic_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
 
 def same_edge_counts_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(h|K) equals e(g|K) or C(k,2) - e(g|K) for every K."""
-
-    def fails(bg: np.ndarray, bh: np.ndarray) -> np.ndarray:
-        eg, eh = _edges(bg), _edges(bh)
-        return (eh != eg) & (eh != comb(k, 2) - eg)
-
-    return _first_mismatch(g, h, k, fails)
+    return _same_signature("edges", g, h, k)
 
 
 def same_parity(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(g|K) and e(h|K) share parity for every K."""
-    return _first_mismatch(g, h, k, lambda bg, bh: (_edges(bg) - _edges(bh)) % 2 == 1)
+    return _same_signature("parity", g, h, k)
 
 
 def same_parity_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """e(g|K) shares parity with e(h|K) or with C(k,2) - e(h|K)."""
-
-    def fails(bg: np.ndarray, bh: np.ndarray) -> np.ndarray:
-        eg, eh = _edges(bg), _edges(bh)
-        return ((eg - eh) % 2 == 1) & ((eg - (comb(k, 2) - eh)) % 2 == 1)
-
-    return _first_mismatch(g, h, k, fails)
+    return _same_signature("parity_utc", g, h, k)
 
 
 def same_3_homogeneous(g: Graph, h: Graph) -> HypoVerdict:
@@ -353,12 +379,12 @@ def restriction_h3_count(g: Graph, subset: tuple[int, ...]) -> int:
 
 def same_h3_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """h3(g|K) = h3(h|K) for every k-subset K (counts, not sets)."""
-    return _first_mismatch(g, h, k, lambda bg, bh: _h3(bg, k) != _h3(bh, k))
+    return _same_signature("h3", g, h, k)
 
 
 def same_a0_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """a0(g|K) = a0(h|K) for every k-subset K."""
-    return _first_mismatch(g, h, k, lambda bg, bh: _a_counts(bg, k)[0] != _a_counts(bh, k)[0])
+    return _same_signature("a0", g, h, k)
 
 
 def equal_up_to_complementation(g: Graph, h: Graph) -> bool:
@@ -582,27 +608,21 @@ def verify_complementary_size_transfer(g: Graph, h: Graph, k: int, mode: str) ->
 def verify_order4_classification() -> VerifierResult:
     """On at most 4 vertices the pair (e * e_bar, h3) separates graphs
     exactly up to isomorphism and complementation."""
-    by_utc: dict[int, set[tuple[int, int]]] = {}
-    pair_to_utc: dict[tuple[int, int], set[int]] = {}
-    iso_codes = set()
-    utc_table = codetables.canonical_utc_table(4)
-    iso_table = codetables.canonical_table(4)
-    ee = codetables.edge_count_table(4)
-    h3 = codetables.h3_count_table(4)
-    total = comb(4, 2)
-    for c in range(1 << total):
-        iso_codes.add(int(iso_table[c]))
-        key = (int(ee[c]) * (total - int(ee[c])), int(h3[c]))
-        by_utc.setdefault(int(utc_table[c]), set()).add(key)
-        pair_to_utc.setdefault(key, set()).add(int(utc_table[c]))
-    constant_on_classes = all(len(v) == 1 for v in by_utc.values())
-    separating = all(len(v) == 1 for v in pair_to_utc.values())
+    edges = signature_table("edges", 4)  # min(e, e_bar), so e * e_bar = edges * (6 - edges)
+    pairs = list(zip((edges * (6 - edges)).tolist(), signature_table("h3", 4).tolist()))
+    utc = codetables.canonical_utc_table(4).tolist()
+    utc_classes, distinct_pairs = len(set(utc)), len(set(pairs))
+    iso_classes = len(set(codetables.canonical_table(4).tolist()))
+    # the pair is constant on each utc class iff the (class, pair)
+    # combinations are as many as the classes, and separates the classes
+    # iff they are as many as the distinct pairs
+    joint = len(set(zip(utc, pairs)))
     return VerifierResult(
-        constant_on_classes and separating and len(by_utc) == 6 and len(iso_codes) == 11,
+        joint == utc_classes == distinct_pairs == 6 and iso_classes == 11,
         {
-            "iso_classes": len(iso_codes),
-            "utc_classes": len(by_utc),
-            "distinct_pairs": len(pair_to_utc),
+            "iso_classes": iso_classes,
+            "utc_classes": utc_classes,
+            "distinct_pairs": distinct_pairs,
         },
     )
 

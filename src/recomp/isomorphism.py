@@ -159,16 +159,12 @@ def isomorphic_up_to_complementation(g: Graph, h: Graph) -> UtcVerdict:
 
 def canonical_form(g: Graph) -> int:
     """Minimum code over all relabelings (n <= 8)."""
-    if g.n > CANON_MAX_ORDER:
-        raise OrderTooLarge(f"canonical codes support n <= {CANON_MAX_ORDER}")
     return canonical_code(g.n, g.code)
 
 
 def canonical_form_utc(g: Graph) -> int:
     """Minimum code over all relabelings of the graph and of its
     complement; equal codes iff isomorphic up to complementation."""
-    if g.n > CANON_MAX_ORDER:
-        raise OrderTooLarge(f"canonical codes support n <= {CANON_MAX_ORDER}")
     return canonical_utc_code(g.n, g.code)
 
 

@@ -13,6 +13,8 @@ from recomp import atlas
 from recomp import codes
 from recomp.atlas import (
     CATALOG_COUNTS,
+    THEOREM_IDS,
+    VIOLATION_LIST_CAP,
     AtlasRecord,
     enumerate_graphs,
     lookup_jsonl,
@@ -25,7 +27,7 @@ from recomp.atlas import (
 )
 from recomp.errors import DomainError, OrderTooLarge, VerificationError
 from recomp.graph6 import decode, encode
-from recomp.graphs import Graph
+from recomp.graphs import Graph, complement
 from recomp.hypomorphy import equal_up_to_complementation, k_hypomorphic_utc
 from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_to_complementation
 
@@ -188,6 +190,74 @@ def test_sweep_hypothesis_counts():
     rep = sweep_theorem("k0mod4", 6, 4)
     assert rep.hypothesis_count == 2 * len(enumerate_graphs(6))
     assert rep.pairs_examined == len(enumerate_graphs(6)) * (1 << 15)
+
+
+# (theorem, v, k) -> (hypothesis_count, pairs_examined) of every valid
+# sweep with v <= 6, clawfree at v <= 5; none has a violation
+SWEEP_COUNTS = {
+    ("clawfree", 1, None): (1, 1),
+    ("clawfree", 2, None): (4, 4),
+    ("clawfree", 3, None): (40, 64),
+    ("clawfree", 4, None): (608, 4096),
+    ("clawfree", 5, None): (10608, 1048576),
+    ("down", 3, 2): (32, 32),
+    ("down", 4, 2): (704, 704),
+    ("down", 4, 3): (94, 704),
+    ("down", 5, 2): (34816, 34816),
+    ("down", 5, 3): (298, 34816),
+    ("down", 5, 4): (120, 34816),
+    ("down", 6, 2): (5111808, 5111808),
+    ("down", 6, 3): (1528, 5111808),
+    ("down", 6, 4): (312, 5111808),
+    ("down", 6, 5): (1024, 5111808),
+    ("corkk1", 4, 4): (116, 704),
+    ("corkk1", 5, 4): (120, 34816),
+    ("corkk1", 5, 5): (2676, 34816),
+    ("corkk1", 6, 4): (312, 5111808),
+    ("corkk1", 6, 5): (1416, 5111808),
+    ("corkk1", 6, 6): (244900, 5111808),
+    ("k0mod4", 6, 4): (312, 5111808),
+    ("principal", 6, 4): (312, 5111808),
+    ("kaplus", 6, 3): (1528, 5111808),
+}
+
+
+def test_sweep_counts_pinned():
+    got = {}
+    for v in range(1, 7):
+        for theorem in THEOREM_IDS:
+            if theorem == "clawfree" and v > 5:
+                continue
+            for k in [None] if theorem == "clawfree" else range(1, v + 1):
+                try:
+                    rep = sweep_theorem(theorem, v, k)
+                except DomainError:
+                    continue
+                got[theorem, v, k] = (rep.hypothesis_count, rep.pairs_examined)
+                assert rep.violation_count == 0 and rep.violations == ()
+    assert got == SWEEP_COUNTS
+
+
+def test_violation_listing_with_narrowed_conclusion(monkeypatch):
+    """Narrowing the conclusion "equal up to complementation" to "equal"
+    makes each representative's complement a violation of k0mod4 and of
+    principal at (6, 4): the hypothesis class of g is {g, complement of g},
+    and no order-6 graph is self-complementary."""
+
+    def g_only(v: int, g: int) -> np.ndarray:
+        mask = np.zeros(1 << comb(v, 2), dtype=bool)
+        mask[g] = True
+        return mask
+
+    monkeypatch.setattr(atlas, "_equal_utc", g_only)
+    reps = enumerate_graphs(6).representatives
+    listed = [
+        {"g": encode(g), "g_prime": encode(complement(g))} for g in reps[:VIOLATION_LIST_CAP]
+    ]
+    for theorem in ("k0mod4", "principal"):
+        rep = sweep_theorem(theorem, 6, 4)
+        assert rep.violation_count == len(reps) == 156
+        assert list(rep.violations) == listed
 
 
 def test_resume_log(tmp_path):

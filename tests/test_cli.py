@@ -42,6 +42,18 @@ def test_construct_unknown_name():
     assert code == 2 and "error" in payload
 
 
+def test_construct_wrong_parameter_count_is_usage_error():
+    for argv, names in (["construct", "paley"], "(q)"), (["construct", "k7-pair", "9", "9"], "(v)"):
+        code, payload = run_json(*argv, "--mode", "json")
+        assert code == 2 and names in payload["error"], payload
+        assert "unpack" not in payload["error"]
+
+
+def test_search_class_g_negative_budget_is_usage_error():
+    code, payload = run_json("search-class-g", "--n", "5", "--budget", "-1", "--mode", "json")
+    assert code == 2 and "budget" in payload["error"]
+
+
 def test_matrix_wilson_row():
     code, row = run_json("matrix", "--t", "2", "--k", "4", "--v", "6", "--p", "2", "--mode", "json")
     assert code == 0

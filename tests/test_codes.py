@@ -1,13 +1,15 @@
 """Canonical tables and catalogs against independent oracles."""
 
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
 
 from recomp.atlas import enumerate_graphs
-from recomp.codes import all_codes, canonical_table, h3_count_table
-from recomp.graphs import Graph
+from recomp.codes import all_codes, canonical_table, canonical_utc_table, clawfree_both_table
+from recomp.graphs import Graph, complement, invariants, is_claw_free
+from recomp.hypomorphy import signature_table
 
 
 def oracle_canonical_code(g: Graph) -> int:
@@ -43,10 +45,38 @@ def test_catalog_matches_networkx_atlas(n):
 def test_h3_count_table_matches_per_triple_count(n):
     """Reference: per triple, the three pair bits sum to 0 or 3."""
     codes = all_codes(n)
-    expected = np.zeros(len(codes), dtype=np.int16)
+    expected = np.zeros(len(codes), dtype=np.int64)
     for a, b, c in combinations(range(n), 3):
         ab, ac, bc = (x + y * (y - 1) // 2 for x, y in ((a, b), (a, c), (b, c)))
         s = (codes >> ab & 1) + (codes >> ac & 1) + (codes >> bc & 1)
-        expected += ((s == 0) | (s == 3)).astype(np.int16)
-    table = h3_count_table(n)
-    assert table.dtype == expected.dtype and np.array_equal(table, expected)
+        expected += (s == 0) | (s == 3)
+    assert np.array_equal(signature_table("h3", n), expected)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_signature_tables_match_graph_invariants(n):
+    """Reference: edge counts and a0 of each code's Graph, by enumeration."""
+    graphs = [Graph.from_code(n, c) for c in range(1 << comb(n, 2))]
+    kk = comb(n, 2)
+    edges = [g.edge_count for g in graphs]
+    expected = {
+        "parity": [e % 2 for e in edges],
+        "parity_utc": [e % 2 if kk % 2 == 0 else 0 for e in edges],
+        "edges": [min(e, kk - e) for e in edges],
+        "a0": [invariants(g).a0 for g in graphs],
+        "iso": canonical_table(n).tolist(),
+        "utc": canonical_utc_table(n).tolist(),
+    }
+    for kind, values in expected.items():
+        assert signature_table(kind, n).tolist() == values, kind
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_clawfree_both_table_matches_graph_loop(n):
+    """Reference: the per-code loop over Graph objects that the 4-subset
+    fold replaced."""
+    expected = []
+    for c in range(1 << comb(n, 2)):
+        g = Graph.from_code(n, c)
+        expected.append(is_claw_free(g) and is_claw_free(complement(g)))
+    assert clawfree_both_table(n).tolist() == expected

@@ -332,6 +332,12 @@ def test_search_class_g_order5():
     assert find_isomorphism(rep.members[0], Graph.cycle(5)) is not None
 
 
+def test_search_class_g_rejects_negative_budget():
+    with pytest.raises(DomainError):
+        search_class_g(5, -1)
+    assert search_class_g(5, 0).members == ()
+
+
 def test_search_class_g_order13_contains_paley():
     rep = search_class_g(13, 1000)
     assert any(find_isomorphism(m, paley_graph(13)) is not None for m in rep.members)

@@ -119,6 +119,9 @@ def test_agrees_with_networkx(rng):
 def test_order_cap():
     with pytest.raises(OrderTooLarge):
         find_isomorphism(Graph.empty(33), Graph.empty(33))
+    for canon in (canonical_form, canonical_form_utc):
+        with pytest.raises(OrderTooLarge):
+            canon(Graph.empty(9))
 
 
 def test_paley5_is_c5():
