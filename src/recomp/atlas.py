@@ -11,30 +11,25 @@ representatives, each joined to a new vertex in every way, are the
 candidates, and each unmarked candidate opens a class and marks every
 candidate in its orbit (`codes.relabelings`).
 
-Every swept hypothesis asks whether a per-k-subset signature (iso-utc
-class, edge parity, edge count up to complementation, or h3 count; equal
-3-homogeneous sets are equal h3 counts at k = 3) agrees for g and g'.
-The signatures are the ladder's own row functions
-(`hypomorphy.SIGNATURES`), tabulated over the order-k codes by
-`hypomorphy.signature_table`.  For each (order v, subset size k,
-signature) one label array over all 2^C(v,2) codes is built: the class
-id of each colex k-subset restriction is folded into the label, so two
-codes share a label iff they agree on every k-subset.
-
-Membership cells (S, R) are decided from class counts.  The partitions
-respect relabeling, so a relation holds on the whole pair space iff,
-for every representative g, g's hypothesis class is no larger than its
-part where the conclusion holds: {g, complement of g} for S, the codes
-also in g's iso-utc class for R (counted on the join of the utc-k
-labels with the utc-v classes).  One `np.unique` per label array gives
-all class sizes, and the witness is the smallest offending code in the
-class of the first representative whose counts differ.  At k == v the
-hypothesis class is g's iso-utc class, whose size is v!/|Aut g| by
-orbit-stabilizer, doubled unless g is self-complementary; the orbit
-sizes must add up to 2^C(v,2).  Theorem sweeps still loop (`_scan`)
-over the representatives, each statement mask algebra on
-`labels == labels[g]`.  Order 7 multiplies the space by 64 and is gated
-behind `long_running`; sweeps run in one process.
+Each theorem, and each membership cell (S, R) at k < v, is a list of
+claims "A implies B" or "A iff B" (`THEOREMS`).  A and B join atoms,
+each a partition of all 2^C(v,2) codes that respects relabeling: g' is
+in g's class iff it agrees with g on a per-k-subset signature (the
+ladder's row functions tabulated by `hypomorphy.signature_table`, one
+label per code folded over the colex k-subsets; equal 3-homogeneous
+sets are equal h3 counts at k = 3), or iff it is g or its complement.
+g's class contains g, so a claim holds on the pair space iff, for every
+representative g, its class in A is as large as in the join of A and B
+(and in B, for iff); one `np.unique` per join gives the sizes
+(`_decide`).  A failing representative is re-read code by code for its
+exact counts and violations; a cell's witness is the smallest violation
+of the first one.  At k == v the hypothesis class is g's iso-utc class,
+of size v!/|Aut g| by orbit-stabilizer, doubled unless g is
+self-complementary; the orbit sizes must add up to 2^C(v,2).  The
+claw-free sweep counts, in each h3 class at k = 3, the ordered pairs
+whose boolean sum or its complement has a claw.  Order 7 multiplies the
+space by 64 and is gated behind `long_running`; sweeps run in one
+process.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -47,8 +42,10 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
+from itertools import product
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -57,14 +54,12 @@ from . import codes as codetables
 from .errors import DomainError, OrderTooLarge, VerificationError
 from .graph6 import encode
 from .graphs import Graph
-from .hypomorphy import equality_threshold, signature_table
+from .hypomorphy import check_domain, signature_table
 from .incidence import colex_subsets
 
 CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 SWEEP_MAX_V = 6  # order 7 needs long_running=True
 VIOLATION_LIST_CAP = 100
-
-THEOREM_IDS = ("k0mod4", "k1mod4", "principal", "clawfree", "down", "corkk1", "kaplus")
 
 
 @dataclass(frozen=True)
@@ -118,58 +113,76 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
 # -- per-subset signature labels ---------------------------------------------
 
-def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
-    """One label per labeled order-v graph; two graphs share a label iff
-    `table` takes equal values on their restrictions to every k-subset."""
-    codes = codetables.all_codes(v)
-    values, dense = np.unique(table, return_inverse=True)
-    width = len(values)
-    labels = np.zeros(len(codes), dtype=np.int64)
-    bound = 1  # labels < bound
-    for s in colex_subsets(v, k):
-        if bound * width > np.iinfo(np.int64).max:
-            _, labels = np.unique(labels, return_inverse=True)
-            bound = int(labels.max()) + 1
-        labels = labels * width + dense[codetables.extract_restriction_codes(codes, s)]
-        bound *= width
+def _fold(columns, n: int) -> np.ndarray:
+    """Label per code from columns of n non-negative values each; two
+    codes share a label iff every column agrees on them."""
+    labels = np.zeros(n, dtype=np.int64)
+    for column in columns:
+        width = int(column.max()) + 1
+        if (int(labels.max()) + 1) * width > np.iinfo(np.int64).max:
+            labels = np.unique(labels, return_inverse=True)[1]
+        labels = labels * width + column
     return labels
 
 
-def _signature_equality(v: int):
-    """same(kind, k, g): mask of the codes whose `kind` signature on every
-    k-subset equals that of code g.  Labels are kept for one sweep only."""
-    cache: dict[tuple[str, int], np.ndarray] = {}
-
-    def same(kind: str, k: int, g: int) -> np.ndarray:
-        if (kind, k) not in cache:
-            cache[kind, k] = _labels(v, k, signature_table(kind, k))
-        labels = cache[kind, k]
-        return labels == labels[g]
-
-    return same
+def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
+    """One label per labeled order-v graph, numbered 0, 1, ...; two graphs
+    share a label iff `table` takes equal values on their restrictions to
+    every k-subset."""
+    dense = np.unique(table, return_inverse=True)[1]
+    columns = (dense[codetables.restriction_codes(v, s)] for s in colex_subsets(v, k))
+    return np.unique(_fold(columns, 1 << comb(v, 2)), return_inverse=True)[1]
 
 
-def _equal_utc(v: int, g: int) -> np.ndarray:
-    """Mask of g and its complement over all order-v codes."""
-    mask = np.zeros(1 << comb(v, 2), dtype=bool)
-    mask[[g, codetables.full_code(v) ^ g]] = True
-    return mask
+def _equal_labels(v: int) -> np.ndarray:
+    """One label per order-v code, shared by each graph and its complement."""
+    codes = codetables.all_codes(v)
+    return np.minimum(codes, codetables.full_code(v) ^ codes)
 
 
-def _scan(rep_codes: list[int], test) -> tuple[list[tuple[int, int]], int, int]:
-    """Apply `test(g) -> (hypothesis, violation)`, two masks over all codes,
-    to every representative code g.  Returns the first VIOLATION_LIST_CAP
-    violations (rep index, code) of each representative, sorted, and the
-    violation and hypothesis totals."""
-    violations: list[tuple[int, int]] = []
-    bad_total = hyp_total = 0
-    for rep_idx, g in enumerate(rep_codes):
-        hyp, bad = test(g)
-        hyp_total += int(np.count_nonzero(hyp))
-        bad_codes = np.flatnonzero(bad)
-        bad_total += len(bad_codes)
-        violations += [(rep_idx, int(c)) for c in bad_codes[:VIOLATION_LIST_CAP]]
-    return violations, bad_total, hyp_total
+def _decide(v: int, claims: list, rep_codes: np.ndarray):
+    """Decide claims (A, B, iff) on the pairs (g, g') with g in `rep_codes`.
+    Returns each g's first antecedent class size, the indices of the g
+    that fail a claim, and `reread(g)`: g's hypothesis size (the union of
+    its antecedents, the first one where g passes) and violating codes."""
+    gbar = codetables.full_code(v) ^ rep_codes
+
+    @cache
+    def atom(a: tuple[str, int]) -> np.ndarray:
+        """Labels of one atom (signature, size), as int32: order-7 codes fit."""
+        kind, size = a
+        if kind == "equal":
+            out = _equal_labels(v)
+        elif size < v:
+            out = _labels(v, size, signature_table(kind, size))
+        else:  # the whole vertex set: the signature of the code itself
+            out = codetables.canonical_utc_table(v) if kind == "utc" else signature_table(kind, v)
+        return out.astype(np.int32)
+
+    @cache
+    def size(*atoms: tuple[str, int]) -> np.ndarray:
+        """Size of each representative's class in the join of `atoms`."""
+        key = _fold([atom(a) for a in atoms], 1 << comb(v, 2))
+        if ("equal", v) in atoms:  # g, and its complement (never g) if the join agrees
+            return 1 + (key[gbar] == key[rep_codes])
+        values, counts = np.unique(key, return_counts=True)
+        return counts[np.searchsorted(values, key[rep_codes])]
+
+    held = np.ones(len(rep_codes), dtype=bool)
+    for a, b, iff in claims:
+        held &= size(*a) == size(*a, *b)
+        if iff:
+            held &= size(*b) == size(*a, *b)
+
+    def reread(g: int) -> tuple[int, np.ndarray]:
+        hyp = bad = np.zeros(1 << comb(v, 2), dtype=bool)
+        for a, b, iff in claims:
+            in_a, in_b = (np.all([atom(t) == atom(t)[g] for t in c], axis=0) for c in (a, b))
+            hyp = hyp | in_a
+            bad = bad | (in_a != in_b if iff else in_a & ~in_b)
+        return int(np.count_nonzero(hyp)), np.flatnonzero(bad)
+
+    return size(*claims[0][0]), np.flatnonzero(~held), reread
 
 
 # -- membership sweeps ------------------------------------------------------
@@ -201,25 +214,12 @@ class AtlasRecord:
 
 
 def _check_sweep_order(v: int, long_running: bool) -> None:
-    if v <= SWEEP_MAX_V:
-        return
-    if v == SWEEP_MAX_V + 1 and long_running:
-        return
-    raise OrderTooLarge(
-        f"sweeps support v <= {SWEEP_MAX_V} (v = {SWEEP_MAX_V + 1} with long_running=True)"
-    )
-
-
-def _check_cell(v: int, k: int, long_running: bool) -> None:
-    _check_sweep_order(v, long_running)
-    if not 1 <= k <= v:
-        raise DomainError(f"need 1 <= k <= v, got k={k}, v={v}")
-
-
-def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class id of every entry of `labels` and the size of every class."""
-    _, ids = np.unique(labels, return_inverse=True)
-    return ids, np.bincount(ids)
+    if v < 1:
+        raise DomainError(f"need v >= 1, got v={v}")
+    if v > SWEEP_MAX_V + long_running:
+        raise OrderTooLarge(
+            f"sweeps support v <= {SWEEP_MAX_V} (v = {SWEEP_MAX_V + 1} with long_running=True)"
+        )
 
 
 def _utc_class_sizes(v: int, rep_codes: np.ndarray) -> np.ndarray:
@@ -240,54 +240,36 @@ def _utc_class_sizes(v: int, rep_codes: np.ndarray) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)
 
 
-def _membership(relation: str, v: int, k: int, long_running: bool) -> AtlasRecord:
-    _check_cell(v, k, long_running)
+def _membership(relation: str, v: int, k: int) -> AtlasRecord:
     start = time.perf_counter()
     reps = enumerate_graphs(v).representatives
     rep_codes = np.array([g.code for g in reps], dtype=np.int64)
     full = codetables.full_code(v)
-    # hyp: size of each representative's hypothesis class; held: size of
-    # the part of it where the conclusion holds.  The relation holds for
-    # every pair iff the two agree for every representative.
     if k == v:
+        # the hypothesis class is g's iso-utc class: R holds, and S holds
+        # iff the class is {g, complement}
         hyp = _utc_class_sizes(v, rep_codes)
         examined = int(hyp.sum())
+        failing = np.flatnonzero((hyp != 1 + (rep_codes != full ^ rep_codes)) & (relation == "S"))
     else:
-        cls, counts = _classes(_labels(v, k, signature_table("utc", k)))
-        hyp = counts[cls[rep_codes]]
+        conclusion = ("equal", v) if relation == "S" else ("utc", v)
+        _, failing, reread = _decide(v, [((("utc", k),), (conclusion,), False)], rep_codes)
         examined = len(rep_codes) << comb(v, 2)
-    if relation == "S":
-        held = np.where(rep_codes == full ^ rep_codes, 1, 2)  # {g, complement}
-    elif k == v:
-        held = hyp  # the hypothesis class is the conclusion class
-    else:
-        utc = codetables.canonical_utc_table(v)
-        joint, joint_counts = _classes(cls << comb(v, 2) | utc)
-        held = joint_counts[joint[rep_codes]]
-    failing = np.flatnonzero(hyp != held)
+    witness = None
     if len(failing):
         rep_idx = int(failing[0])
         g = int(rep_codes[rep_idx])
         if k == v:
-            members = np.union1d(
-                codetables.relabelings(v, g), codetables.relabelings(v, full ^ g)
-            )
+            members = np.union1d(codetables.relabelings(v, g), codetables.relabelings(v, full ^ g))
+            bad = np.setdiff1d(members, [g, full ^ g])
         else:
-            members = np.flatnonzero(cls == cls[g])
-        if relation == "S":
-            bad = members[(members != g) & (members != full ^ g)]
-        else:
-            bad = members[utc[members] != utc[g]]
+            bad = reread(g)[1]
         witness = (encode(reps[rep_idx]), encode(Graph.from_code(v, int(bad[0]))))
-        verdict = "NonMember"
-    else:
-        witness = None
-        verdict = "Member"
     return AtlasRecord(
         relation=relation,
         v=v,
         k=k,
-        verdict=verdict,
+        verdict="NonMember" if witness else "Member",
         witness=witness,
         pairs_examined=examined,
         wall_time_seconds=time.perf_counter() - start,
@@ -298,13 +280,13 @@ def _membership(relation: str, v: int, k: int, long_running: bool) -> AtlasRecor
 def s_membership(v: int, k: int, long_running: bool = False) -> AtlasRecord:
     """Does k-hypomorphy up to complementation force equality up to
     complementation at order v?  Exhaustive over (canonical g, labeled g')."""
-    return _membership("S", v, k, long_running)
+    return membership_with_resume("S", v, k, long_running=long_running)
 
 
 def r_membership(v: int, k: int, long_running: bool = False) -> AtlasRecord:
     """Does k-hypomorphy up to complementation force isomorphy up to
     complementation at order v?"""
-    return _membership("R", v, k, long_running)
+    return membership_with_resume("R", v, k, long_running=long_running)
 
 
 # -- theorem sweeps ----------------------------------------------------------
@@ -340,59 +322,46 @@ class SweepReport:
         }
 
 
-def _theorem_masks(theorem: str, v: int, k: int | None, same, g: int):
-    """(hypothesis, violation) masks of one theorem over all order-v codes
-    paired with code g."""
-    # equal 3-homogeneous sets: a 3-subset has h3 = 1 iff it is homogeneous
-    if theorem == "clawfree":
-        hyp = same("h3", 3, g)
-        return hyp, hyp & ~codetables.clawfree_both_table(v)[codetables.all_codes(v) ^ g]
-    if theorem == "k0mod4":
-        hyp = same("parity", k, g)
-        return hyp, hyp ^ _equal_utc(v, g)
-    if theorem == "k1mod4":
-        hyp = same("parity", k, g) & same("h3", 3, g)
-        return hyp, hyp ^ _equal_utc(v, g)
-    if theorem == "principal":
-        cond_i = same("utc", k, g)
-        edges_k = same("edges", k, g)
-        cond_ii = edges_k & same("h3", k, g)
-        cond_iii = reduce(np.logical_and, (same("edges", kp, g) for kp in range(3, k)), edges_k)
-        cond_iv = _equal_utc(v, g)
-        return cond_i, (cond_i != cond_ii) | (cond_i != cond_iii) | (cond_i != cond_iv)
-    if theorem == "down":
-        hyp = same("utc", k, g)
-        concl = reduce(np.logical_and, (same("utc", t, g) for t in range(1, min(k, v - k) + 1)))
-        return hyp, hyp & ~concl
-    if theorem == "corkk1":
-        edges_k = same("edges", k, g)
-        cond_i = edges_k & same("h3", k, g)
-        cond_iii = reduce(
-            np.logical_and, (same("edges", l, g) & same("h3", l, g) for l in range(k, v + 1))
-        )
-        any_ii = edges_k & reduce(np.logical_or, (same("edges", kp, g) for kp in range(3, k)))
-        return cond_i | any_ii, (cond_i & ~cond_iii) | (any_ii & ~cond_i)
-    hyp = same("h3", k, g)  # kaplus
-    return hyp, hyp & ~same("h3", v - k, g)
+# theorem -> its claims (A, B, iff) at (v, k), A and B tuples of atoms;
+# where the claims hold, the first antecedent holds every later one
+THEOREMS: dict[str, Callable[[int, int], list] | None] = {
+    "k0mod4": lambda v, k: [((("parity", k),), (("equal", v),), True)],
+    "k1mod4": lambda v, k: [((("parity", k), ("h3", 3)), (("equal", v),), True)],
+    "principal": lambda v, k: [
+        ((("utc", k),), (("edges", k), ("h3", k)), True),
+        ((("utc", k),), tuple(("edges", j) for j in range(3, k + 1)), True),
+        ((("utc", k),), (("equal", v),), True),
+    ],
+    "clawfree": None,  # the conclusion reads g xor g' (`_clawfree`)
+    "down": lambda v, k: [
+        ((("utc", k),), tuple(("utc", t) for t in range(1, min(k, v - k) + 1)), False)
+    ],
+    "corkk1": lambda v, k: [
+        ((("edges", k), ("h3", k)), tuple(product(("edges", "h3"), range(k, v + 1))), False)
+    ]
+    + [((("edges", k), ("edges", j)), (("edges", k), ("h3", k)), False) for j in range(3, k)],
+    "kaplus": lambda v, k: [((("h3", k),), (("h3", v - k),), False)],
+}
+THEOREM_IDS = tuple(THEOREMS)
 
 
-def _validate_sweep_params(theorem: str, v: int, k: int | None) -> None:
-    if theorem == "clawfree":
-        return
-    if k is None:
-        raise DomainError(f"theorem {theorem!r} needs k")
-    if theorem == "k0mod4" and not (4 <= k <= v - 2 and k % 4 == 0):
-        raise DomainError(f"k0mod4 needs 4 <= k <= v-2, k = 0 (mod 4); got k={k}, v={v}")
-    if theorem == "k1mod4" and not (5 <= k <= v - 2 and k % 4 == 1):
-        raise DomainError(f"k1mod4 needs 5 <= k <= v-2, k = 1 (mod 4); got k={k}, v={v}")
-    if theorem == "principal" and not (v >= 6 and 4 <= k <= equality_threshold(v)):
-        raise DomainError(f"principal needs v >= 6, 4 <= k <= threshold(v); got k={k}, v={v}")
-    if theorem == "down" and not 2 <= k <= v - 1:
-        raise DomainError(f"down needs 2 <= k <= v-1; got k={k}, v={v}")
-    if theorem == "corkk1" and not 4 <= k <= v:
-        raise DomainError(f"corkk1 needs 4 <= k <= v; got k={k}, v={v}")
-    if theorem == "kaplus" and not 3 <= k <= v - 3:
-        raise DomainError(f"kaplus needs 3 <= k <= v-3; got k={k}, v={v}")
+def _clawfree(v: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Ordered pairs (c, c') in one h3 class at size 3 whose boolean sum
+    c ^ c' or its complement has a claw: the first VIOLATION_LIST_CAP in
+    (c, c') order, their number, and the number of pairs in the classes.
+    The classes of one size are read as one (classes, size, size) block."""
+    ids = _labels(v, 3, signature_table("h3", 3))
+    by_class = np.argsort(ids)
+    sizes = np.bincount(ids)
+    starts = np.cumsum(sizes) - sizes
+    both = codetables.clawfree_both_table(v)
+    found, total = [], 0
+    for size in np.unique(sizes).tolist():
+        members = by_class[starts[sizes == size, None] + np.arange(size)]
+        cls, i, j = np.nonzero(~both[members[:, :, None] ^ members[:, None, :]])
+        total += len(cls)
+        found += zip(members[cls, i].tolist(), members[cls, j].tolist())
+    return sorted(found)[:VIOLATION_LIST_CAP], total, int((sizes**2).sum())
 
 
 def sweep_theorem(
@@ -402,28 +371,30 @@ def sweep_theorem(
     long_running: bool = False,
 ) -> SweepReport:
     """Run one theorem verifier exhaustively over the order-v pair space."""
-    if theorem_id not in THEOREM_IDS:
+    if theorem_id not in THEOREMS:
         raise DomainError(f"theorem id must be one of {THEOREM_IDS}, got {theorem_id!r}")
     _check_sweep_order(v, long_running)
-    _validate_sweep_params(theorem_id, v, k)
+    claims = THEOREMS[theorem_id]
+    if claims:
+        check_domain(theorem_id, v, k)
+    elif k is not None:
+        raise DomainError(f"{theorem_id} takes no k, got k={k}")
     start = time.perf_counter()
-    if theorem_id == "clawfree":
-        k = None  # the claim has no subset-size parameter
-        rep_codes = codetables.all_codes(v).tolist()  # all ordered pairs
-        reps = None
+    if claims is None:
+        violations, total_bad, hyp_total = _clawfree(v)
+        examined = 1 << 2 * comb(v, 2)  # all ordered pairs
     else:
-        reps = enumerate_graphs(v).representatives
-        rep_codes = [g.code for g in reps]
-    same = _signature_equality(v)
-    violations, total_bad, hyp = _scan(
-        rep_codes, lambda g: _theorem_masks(theorem_id, v, k, same, g)
-    )
+        rep_codes = np.array([g.code for g in enumerate_graphs(v).representatives])
+        hyp, failing, reread = _decide(v, claims(v, k), rep_codes)
+        hyp_total, total_bad, violations = int(np.delete(hyp, failing).sum()), 0, []
+        for g in rep_codes[failing].tolist():  # each failing g, code by code
+            in_hyp, bad = reread(g)
+            hyp_total, total_bad = hyp_total + in_hyp, total_bad + len(bad)
+            violations += [(g, c) for c in bad[: VIOLATION_LIST_CAP - len(violations)].tolist()]
+        examined = len(rep_codes) << comb(v, 2)
     entries = tuple(
-        {
-            "g": encode(Graph.from_code(v, rep_codes[ri]) if reps is None else reps[ri]),
-            "g_prime": encode(Graph.from_code(v, code)),
-        }
-        for ri, code in violations[:VIOLATION_LIST_CAP]
+        {"g": encode(Graph.from_code(v, g)), "g_prime": encode(Graph.from_code(v, c))}
+        for g, c in violations
     )
     return SweepReport(
         theorem=theorem_id,
@@ -431,8 +402,8 @@ def sweep_theorem(
         k=k,
         violations=entries,
         violation_count=total_bad,
-        hypothesis_count=hyp,
-        pairs_examined=len(rep_codes) << comb(v, 2),
+        hypothesis_count=hyp_total,
+        pairs_examined=examined,
         wall_time_seconds=time.perf_counter() - start,
         code_version=__version__,
     )
@@ -512,12 +483,14 @@ def membership_with_resume(
     resume_log: str | None = None,
     long_running: bool = False,
 ) -> AtlasRecord:
-    _check_cell(v, k, long_running)
+    _check_sweep_order(v, long_running)  # before the log, so it cannot bypass the checks
+    if not 1 <= k <= v:
+        raise DomainError(f"need 1 <= k <= v, got k={k}, v={v}")
     if resume_log:
         cached = lookup_jsonl(resume_log, relation, v, k)
         if cached is not None:
             return cached
-    record = _membership(relation, v, k, long_running)
+    record = _membership(relation, v, k)
     if resume_log:
         append_jsonl(resume_log, record)
     return record

@@ -115,21 +115,23 @@ def clawfree_both_table(n: int) -> np.ndarray:
     no 4-subset induces a claw or the claw's complement, the two graphs of
     the claw's class up to complementation."""
     if n not in _clawfree_both_tables:
-        codes = all_codes(n)
         utc4 = canonical_utc_table(4)
         claw = utc4[Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).code]
-        out = np.ones(len(codes), dtype=bool)
+        out = np.ones(1 << n_pairs(n), dtype=bool)
         for s in combinations(range(n), 4):
-            out &= utc4[extract_restriction_codes(codes, s)] != claw
+            out &= utc4[restriction_codes(n, s)] != claw
         _clawfree_both_tables[n] = out
     return _clawfree_both_tables[n]
 
 
-def extract_restriction_codes(codes: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-    """Restriction code of every entry of `codes` for one vertex subset
-    (sorted ascending, matching induced() relabeling)."""
-    out = np.zeros(len(codes), dtype=np.int64)
+def restriction_codes(n: int, subset: tuple[int, ...]) -> np.ndarray:
+    """Restriction code of every order-n code for one vertex subset (sorted
+    ascending, matching induced() relabeling): the OR of those of its low
+    h = C(n,2) // 2 bits and of the rest, each read from a short table."""
+    h = n_pairs(n) // 2
+    codes = np.concatenate([np.arange(1 << h), np.arange(1 << n_pairs(n) - h) << h])
+    out = np.zeros(len(codes), dtype=np.int32)  # restrictions of order <= 8 fit
     local = [(subset[a], subset[b]) for b in range(len(subset)) for a in range(b)]
     for d, (i, j) in enumerate(local):  # local pair d, in colex order
         out |= ((codes >> pair_rank(i, j)) & 1) << d
-    return out
+    return (out[1 << h :, None] | out[: 1 << h]).ravel()

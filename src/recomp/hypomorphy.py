@@ -486,9 +486,7 @@ def verify_downward_hypomorphy(g: Graph, h: Graph, k: int, t: int) -> VerifierRe
 def verify_theorem_k0mod4(g: Graph, h: Graph, k: int) -> VerifierResult:
     """For k = 0 (mod 4): equal restriction parities at k hold iff the
     graphs are equal up to complementation."""
-    v = g.n
-    if not (4 <= k <= v - 2 and k % 4 == 0):
-        raise DomainError(f"need 4 <= k <= v-2 with k = 0 (mod 4), got k={k}, v={v}")
+    check_domain("k0mod4", g.n, k)
     parity = same_parity(g, h, k)
     equal = equal_up_to_complementation(g, h)
     return VerifierResult(
@@ -500,9 +498,7 @@ def verify_theorem_k0mod4(g: Graph, h: Graph, k: int) -> VerifierResult:
 def verify_theorem_k1mod4(g: Graph, h: Graph, k: int) -> VerifierResult:
     """For k = 1 (mod 4): equal parities at k plus identical
     3-homogeneous sets hold iff equal up to complementation."""
-    v = g.n
-    if not (5 <= k <= v - 2 and k % 4 == 1):
-        raise DomainError(f"need 5 <= k <= v-2 with k = 1 (mod 4), got k={k}, v={v}")
+    check_domain("k1mod4", g.n, k)
     parity = same_parity(g, h, k)
     homog = same_3_homogeneous(g, h)
     left = parity.holds and homog.holds
@@ -571,15 +567,15 @@ def verify_profile_implications(g: Graph, h: Graph, k: int, k_prime: int) -> Ver
 
     Checks (ii) -> (i) and (i) -> (iii) on the pair.
     """
-    v = g.n
-    if not (4 <= k <= v and 3 <= k_prime < k):
-        raise DomainError(f"need 4 <= k <= v and 3 <= k' < k, got k={k}, k'={k_prime}")
+    check_domain("corkk1", g.n, k)
+    if not 3 <= k_prime < k:
+        raise DomainError(f"need 3 <= k' < k, got k={k}, k'={k_prime}")
     edges_k = same_edge_counts_utc(g, h, k).holds
     cond_i = edges_k and same_h3_counts(g, h, k).holds
     cond_ii = edges_k and same_edge_counts_utc(g, h, k_prime).holds
     cond_iii = all(
         same_edge_counts_utc(g, h, l).holds and same_h3_counts(g, h, l).holds
-        for l in range(k, v + 1)
+        for l in range(k, g.n + 1)
     )
     ok = ((not cond_ii) or cond_i) and ((not cond_i) or cond_iii)
     return VerifierResult(ok, {"i": cond_i, "ii": cond_ii, "iii": cond_iii})
@@ -590,8 +586,7 @@ def verify_complementary_size_transfer(g: Graph, h: Graph, k: int, mode: str) ->
     counts (mode 'a0', 4 <= k <= v-4) at size k transfers to size v-k."""
     v = g.n
     if mode == "h3":
-        if not 3 <= k <= v - 3:
-            raise DomainError(f"h3 mode needs 3 <= k <= v-3, got k={k}, v={v}")
+        check_domain("kaplus", v, k)
         hyp, concl_fn = same_h3_counts(g, h, k), same_h3_counts
     elif mode == "a0":
         if not 4 <= k <= v - 4:
@@ -636,6 +631,28 @@ def equality_threshold(v: int) -> int:
     return 4 * l if v % 4 in (2, 3) else 4 * l - 3
 
 
+# Domains of the theorems swept by `atlas.sweep_theorem`, read there and
+# by the pair verifiers: theorem -> (predicate on (v, k), its statement).
+THEOREM_DOMAINS: dict[str, tuple[Callable[[int, int], bool], str]] = {
+    "k0mod4": (lambda v, k: 4 <= k <= v - 2 and k % 4 == 0, "4 <= k <= v-2, k = 0 (mod 4)"),
+    "k1mod4": (lambda v, k: 5 <= k <= v - 2 and k % 4 == 1, "5 <= k <= v-2, k = 1 (mod 4)"),
+    "principal": (
+        lambda v, k: v >= 6 and 4 <= k <= equality_threshold(v),
+        "v >= 6, 4 <= k <= threshold(v)",
+    ),
+    "down": (lambda v, k: 2 <= k <= v - 1, "2 <= k <= v-1"),
+    "corkk1": (lambda v, k: 4 <= k <= v, "4 <= k <= v"),
+    "kaplus": (lambda v, k: 3 <= k <= v - 3, "3 <= k <= v-3"),
+}
+
+
+def check_domain(theorem: str, v: int, k: int | None) -> None:
+    """Raise DomainError unless k is given and (v, k) is in the domain."""
+    holds, statement = THEOREM_DOMAINS[theorem]
+    if k is None or not holds(v, k):
+        raise DomainError(f"{theorem} needs {statement}; got k={k}, v={v}")
+
+
 def verify_principal_theorem(g: Graph, h: Graph, k: int) -> VerifierResult:
     """For v >= 6 and 4 <= k <= threshold(v), four conditions are
     equivalent: (i) k-hypomorphic utc; (ii) equal edge counts utc and
@@ -645,9 +662,7 @@ def verify_principal_theorem(g: Graph, h: Graph, k: int) -> VerifierResult:
     (iii) is checked over all k'; the per-k' bits are reported so the
     weakest single-k' variant can be read off.
     """
-    v = g.n
-    if v < 6 or not 4 <= k <= equality_threshold(v):
-        raise DomainError(f"need v >= 6 and 4 <= k <= {equality_threshold(v) if v >= 4 else '?'}")
+    check_domain("principal", g.n, k)
     cond_i = k_hypomorphic_utc(g, h, k).holds
     edges_k = same_edge_counts_utc(g, h, k).holds
     cond_ii = edges_k and same_h3_counts(g, h, k).holds

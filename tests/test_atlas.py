@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -193,13 +194,14 @@ def test_sweep_hypothesis_counts():
 
 
 # (theorem, v, k) -> (hypothesis_count, pairs_examined) of every valid
-# sweep with v <= 6, clawfree at v <= 5; none has a violation
+# sweep with v <= 6; none has a violation
 SWEEP_COUNTS = {
     ("clawfree", 1, None): (1, 1),
     ("clawfree", 2, None): (4, 4),
     ("clawfree", 3, None): (40, 64),
     ("clawfree", 4, None): (608, 4096),
     ("clawfree", 5, None): (10608, 1048576),
+    ("clawfree", 6, None): (249376, 1073741824),
     ("down", 3, 2): (32, 32),
     ("down", 4, 2): (704, 704),
     ("down", 4, 3): (94, 704),
@@ -226,8 +228,6 @@ def test_sweep_counts_pinned():
     got = {}
     for v in range(1, 7):
         for theorem in THEOREM_IDS:
-            if theorem == "clawfree" and v > 5:
-                continue
             for k in [None] if theorem == "clawfree" else range(1, v + 1):
                 try:
                     rep = sweep_theorem(theorem, v, k)
@@ -244,12 +244,7 @@ def test_violation_listing_with_narrowed_conclusion(monkeypatch):
     principal at (6, 4): the hypothesis class of g is {g, complement of g},
     and no order-6 graph is self-complementary."""
 
-    def g_only(v: int, g: int) -> np.ndarray:
-        mask = np.zeros(1 << comb(v, 2), dtype=bool)
-        mask[g] = True
-        return mask
-
-    monkeypatch.setattr(atlas, "_equal_utc", g_only)
+    monkeypatch.setattr(atlas, "_equal_labels", codes.all_codes)  # each code alone
     reps = enumerate_graphs(6).representatives
     listed = [
         {"g": encode(g), "g_prime": encode(complement(g))} for g in reps[:VIOLATION_LIST_CAP]
@@ -382,6 +377,40 @@ def test_gated_order7_k1mod4_sweep():
     assert rep.ok
 
 
+def test_sweep_raises_on_bad_order_or_clawfree_k():
+    for v in (0, -2):
+        with pytest.raises(DomainError, match="v >= 1"):
+            sweep_theorem("clawfree", v)
+        with pytest.raises(DomainError, match="v >= 1"):
+            sweep_theorem("down", v, 2)
+    with pytest.raises(DomainError, match="takes no k"):
+        sweep_theorem("clawfree", 4, 9)
+
+
+# (theorem, k) -> hypothesis_count at order 7, one valid k per theorem
+ORDER7_SWEEPS = {
+    ("k0mod4", 4): 2088,
+    ("principal", 4): 2088,
+    ("corkk1", 4): 2088,
+    ("k1mod4", 5): 2088,
+    ("down", 3): 6728,
+    ("kaplus", 3): 6728,
+    ("clawfree", None): 10545376,
+}
+
+
+@pytest.mark.slow
+def test_order7_sweeps():
+    for (theorem, k), hyp in ORDER7_SWEEPS.items():
+        start = time.perf_counter()
+        rep = sweep_theorem(theorem, 7, k, long_running=True)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{theorem}(7,{k}) {time.perf_counter() - start:.2f} s, peak RSS {rss:.0f} MB")
+        assert rep.ok and rep.violations == ()
+        assert rep.hypothesis_count == hyp, theorem
+        assert rep.pairs_examined == (1 << 42 if k is None else 1044 << comb(7, 2))
+
+
 def _mask_scan_membership(relation: str, v: int, k: int) -> tuple[str, tuple | None, int]:
     """Reference for S/R cells: per representative g, the mask of codes
     sharing g's utc-k label (at k == v, the union of the orbits of g and
@@ -469,3 +498,142 @@ def test_order7_rows():
             assert not equal_up_to_complementation(g, h)
             if relation == "R":
                 assert not isomorphic_up_to_complementation(g, h)
+
+
+# -- mask-scan reference for the theorem sweeps -----------------------------
+
+
+def _signature_equality(v: int):
+    """same(kind, k, g): mask of the codes whose `kind` signature on every
+    k-subset equals that of code g."""
+    cache: dict[tuple[str, int], np.ndarray] = {}
+
+    def same(kind: str, k: int, g: int) -> np.ndarray:
+        if (kind, k) not in cache:
+            cache[kind, k] = atlas._labels(v, k, atlas.signature_table(kind, k))
+        labels = cache[kind, k]
+        return labels == labels[g]
+
+    return same
+
+
+def _equal_utc(v: int, g: int) -> np.ndarray:
+    """Mask of g and its complement over all order-v codes."""
+    mask = np.zeros(1 << comb(v, 2), dtype=bool)
+    mask[[g, codes.full_code(v) ^ g]] = True
+    return mask
+
+
+def _scan(rep_codes: list[int], test) -> tuple[list[tuple[int, int]], int, int]:
+    """Apply `test(g) -> (hypothesis, violation)`, two masks over all codes,
+    to every representative code g.  Returns the first VIOLATION_LIST_CAP
+    violations (rep index, code) of each representative, and the violation
+    and hypothesis totals."""
+    violations: list[tuple[int, int]] = []
+    bad_total = hyp_total = 0
+    for rep_idx, g in enumerate(rep_codes):
+        hyp, bad = test(g)
+        hyp_total += int(np.count_nonzero(hyp))
+        bad_codes = np.flatnonzero(bad)
+        bad_total += len(bad_codes)
+        violations += [(rep_idx, int(c)) for c in bad_codes[:VIOLATION_LIST_CAP]]
+    return violations, bad_total, hyp_total
+
+
+def _theorem_masks(theorem: str, v: int, k: int | None, same, g: int):
+    """(hypothesis, violation) masks of one theorem over all order-v codes
+    paired with code g, each statement written out as mask algebra."""
+    if theorem == "clawfree":
+        hyp = same("h3", 3, g)
+        return hyp, hyp & ~codes.clawfree_both_table(v)[codes.all_codes(v) ^ g]
+    if theorem == "k0mod4":
+        hyp = same("parity", k, g)
+        return hyp, hyp ^ _equal_utc(v, g)
+    if theorem == "k1mod4":
+        hyp = same("parity", k, g) & same("h3", 3, g)
+        return hyp, hyp ^ _equal_utc(v, g)
+    if theorem == "principal":
+        cond_i = same("utc", k, g)
+        edges_k = same("edges", k, g)
+        cond_ii = edges_k & same("h3", k, g)
+        cond_iii = reduce(np.logical_and, (same("edges", kp, g) for kp in range(3, k)), edges_k)
+        cond_iv = _equal_utc(v, g)
+        return cond_i, (cond_i != cond_ii) | (cond_i != cond_iii) | (cond_i != cond_iv)
+    if theorem == "down":
+        hyp = same("utc", k, g)
+        concl = reduce(np.logical_and, (same("utc", t, g) for t in range(1, min(k, v - k) + 1)))
+        return hyp, hyp & ~concl
+    if theorem == "corkk1":
+        edges_k = same("edges", k, g)
+        cond_i = edges_k & same("h3", k, g)
+        cond_iii = reduce(
+            np.logical_and, (same("edges", l, g) & same("h3", l, g) for l in range(k, v + 1))
+        )
+        any_ii = edges_k & reduce(np.logical_or, (same("edges", kp, g) for kp in range(3, k)))
+        return cond_i | any_ii, (cond_i & ~cond_iii) | (any_ii & ~cond_i)
+    hyp = same("h3", k, g)  # kaplus
+    return hyp, hyp & ~same("h3", v - k, g)
+
+
+def _mask_scan_sweep(theorem: str, v: int, k: int | None) -> dict:
+    """Reference report JSON of one sweep: two masks over all codes for
+    each representative, and for clawfree each labeled code."""
+    if theorem == "clawfree":
+        rep_codes = codes.all_codes(v).tolist()
+    else:
+        rep_codes = [g.code for g in enumerate_graphs(v).representatives]
+    same = _signature_equality(v)
+    violations, bad, hyp = _scan(rep_codes, lambda g: _theorem_masks(theorem, v, k, same, g))
+    entries = tuple(
+        {"g": encode(Graph.from_code(v, rep_codes[ri])), "g_prime": encode(Graph.from_code(v, c))}
+        for ri, c in violations[:VIOLATION_LIST_CAP]
+    )
+    report = atlas.SweepReport(
+        theorem, v, k, entries, bad, hyp, len(rep_codes) << comb(v, 2), 0.0, atlas.__version__
+    )
+    return report.to_json()
+
+
+def test_sweeps_match_mask_scan_oracle():
+    for theorem, v, k in SWEEP_COUNTS:
+        if theorem == "clawfree" and v > 5:
+            continue  # 2^30 ordered pairs, two masks each: too slow for the reference
+        assert sweep_theorem(theorem, v, k).to_json() == _mask_scan_sweep(theorem, v, k), (
+            theorem,
+            v,
+            k,
+        )
+
+
+def _narrow(monkeypatch, narrowed: tuple[str, int]) -> None:
+    """Make one signature table the restriction code itself, so its atom
+    separates every code (each pair of vertices lies in some subset)."""
+    real = atlas.signature_table
+
+    def table(kind: str, k: int) -> np.ndarray:
+        return np.arange(1 << comb(k, 2)) if (kind, k) == narrowed else real(kind, k)
+
+    monkeypatch.setattr(atlas, "signature_table", table)
+
+
+def test_failing_union_hypothesis_matches_oracle(monkeypatch):
+    """With h3 at size 6 narrowed, the first corkk1 antecedent at (6, 6)
+    is g alone, so the claims from edge counts at 6 and at k' = 3, 4 or 5
+    fail wherever their classes hold more than g.  Each failing
+    representative's hypothesis is the union of those three classes,
+    counted code by code; on 44 of them no one class holds it."""
+    _narrow(monkeypatch, ("h3", 6))
+    got = sweep_theorem("corkk1", 6, 6).to_json()
+    assert (got["violation_count"], got["hypothesis_count"]) == (8448, 8604)
+    assert len(got["violations"]) == VIOLATION_LIST_CAP
+    assert got == _mask_scan_sweep("corkk1", 6, 6)
+
+
+def test_iff_claim_fails_on_its_converse(monkeypatch):
+    """With parity at size 4 narrowed, the k0mod4 hypothesis at (6, 4) is
+    g alone: "parity implies equal" holds, and only the converse fails,
+    at each representative's complement."""
+    _narrow(monkeypatch, ("parity", 4))
+    got = sweep_theorem("k0mod4", 6, 4).to_json()
+    assert (got["violation_count"], got["hypothesis_count"]) == (156, 156)
+    assert got == _mask_scan_sweep("k0mod4", 6, 4)

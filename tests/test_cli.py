@@ -111,6 +111,17 @@ def test_verify_sweep_exit_codes():
     assert code == 2 and "error" in payload  # precondition violation is usage
 
 
+def test_verify_order_below_one_is_usage_error():
+    for v in ("0", "-2"):
+        code, payload = run_json("verify", "clawfree", "--v", v, "--mode", "json")
+        assert code == 2 and "v >= 1" in payload["error"], payload
+
+
+def test_verify_clawfree_with_k_is_usage_error():
+    code, payload = run_json("verify", "clawfree", "--v", "4", "--k", "9", "--mode", "json")
+    assert code == 2 and "takes no k" in payload["error"], payload
+
+
 def test_atlas_subcommand(tmp_path):
     log = tmp_path / "log.jsonl"
     args = ("atlas", "--relation", "S", "--v", "6", "--k", "4", "--resume", str(log), "--mode", "json")

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from recomp.atlas import sweep_theorem
 from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
 from recomp.graphs import (
     Graph,
@@ -13,6 +14,7 @@ from recomp.graphs import (
     invariants,
 )
 from recomp.hypomorphy import (
+    THEOREM_DOMAINS,
     PairProfile,
     dense_subset_edge_bound,
     equal_up_to_complementation,
@@ -402,6 +404,41 @@ def test_dense_subset_equality_hypotheses():
         )
     with pytest.raises(DomainError):
         verify_dense_subset_equality(g, g, 3)
+
+
+def test_pair_verifiers_raise_outside_the_sweep_domains():
+    # each pair verifier and its sweep read one predicate on (v, k); the
+    # profile implications are the two corkk1 claims, the h3 transfer is kaplus
+    verifiers = {
+        "k0mod4": lambda g, k: verify_theorem_k0mod4(g, g, k),
+        "k1mod4": lambda g, k: verify_theorem_k1mod4(g, g, k),
+        "principal": lambda g, k: verify_principal_theorem(g, g, k),
+        "corkk1": lambda g, k: verify_profile_implications(g, g, k, 3),
+        "kaplus": lambda g, k: verify_complementary_size_transfer(g, g, k, "h3"),
+    }
+    for theorem, verify in verifiers.items():
+        in_domain = THEOREM_DOMAINS[theorem][0]
+        for v in range(1, 10):
+            g = Graph.cycle(v) if v >= 3 else Graph.empty(v)
+            for k in range(0, v + 2):
+                calls = [lambda: verify(g, k)]
+                if v <= 6:
+                    calls.append(lambda: sweep_theorem(theorem, v, k))
+                for call in calls:
+                    if in_domain(v, k):
+                        call()
+                    else:
+                        with pytest.raises(DomainError, match=theorem):
+                            call()
+    # the domains with a congruence or a threshold, pinned for v <= 9
+    pinned = {
+        "k0mod4": {(6, 4), (7, 4), (8, 4), (9, 4)},
+        "k1mod4": {(7, 5), (8, 5), (9, 5)},
+        "principal": {(6, 4), (7, 4), (8, 4), (8, 5), (9, 4), (9, 5)},
+    }
+    for theorem, want in pinned.items():
+        holds = THEOREM_DOMAINS[theorem][0]
+        assert {(v, k) for v in range(1, 10) for k in range(v + 1) if holds(v, k)} == want
 
 
 def test_profile_implications(rng):
