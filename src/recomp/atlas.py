@@ -6,10 +6,8 @@ every swept statement are invariant under relabeling both graphs at
 once, while g' must genuinely range over labelings (hypomorphy lives on
 a fixed labeled vertex set).
 
-Catalogs (n <= 8) come from orbit marking: the order n-1
-representatives, each joined to a new vertex in every way, are the
-candidates, and each unmarked candidate opens a class and marks every
-candidate in its orbit (`codes.relabelings`).
+Catalogs (n <= 8) wrap the codes of `codes.catalog`, the one
+orbit-marking pass per order, in Graphs.
 
 Each theorem, and each membership cell (S, R) at k < v, is a list of
 claims "A implies B" or "A iff B" (`THEOREMS`).  A and B join atoms,
@@ -24,8 +22,7 @@ representative g, its class in A is as large as in the join of A and B
 (`_decide`).  A failing representative is re-read code by code for its
 exact counts and violations; a cell's witness is the smallest violation
 of the first one.  At k == v the hypothesis class is g's iso-utc class,
-of size v!/|Aut g| by orbit-stabilizer, doubled unless g is
-self-complementary; the orbit sizes must add up to 2^C(v,2).  The
+whose size the catalog pass records (`codes.catalog`).  The
 claw-free sweep counts, in each h3 class at k = 3, the ordered pairs
 whose boolean sum or its complement has a claw.  Order 7 multiplies the
 space by 64 and is gated behind `long_running`; sweeps run in one
@@ -77,38 +74,16 @@ _catalogs: dict[int, GraphCatalog] = {}
 
 
 def enumerate_graphs(n: int) -> GraphCatalog:
-    """Catalog of order n by orbit marking over one-vertex augmentations;
-    sound because every order-n class contains a graph whose first n-1
-    vertices induce an order-(n-1) representative."""
-    if not 1 <= n <= 8:
-        raise OrderTooLarge(f"catalogs support n <= 8, got {n}")
-    if n in _catalogs:
-        return _catalogs[n]
-    prev = np.array(  # order 0 has one graph, the empty one, with code 0
-        [g.code for g in enumerate_graphs(n - 1).representatives] if n > 1 else [0],
-        dtype=np.int64,
-    )
-    base_bits = comb(n - 1, 2)
-    low = (1 << base_bits) - 1
-    marked = np.zeros((len(prev), 1 << (n - 1)), dtype=bool)
-    canon = []
-    for r, rep in enumerate(prev.tolist()):
-        for x in range(1 << (n - 1)):
-            if marked[r, x]:
-                continue
-            orbit = codetables.relabelings(n, rep | x << base_bits)
-            canon.append(int(orbit.min()))
-            rows = np.searchsorted(prev, orbit & low).clip(max=len(prev) - 1)
-            hit = prev[rows] == orbit & low
-            marked[rows[hit], orbit[hit] >> base_bits] = True
-    reps = tuple(Graph.from_code(n, c) for c in sorted(canon))
-    if len(reps) != CATALOG_COUNTS[n]:
-        raise VerificationError(
-            f"order-{n} catalog has {len(reps)} classes, expected {CATALOG_COUNTS[n]}"
-        )
-    cat = GraphCatalog(n, reps)
-    _catalogs[n] = cat
-    return cat
+    """Catalog of order n (1 <= n <= 8): the codes of `codes.catalog` as
+    Graphs, checked against the known class counts."""
+    codes = codetables.catalog(n)[0]
+    if n not in _catalogs:
+        if len(codes) != CATALOG_COUNTS[n]:
+            raise VerificationError(
+                f"order-{n} catalog has {len(codes)} classes, expected {CATALOG_COUNTS[n]}"
+            )
+        _catalogs[n] = GraphCatalog(n, tuple(Graph.from_code(n, c) for c in codes.tolist()))
+    return _catalogs[n]
 
 
 # -- per-subset signature labels ---------------------------------------------
@@ -222,35 +197,17 @@ def _check_sweep_order(v: int, long_running: bool) -> None:
         )
 
 
-def _utc_class_sizes(v: int, rep_codes: np.ndarray) -> np.ndarray:
-    """Size of each representative's iso-utc class: v!/|Aut g| relabelings
-    by orbit-stabilizer, twice that unless g is self-complementary (the
-    complement has the same automorphisms, so its orbit is as large)."""
-    full = codetables.full_code(v)
-    orbits, sizes = [], []
-    for g in rep_codes.tolist():
-        orbit = codetables.relabelings(v, g)
-        size = len(orbit) // int(np.count_nonzero(orbit == g))
-        orbits.append(size)
-        sizes.append(size if np.any(orbit == full ^ g) else 2 * size)
-    if sum(orbits) != 1 << comb(v, 2):
-        raise VerificationError(
-            f"order-{v} orbits cover {sum(orbits)} codes, expected {1 << comb(v, 2)}"
-        )
-    return np.array(sizes, dtype=np.int64)
-
-
 def _membership(relation: str, v: int, k: int) -> AtlasRecord:
     start = time.perf_counter()
     reps = enumerate_graphs(v).representatives
-    rep_codes = np.array([g.code for g in reps], dtype=np.int64)
+    rep_codes, utc_sizes = codetables.catalog(v)
     full = codetables.full_code(v)
     if k == v:
         # the hypothesis class is g's iso-utc class: R holds, and S holds
         # iff the class is {g, complement}
-        hyp = _utc_class_sizes(v, rep_codes)
-        examined = int(hyp.sum())
-        failing = np.flatnonzero((hyp != 1 + (rep_codes != full ^ rep_codes)) & (relation == "S"))
+        examined = int(utc_sizes.sum())
+        pair_sizes = 1 + (rep_codes != full ^ rep_codes)  # |{g, complement}|
+        failing = np.flatnonzero((utc_sizes != pair_sizes) & (relation == "S"))
     else:
         conclusion = ("equal", v) if relation == "S" else ("utc", v)
         _, failing, reread = _decide(v, [((("utc", k),), (conclusion,), False)], rep_codes)

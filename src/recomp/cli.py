@@ -158,6 +158,8 @@ def _cmd_check_pair(args) -> tuple[dict, int]:
     h = decode(args.graph6_g_prime)
     check = PAIR_CHECKS[args.mode]
     if args.mode == "h3":
+        if args.k is not None:
+            raise RecompError(f"check mode 'h3' takes no --k, got --k {args.k}")
         verdict = check(g, h)
         k = None
     else:

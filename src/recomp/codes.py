@@ -12,10 +12,15 @@ One primitive applies relabelings: `relabelings(n, code)` returns the
 codes of all n! relabelings of one graph, as a sum of rows of a
 destination-weight matrix built once per order (n <= 8).  The canonical
 code is the minimum of that orbit, and the up-to-complementation variant
-additionally minimizes over the complement's orbit.  Full canonical
-tables (n <= 7) are built by orbit marking: codes are scanned in
-ascending order, each code not yet marked opens a class, and its whole
-orbit is marked with it, so the opening code is the orbit's minimum.
+additionally minimizes over the complement's orbit.
+
+One loop marks orbits: `catalog(n)` (n <= 8) augments each order n-1
+representative by a new vertex joined in every way, and each candidate
+not yet marked opens a class and marks every candidate in its orbit
+(McKay's isomorph-free generation).  The orbit also gives the class's
+size up to complementation, n!/|Aut g| by orbit-stabilizer, doubled
+unless g is self-complementary.  Full canonical tables (n <= 7) scatter
+each class's minimum over its orbit.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ from math import comb
 
 import numpy as np
 
-from .errors import OrderTooLarge
+from .errors import DomainError, OrderTooLarge, VerificationError
 from .graphs import Graph, pair_rank
 
 CANON_MAX_ORDER = 8
 TABLE_MAX_ORDER = 7
 
 _dest_weights: dict[int, np.ndarray] = {}
+_catalogs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _canon_tables: dict[int, np.ndarray] = {}
 _canon_utc_tables: dict[int, np.ndarray] = {}
 _clawfree_both_tables: dict[int, np.ndarray] = {}
@@ -81,23 +87,52 @@ def all_codes(n: int) -> np.ndarray:
     return np.arange(1 << n_pairs(n), dtype=np.int64)
 
 
+def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical codes of order n (n <= 8), ascending, one per isomorphism
+    class, and each class's iso-utc size; sound because every order-n
+    class contains a graph whose first n-1 vertices induce an order-(n-1)
+    representative."""
+    if n < 1:
+        raise DomainError(f"catalogs need n >= 1, got {n}")
+    if n > CANON_MAX_ORDER:
+        raise OrderTooLarge(f"catalogs support n <= {CANON_MAX_ORDER}, got {n}")
+    if n in _catalogs:
+        return _catalogs[n]
+    prev = catalog(n - 1)[0] if n > 1 else np.zeros(1, dtype=np.int64)  # order 0: the empty graph
+    base_bits, full = n_pairs(n - 1), full_code(n)
+    low = (1 << base_bits) - 1
+    marked = np.zeros((len(prev), 1 << (n - 1)), dtype=bool)
+    canon, sizes, covered = [], [], 0
+    for r, rep in enumerate(prev.tolist()):
+        for x in range(1 << (n - 1)):
+            if marked[r, x]:
+                continue
+            code = rep | x << base_bits
+            orbit = relabelings(n, code)
+            size = len(orbit) // int(np.count_nonzero(orbit == code))  # n!/|Aut g|
+            covered += size
+            canon.append(int(orbit.min()))
+            sizes.append(size if np.any(orbit == full ^ code) else 2 * size)
+            rows = np.searchsorted(prev, orbit & low).clip(max=len(prev) - 1)
+            hit = prev[rows] == orbit & low
+            marked[rows[hit], orbit[hit] >> base_bits] = True
+    if covered != 1 << n_pairs(n):
+        raise VerificationError(
+            f"order-{n} orbits cover {covered} codes, expected {1 << n_pairs(n)}"
+        )
+    order = np.argsort(canon)
+    _catalogs[n] = (np.array(canon, dtype=np.int64)[order], np.array(sizes, dtype=np.int64)[order])
+    return _catalogs[n]
+
+
 def canonical_table(n: int) -> np.ndarray:
     """Canonical code of every labeled graph of order n (n <= 7)."""
     if n > TABLE_MAX_ORDER:
         raise OrderTooLarge(f"full canonical tables are built only for n <= {TABLE_MAX_ORDER}")
     if n not in _canon_tables:
         table = np.empty(1 << n_pairs(n), dtype=np.int64)
-        unmarked = np.ones(len(table), dtype=bool)
-        code = 0
-        while True:
-            orbit = relabelings(n, code)
-            table[orbit] = code
-            unmarked[orbit] = False
-            rest = unmarked[code:]
-            step = int(rest.argmax())  # first unmarked code at or after `code`
-            if not rest[step]:
-                break
-            code += step
+        for code in catalog(n)[0].tolist():
+            table[relabelings(n, code)] = code
         _canon_tables[n] = table
     return _canon_tables[n]
 

@@ -68,11 +68,6 @@ class InclusionMatrix:
     v: int
     array: np.ndarray  # uint8, C(v,t) x C(v,k)
 
-    def exact(self) -> "ExactMatrix":
-        from .linalg import ExactMatrix
-
-        return ExactMatrix([[int(x) for x in row] for row in self.array])
-
     def exact_rank(self) -> int:
         return rank_exact(self.array)
 

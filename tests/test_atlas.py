@@ -62,6 +62,12 @@ def test_catalog_guards():
         enumerate_graphs(9)
 
 
+def test_catalog_order_below_one_raises():
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="n >= 1"):
+            enumerate_graphs(n)
+
+
 def test_catalog_count_mismatch_raises(monkeypatch):
     monkeypatch.setattr(atlas, "_catalogs", {})
     monkeypatch.setitem(CATALOG_COUNTS, 4, 12)
@@ -463,7 +469,9 @@ def test_order7_k7_cells():
 
 
 def test_orbit_count_mismatch_raises(monkeypatch):
-    enumerate_graphs(4)  # the catalog is built with the true relabelings
+    # orders 1-3 stay built with the true relabelings; order 4 is rebuilt
+    monkeypatch.setattr(codes, "_catalogs", {n: codes.catalog(n) for n in range(1, 4)})
+    monkeypatch.setattr(atlas, "_catalogs", {})
     real = codes.relabelings
 
     def extra_automorphism(n, code):
@@ -472,8 +480,8 @@ def test_orbit_count_mismatch_raises(monkeypatch):
         return orbit
 
     monkeypatch.setattr(codes, "relabelings", extra_automorphism)
-    with pytest.raises(VerificationError, match="orbits cover"):
-        s_membership(4, 4)
+    with pytest.raises(VerificationError, match="order-4 orbits cover"):
+        enumerate_graphs(4)
 
 
 @pytest.mark.slow

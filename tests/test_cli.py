@@ -89,6 +89,13 @@ def test_check_pair_h3_mode():
     assert code == 0 and verdict["holds"] and verdict["k"] is None
 
 
+def test_check_pair_h3_with_k_is_usage_error():
+    # h3 compares the sets of 3-homogeneous triples and has no k
+    g6 = encode(Graph.cycle(5))
+    code, payload = run_json("check-pair", g6, g6, "--mode", "h3", "--k", "9")
+    assert code == 2 and "takes no --k" in payload["error"], payload
+
+
 def test_check_pair_missing_k():
     code, payload = run_json("check-pair", "Dhc", "Dhc", "--mode", "hypo")
     assert code == 2 and "error" in payload

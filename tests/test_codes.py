@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from recomp.atlas import enumerate_graphs
-from recomp.codes import all_codes, canonical_table, canonical_utc_table, clawfree_both_table
+from recomp.codes import (
+    all_codes,
+    canonical_table,
+    canonical_utc_table,
+    catalog,
+    clawfree_both_table,
+    full_code,
+    relabelings,
+)
 from recomp.graphs import Graph, complement, invariants, is_claw_free
 from recomp.hypomorphy import signature_table
 
@@ -27,6 +35,56 @@ def test_canonical_table_matches_permutation_oracle(n):
     assert table.tolist() == [
         oracle_canonical_code(Graph.from_code(n, c)) for c in range(len(table))
     ]
+
+
+def marked_canonical_table(n: int) -> np.ndarray:
+    """Reference: orbit marking over the whole code space, which the
+    scatter from the catalog replaced.  Codes are scanned in ascending
+    order, and each code not yet marked opens a class and marks its whole
+    orbit, so the opening code is the orbit's minimum."""
+    table = np.empty(1 << comb(n, 2), dtype=np.int64)
+    unmarked = np.ones(len(table), dtype=bool)
+    code = 0
+    while True:
+        orbit = relabelings(n, code)
+        table[orbit] = code
+        unmarked[orbit] = False
+        rest = unmarked[code:]
+        step = int(rest.argmax())  # first unmarked code at or after `code`
+        if not rest[step]:
+            break
+        code += step
+    return table
+
+
+def per_representative_utc_sizes(n: int, rep_codes: np.ndarray) -> np.ndarray:
+    """Reference: each representative's iso-utc class size from its own
+    orbit, which the catalog pass replaced: n!/|Aut g| relabelings, twice
+    that unless g is self-complementary; the orbits must cover every code."""
+    full = full_code(n)
+    orbits, sizes = [], []
+    for g in rep_codes.tolist():
+        orbit = relabelings(n, g)
+        size = len(orbit) // int(np.count_nonzero(orbit == g))
+        orbits.append(size)
+        sizes.append(size if np.any(orbit == full ^ g) else 2 * size)
+    assert sum(orbits) == 1 << comb(n, 2)
+    return np.array(sizes, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_table_matches_orbit_marking_oracle(n):
+    assert np.array_equal(canonical_table(n), marked_canonical_table(n))
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_catalog_utc_sizes_match_per_representative_oracle(n):
+    rep_codes, sizes = catalog(n)
+    assert np.array_equal(sizes, per_representative_utc_sizes(n, rep_codes))
+    if n <= 7:  # and the number of codes sharing each representative's utc code
+        values, counts = np.unique(canonical_utc_table(n), return_counts=True)
+        utc = canonical_utc_table(n)[rep_codes]
+        assert np.array_equal(sizes, counts[np.searchsorted(values, utc)])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
