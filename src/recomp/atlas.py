@@ -6,8 +6,10 @@ every swept statement are invariant under relabeling both graphs at
 once, while g' must genuinely range over labelings (hypomorphy lives on
 a fixed labeled vertex set).
 
-Catalogs (n <= 8) wrap the codes of `codes.catalog`, the one
-orbit-marking pass per order, in Graphs.
+Cells and sweeps read codes: the representatives are the canonical
+codes of `codes.catalog`, the one orbit-marking pass per order, which
+also checks them.  `enumerate_graphs` (n <= 8) wraps those codes in
+Graphs for callers that want them.
 
 Each theorem, and each membership cell (S, R) at k < v, is a list of
 claims "A implies B" or "A iff B" (`THEOREMS`).  A and B join atoms,
@@ -48,13 +50,12 @@ import numpy as np
 
 from . import __version__
 from . import codes as codetables
-from .errors import DomainError, OrderTooLarge, VerificationError
+from .errors import DomainError, OrderTooLarge
 from .graph6 import encode
 from .graphs import Graph
 from .hypomorphy import check_domain, signature_table
 from .incidence import colex_subsets
 
-CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 SWEEP_MAX_V = 6  # order 7 needs long_running=True
 VIOLATION_LIST_CAP = 100
 
@@ -70,20 +71,10 @@ class GraphCatalog:
         return len(self.representatives)
 
 
-_catalogs: dict[int, GraphCatalog] = {}
-
-
+@cache
 def enumerate_graphs(n: int) -> GraphCatalog:
-    """Catalog of order n (1 <= n <= 8): the codes of `codes.catalog` as
-    Graphs, checked against the known class counts."""
-    codes = codetables.catalog(n)[0]
-    if n not in _catalogs:
-        if len(codes) != CATALOG_COUNTS[n]:
-            raise VerificationError(
-                f"order-{n} catalog has {len(codes)} classes, expected {CATALOG_COUNTS[n]}"
-            )
-        _catalogs[n] = GraphCatalog(n, tuple(Graph.from_code(n, c) for c in codes.tolist()))
-    return _catalogs[n]
+    """Catalog of order n (1 <= n <= 8): the codes of `codes.catalog` as Graphs."""
+    return GraphCatalog(n, tuple(Graph.from_code(n, c) for c in codetables.catalog(n)[0].tolist()))
 
 
 # -- per-subset signature labels ---------------------------------------------
@@ -199,7 +190,6 @@ def _check_sweep_order(v: int, long_running: bool) -> None:
 
 def _membership(relation: str, v: int, k: int) -> AtlasRecord:
     start = time.perf_counter()
-    reps = enumerate_graphs(v).representatives
     rep_codes, utc_sizes = codetables.catalog(v)
     full = codetables.full_code(v)
     if k == v:
@@ -214,14 +204,13 @@ def _membership(relation: str, v: int, k: int) -> AtlasRecord:
         examined = len(rep_codes) << comb(v, 2)
     witness = None
     if len(failing):
-        rep_idx = int(failing[0])
-        g = int(rep_codes[rep_idx])
+        g = int(rep_codes[failing[0]])
         if k == v:
             members = np.union1d(codetables.relabelings(v, g), codetables.relabelings(v, full ^ g))
             bad = np.setdiff1d(members, [g, full ^ g])
         else:
             bad = reread(g)[1]
-        witness = (encode(reps[rep_idx]), encode(Graph.from_code(v, int(bad[0]))))
+        witness = (encode(Graph.from_code(v, g)), encode(Graph.from_code(v, int(bad[0]))))
     return AtlasRecord(
         relation=relation,
         v=v,
@@ -341,7 +330,7 @@ def sweep_theorem(
         violations, total_bad, hyp_total = _clawfree(v)
         examined = 1 << 2 * comb(v, 2)  # all ordered pairs
     else:
-        rep_codes = np.array([g.code for g in enumerate_graphs(v).representatives])
+        rep_codes = codetables.catalog(v)[0]
         hyp, failing, reread = _decide(v, claims(v, k), rep_codes)
         hyp_total, total_bad, violations = int(np.delete(hyp, failing).sum()), 0, []
         for g in rep_codes[failing].tolist():  # each failing g, code by code

@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("theorem", choices=THEOREM_IDS)
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--jobs", type=int, default=1, help="accepted; sweeps run in one process")
+    sp.add_argument("--jobs", type=int, default=1, help="N >= 1; sweeps run in one process")
     sp.add_argument("--long", action="store_true", help="allow order-7 sweeps")
     add_mode(sp)
 
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--resume", help="JSONL log to reuse and append")
-    sp.add_argument("--jobs", type=int, default=1, help="accepted; sweeps run in one process")
+    sp.add_argument("--jobs", type=int, default=1, help="N >= 1; sweeps run in one process")
     sp.add_argument("--long", action="store_true", help="allow order-7 sweeps")
     add_mode(sp)
 
@@ -299,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            raise RecompError(f"argument --jobs: need N >= 1, got {args.jobs}")
     except RecompError as exc:
         _emit({"error": str(exc)}, _error_mode(argv))
         return 2

@@ -19,12 +19,14 @@ representative by a new vertex joined in every way, and each candidate
 not yet marked opens a class and marks every candidate in its orbit
 (McKay's isomorph-free generation).  The orbit also gives the class's
 size up to complementation, n!/|Aut g| by orbit-stabilizer, doubled
-unless g is self-complementary.  Full canonical tables (n <= 7) scatter
-each class's minimum over its orbit.
+unless g is self-complementary.  Each catalog's orbits must cover all
+2^C(n,2) codes, and its classes must number `CATALOG_COUNTS[n]`.  Full
+canonical tables (n <= 7) scatter each class's minimum over its orbit.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -35,9 +37,10 @@ from .graphs import Graph, pair_rank
 
 CANON_MAX_ORDER = 8
 TABLE_MAX_ORDER = 7
+# unlabeled graphs of order n (OEIS A000088)
+CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 _dest_weights: dict[int, np.ndarray] = {}
-_catalogs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _canon_tables: dict[int, np.ndarray] = {}
 _canon_utc_tables: dict[int, np.ndarray] = {}
 _clawfree_both_tables: dict[int, np.ndarray] = {}
@@ -87,6 +90,7 @@ def all_codes(n: int) -> np.ndarray:
     return np.arange(1 << n_pairs(n), dtype=np.int64)
 
 
+@cache
 def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical codes of order n (n <= 8), ascending, one per isomorphism
     class, and each class's iso-utc size; sound because every order-n
@@ -96,8 +100,6 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"catalogs need n >= 1, got {n}")
     if n > CANON_MAX_ORDER:
         raise OrderTooLarge(f"catalogs support n <= {CANON_MAX_ORDER}, got {n}")
-    if n in _catalogs:
-        return _catalogs[n]
     prev = catalog(n - 1)[0] if n > 1 else np.zeros(1, dtype=np.int64)  # order 0: the empty graph
     base_bits, full = n_pairs(n - 1), full_code(n)
     low = (1 << base_bits) - 1
@@ -120,9 +122,12 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise VerificationError(
             f"order-{n} orbits cover {covered} codes, expected {1 << n_pairs(n)}"
         )
+    if len(canon) != CATALOG_COUNTS[n]:
+        raise VerificationError(
+            f"order-{n} catalog has {len(canon)} classes, expected {CATALOG_COUNTS[n]}"
+        )
     order = np.argsort(canon)
-    _catalogs[n] = (np.array(canon, dtype=np.int64)[order], np.array(sizes, dtype=np.int64)[order])
-    return _catalogs[n]
+    return np.array(canon, dtype=np.int64)[order], np.array(sizes, dtype=np.int64)[order]
 
 
 def canonical_table(n: int) -> np.ndarray:

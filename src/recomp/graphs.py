@@ -329,38 +329,13 @@ class BipartiteKernelClass(Enum):
     NEITHER = "Neither"
 
 
-def _components(g: Graph) -> list[int]:
-    seen = 0
-    comps = []
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
-def _is_clique_mask(g: Graph, mask: int) -> bool:
-    for v in bits_of(mask):
-        if g.adj[v] & mask != mask ^ (1 << v):
-            return False
-    return True
-
-
 def is_complete_bipartite(g: Graph) -> bool:
     """Vertex set splits into two parts (one possibly empty) with all
-    cross pairs edges and no internal edges.  Equivalently the complement
-    is a disjoint union of at most two cliques."""
-    comps = _components(complement(g))
-    return len(comps) <= 2 and all(_is_clique_mask(complement(g), c) for c in comps)
+    cross pairs edges and no internal edges: every vertex is joined to
+    exactly the other part, where vertex 0's part is its non-neighbours."""
+    other = g.adj[0]
+    same = ((1 << g.n) - 1) ^ other
+    return all(row == (other if same >> x & 1 else same) for x, row in enumerate(g.adj))
 
 
 def classify_bipartite_kernel(g: Graph) -> BipartiteKernelClass:

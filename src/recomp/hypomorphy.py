@@ -48,7 +48,6 @@ import numpy as np
 from . import codes as codetables
 from .errors import DomainError, HypothesisNotMet, KTooLarge, OrderMismatch
 from .graphs import (
-    MAX_ORDER,
     Graph,
     boolean_sum,
     complement,
@@ -56,6 +55,7 @@ from .graphs import (
     invariants,
     is_claw_free,
 )
+from .incidence import colex_vertices
 from .isomorphism import ISO_MAX_ORDER, find_isomorphism
 
 TABLE_MAX_K = 6
@@ -123,20 +123,6 @@ def _max_rows(k: int) -> int:
     return max(_FIRST_CHUNK, _BUDGET_BYTES // (np.dtype(np.intp).itemsize * (k + comb(k, 2))))
 
 
-def _colex_vertices(k: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, k) array: row r lists, ascending, the vertices of
-    the colex k-subset of rank start + r.  The subset v_1 < ... < v_k has
-    rank C(v_1, 1) + ... + C(v_k, k), so v_i is read off greedily from
-    i = k down, by a search in the column C(., i)."""
-    rest = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((len(rest), k), dtype=np.intp)
-    for i in range(k, 0, -1):
-        col = np.array([comb(c, i) for c in range(MAX_ORDER)], dtype=np.int64)
-        out[:, i - 1] = np.searchsorted(col, rest, side="right") - 1
-        rest -= col[out[:, i - 1]]
-    return out
-
-
 def _rows_of(vertices: np.ndarray) -> np.ndarray:
     """Each row of ascending vertices, followed by the global colex pair
     ranks i + C(j,2) of its local pairs in colex order."""
@@ -151,11 +137,11 @@ def _subset_rows(k: int, start: int, stop: int) -> np.ndarray:
     per k serves every order.  It grows to the rows asked for, up to the
     byte budget; rows beyond it are computed per call."""
     if stop > _max_rows(k):
-        return _rows_of(_colex_vertices(k, start, stop))
+        return _rows_of(colex_vertices(k, start, stop))
     table = _subset_tables.get(k)
     have = 0 if table is None else len(table)
     if stop > have:
-        more = _rows_of(_colex_vertices(k, have, stop))
+        more = _rows_of(colex_vertices(k, have, stop))
         table = _subset_tables[k] = more if table is None else np.concatenate([table, more])
     return table[start:stop]
 

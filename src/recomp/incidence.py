@@ -20,12 +20,16 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, IndexOutOfRange, KernelTooLarge
-from .graphs import Graph, bits_of, colex_masks
+from .graphs import MAX_ORDER, Graph, bits_of, colex_masks
 from .linalg import ModMatrix, binomial, is_prime, rank_exact, rank_mod, kernel_basis_mod
 
 BUILD_MAX_V = 16
 MOD_RANK_MAX_V = 12
 KERNEL_DIM_CAP = 20
+# row i, column c: C(c, i); every entry fits int64 because c < MAX_ORDER
+_BINOMIALS = np.array(
+    [[comb(c, i) for c in range(MAX_ORDER)] for i in range(MAX_ORDER + 1)], dtype=np.int64
+)
 
 
 def subset_rank(s: Iterable[int] | int) -> int:
@@ -37,19 +41,26 @@ def subset_rank(s: Iterable[int] | int) -> int:
     return sum(comb(c, i + 1) for i, c in enumerate(elems))
 
 
+def colex_vertices(k: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, k) array: row r lists, ascending, the vertices
+    (< MAX_ORDER) of the colex k-subset of rank start + r.  The subset
+    v_1 < ... < v_k has rank C(v_1, 1) + ... + C(v_k, k), so v_i is read
+    off greedily from i = k down, by a search in row i of `_BINOMIALS`."""
+    rest = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((len(rest), k), dtype=np.intp)
+    for i in range(k, 0, -1):
+        out[:, i - 1] = np.searchsorted(_BINOMIALS[i], rest, side="right") - 1
+        rest -= _BINOMIALS[i, out[:, i - 1]]
+    return out
+
+
 def subset_unrank(r: int, size: int, v: int) -> tuple[int, ...]:
-    """Inverse of subset_rank for `size`-subsets of {0..v-1}."""
+    """Inverse of subset_rank for `size`-subsets of {0..v-1}, v <= MAX_ORDER."""
+    if v > MAX_ORDER:
+        raise DomainError(f"subsets of at most {MAX_ORDER} vertices, got v={v}")
     if not 0 <= r < comb(v, size):
         raise IndexOutOfRange(f"rank {r} outside [0, C({v},{size}))")
-    out = []
-    rem = r
-    for pos in range(size, 0, -1):
-        c = pos - 1
-        while comb(c + 1, pos) <= rem:
-            c += 1
-        out.append(c)
-        rem -= comb(c, pos)
-    return tuple(reversed(out))
+    return tuple(colex_vertices(size, r, r + 1)[0].tolist())
 
 
 def colex_subsets(v: int, k: int) -> Iterator[tuple[int, ...]]:

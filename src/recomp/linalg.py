@@ -91,9 +91,6 @@ class ExactMatrix:
         if not all(isinstance(x, (Rational, np.bool_)) for r in self.entries for x in r):
             raise DomainError("matrix entries must be integers or Fractions")
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(map(list, zip(*self.entries))))
-
     def integer_rows(self) -> list[list[int]]:
         """Rows rescaled to integers (row scaling preserves rank)."""
         out = []

@@ -13,7 +13,6 @@ import pytest
 from recomp import atlas
 from recomp import codes
 from recomp.atlas import (
-    CATALOG_COUNTS,
     THEOREM_IDS,
     VIOLATION_LIST_CAP,
     AtlasRecord,
@@ -26,6 +25,7 @@ from recomp.atlas import (
     write_csv,
     write_witness_files,
 )
+from recomp.codes import CATALOG_COUNTS
 from recomp.errors import DomainError, OrderTooLarge, VerificationError
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph, complement
@@ -68,10 +68,17 @@ def test_catalog_order_below_one_raises():
             enumerate_graphs(n)
 
 
+def _only_catalogs_up_to_order_3():
+    """Drop every cached catalog, then build orders 1-3 again."""
+    codes.catalog.cache_clear()
+    enumerate_graphs.cache_clear()
+    codes.catalog(3)
+
+
 def test_catalog_count_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(atlas, "_catalogs", {})
-    monkeypatch.setitem(CATALOG_COUNTS, 4, 12)
-    with pytest.raises(VerificationError):
+    _only_catalogs_up_to_order_3()
+    monkeypatch.setitem(codes.CATALOG_COUNTS, 4, 12)
+    with pytest.raises(VerificationError, match="order-4 catalog has 11 classes"):
         enumerate_graphs(4)
 
 
@@ -469,9 +476,8 @@ def test_order7_k7_cells():
 
 
 def test_orbit_count_mismatch_raises(monkeypatch):
-    # orders 1-3 stay built with the true relabelings; order 4 is rebuilt
-    monkeypatch.setattr(codes, "_catalogs", {n: codes.catalog(n) for n in range(1, 4)})
-    monkeypatch.setattr(atlas, "_catalogs", {})
+    # orders 1-3 are built with the true relabelings; order 4 is rebuilt
+    _only_catalogs_up_to_order_3()
     real = codes.relabelings
 
     def extra_automorphism(n, code):

@@ -129,6 +129,20 @@ def test_verify_clawfree_with_k_is_usage_error():
     assert code == 2 and "takes no k" in payload["error"], payload
 
 
+def test_verify_jobs_below_one_is_usage_error():
+    for jobs in ("0", "-3"):
+        argv = ("verify", "k0mod4", "--v", "6", "--k", "4", "--jobs", jobs)
+        code, payload = run_json(*argv, "--mode", "json")
+        assert code == 2 and "--jobs" in payload["error"], payload
+
+
+def test_atlas_jobs_below_one_is_usage_error():
+    for jobs in ("0", "-3"):
+        argv = ("atlas", "--relation", "S", "--v", "4", "--k", "2", "--jobs", jobs)
+        code, payload = run_json(*argv, "--mode", "json")
+        assert code == 2 and "--jobs" in payload["error"], payload
+
+
 def test_atlas_subcommand(tmp_path):
     log = tmp_path / "log.jsonl"
     args = ("atlas", "--relation", "S", "--v", "6", "--k", "4", "--resume", str(log), "--mode", "json")
@@ -211,7 +225,7 @@ def test_construct_verification_failure_would_exit_1(monkeypatch):
 
 
 def test_verify_output_ignores_jobs():
-    # --jobs is accepted for compatibility; sweeps run in one process
+    # --jobs N (N >= 1) is accepted for compatibility; sweeps run in one process
     argv = ("verify", "k0mod4", "--v", "6", "--k", "4", "--mode", "json")
     outs = [run(*argv, "--jobs", jobs) for jobs in ("8", "1")]
     assert outs[0] == outs[1]

@@ -20,7 +20,7 @@ from recomp.graphs import (
     is_regular,
 )
 
-from graph_reference import mask_of, subgraph_edge_count
+from graph_reference import complete_bipartite_by_components, mask_of, subgraph_edge_count
 
 
 def test_graph_validation():
@@ -329,6 +329,40 @@ def test_complete_bipartite_check():
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_complete_bipartite(two_k2)
     assert is_complete_bipartite(complement(two_k2))
+
+
+def _reference_kernel_class(g: Graph) -> BipartiteKernelClass:
+    B = BipartiteKernelClass
+    if g.edge_count in (0, comb(g.n, 2)):
+        return B.BOTH
+    cb = complete_bipartite_by_components(g)
+    cc = complete_bipartite_by_components(complement(g))
+    return {
+        (True, True): B.BOTH,
+        (True, False): B.COMPLETE_BIPARTITE,
+        (False, True): B.COMPLEMENT_OF_COMPLETE_BIPARTITE,
+        (False, False): B.NEITHER,
+    }[cb, cc]
+
+
+def _planted_complete_bipartite(n: int, a: int, rng) -> Graph:
+    """K_{a, n-a} with its parts scattered by a random relabeling."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    part = set(perm[:a])
+    edges = [(i, j) for i, j in combinations(range(n), 2) if (i in part) != (j in part)]
+    return Graph.from_edges(n, edges)
+
+
+def test_complete_bipartite_matches_component_oracle(rng):
+    every_small = (Graph.from_code(n, c) for n in range(1, 7) for c in range(1 << comb(n, 2)))
+    planted = [_planted_complete_bipartite(n, a, rng) for n in range(1, 25) for a in range(n + 1)]
+    densities = (0.1, 0.5, 0.9)
+    randoms = [Graph.random(n, rng, p) for n in range(1, 25) for p in densities for _ in range(4)]
+    assert all(is_complete_bipartite(g) for g in planted)
+    for g in [*every_small, *planted, *map(complement, planted), *randoms]:
+        assert is_complete_bipartite(g) == complete_bipartite_by_components(g), g
+        assert classify_bipartite_kernel(g) is _reference_kernel_class(g), g
 
 
 def test_classify_bipartite_kernel():

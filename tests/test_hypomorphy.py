@@ -768,15 +768,9 @@ def test_ladder_witness_on_chunk_edges(rng):
 
 def test_subset_table_rows_are_colex_combinations(rng):
     # the cached prefix rows for k are the same whatever order asked first
-    from recomp.graphs import pair_rank
-    from recomp.hypomorphy import (
-        MAX_ORDER,
-        _code,
-        _colex_vertices,
-        _max_rows,
-        _restriction_bits,
-        _subset_rows,
-    )
+    from recomp.graphs import MAX_ORDER, pair_rank
+    from recomp.hypomorphy import _code, _max_rows, _restriction_bits, _subset_rows
+    from recomp.incidence import colex_vertices
 
     for n in (10, 4, 7, 9, 10):
         for k in range(1, n + 1):
@@ -799,7 +793,7 @@ def test_subset_table_rows_are_colex_combinations(rng):
     for k in range(1, MAX_ORDER + 1):
         last = comb(MAX_ORDER, k) - 1
         top = list(range(MAX_ORDER - k, MAX_ORDER))
-        assert _colex_vertices(k, last, last + 1).tolist() == [top]
+        assert colex_vertices(k, last, last + 1).tolist() == [top]
 
 
 def test_scan_is_lazy_and_bounded_at_order_48(rng):

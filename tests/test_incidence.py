@@ -41,6 +41,10 @@ def test_rank_unrank_roundtrip():
             assert len(s) == size and subset_rank(s) == r
     with pytest.raises(IndexOutOfRange):
         subset_unrank(comb(7, 3), 3, 7)
+    # the unrank reads binomials of vertices below 64, the largest order
+    assert subset_unrank(comb(64, 3) - 1, 3, 64) == (61, 62, 63)
+    with pytest.raises(DomainError):
+        subset_unrank(comb(64, 2), 2, 65)
 
 
 def test_colex_enumeration_matches_unrank():
