@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .atlas import THEOREM_IDS, membership_with_resume, sweep_theorem
+from .atlas import SWEEP_MAX_V, THEOREM_IDS, membership_with_resume, sweep_theorem
 from .errors import RecompError, VerificationError
 from .graph6 import decode, encode
 from .graphs import (
@@ -301,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise RecompError(f"argument --jobs: need N >= 1, got {args.jobs}")
+        top = SWEEP_MAX_V  # the sweeps' own limit names long_running, which the CLI spells --long
+        if hasattr(args, "long") and args.v > top + args.long:
+            raise RecompError(f"sweeps support --v <= {top} (--v {top + 1} with --long), got {args.v}")
     except RecompError as exc:
         _emit({"error": str(exc)}, _error_mode(argv))
         return 2

@@ -17,11 +17,15 @@ additionally minimizes over the complement's orbit.
 One loop marks orbits: `catalog(n)` (n <= 8) augments each order n-1
 representative by a new vertex joined in every way, and each candidate
 not yet marked opens a class and marks every candidate in its orbit
-(McKay's isomorph-free generation).  The orbit also gives the class's
-size up to complementation, n!/|Aut g| by orbit-stabilizer, doubled
-unless g is self-complementary.  Each catalog's orbits must cover all
-2^C(n,2) codes, and its classes must number `CATALOG_COUNTS[n]`.  Full
-canonical tables (n <= 7) scatter each class's minimum over its orbit.
+(McKay's isomorph-free generation).  Relabeling is linear in the code
+bits, so a candidate's orbit is its representative's orbit, computed
+once, plus that of its new-vertex bits; and a dense slot table over the
+2^C(n-1,2) order n-1 codes gives each orbit code's representative row,
+or -1, in one gather.  The orbit also gives the class's size up to
+complementation, n!/|Aut g| by orbit-stabilizer, doubled unless g is
+self-complementary.  Each catalog's orbits must cover all 2^C(n,2)
+codes, and its classes must number `CATALOG_COUNTS[n]`.  Full canonical
+tables (n <= 7) scatter each class's minimum over its orbit.
 """
 
 from __future__ import annotations
@@ -103,20 +107,23 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
     prev = catalog(n - 1)[0] if n > 1 else np.zeros(1, dtype=np.int64)  # order 0: the empty graph
     base_bits, full = n_pairs(n - 1), full_code(n)
     low = (1 << base_bits) - 1
+    slot = np.full(1 << base_bits, -1, dtype=np.int32)  # row of each order n-1 code in prev
+    slot[prev] = np.arange(len(prev), dtype=np.int32)
     marked = np.zeros((len(prev), 1 << (n - 1)), dtype=bool)
     canon, sizes, covered = [], [], 0
     for r, rep in enumerate(prev.tolist()):
+        rep_orbit = relabelings(n, rep)
         for x in range(1 << (n - 1)):
             if marked[r, x]:
                 continue
             code = rep | x << base_bits
-            orbit = relabelings(n, code)
+            orbit = rep_orbit + relabelings(n, x << base_bits)  # relabeling is linear in the bits
             size = len(orbit) // int(np.count_nonzero(orbit == code))  # n!/|Aut g|
             covered += size
             canon.append(int(orbit.min()))
             sizes.append(size if np.any(orbit == full ^ code) else 2 * size)
-            rows = np.searchsorted(prev, orbit & low).clip(max=len(prev) - 1)
-            hit = prev[rows] == orbit & low
+            rows = slot[orbit & low]
+            hit = rows >= 0
             marked[rows[hit], orbit[hit] >> base_bits] = True
     if covered != 1 << n_pairs(n):
         raise VerificationError(

@@ -148,11 +148,18 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
-        for i, j in edges:
-            if i == j:
-                raise DomainError(f"loop at vertex {i}")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+        i = j = 0  # bound for the handler even if the first edge does not unpack
+        try:
+            for i, j in edges:
+                if i == j:
+                    raise DomainError(f"loop at vertex {i}")
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        except (IndexError, ValueError):  # a vertex index or shift out of range
+            if 0 <= i < n and 0 <= j < n:  # checked only on failure, not per edge
+                raise
+            message = f"edge ({i}, {j}) has a vertex outside 0..{n - 1} for order {n}"
+            raise DomainError(message) from None
         return Graph(n, tuple(rows))
 
     @staticmethod

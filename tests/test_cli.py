@@ -143,6 +143,19 @@ def test_atlas_jobs_below_one_is_usage_error():
         assert code == 2 and "--jobs" in payload["error"], payload
 
 
+def test_order7_without_long_is_usage_error():
+    for argv in (
+        ("atlas", "--relation", "S", "--v", "7", "--k", "3"),
+        ("verify", "k0mod4", "--v", "7", "--k", "4"),
+    ):
+        code, payload = run_json(*argv, "--mode", "json")
+        assert code == 2 and "--long" in payload["error"], payload
+        assert "long_running" not in payload["error"], payload
+    argv = ("atlas", "--relation", "R", "--v", "8", "--k", "3", "--long")
+    code, payload = run_json(*argv, "--mode", "json")
+    assert code == 2 and "--v <= 6 (--v 7 with --long), got 8" in payload["error"], payload
+
+
 def test_atlas_subcommand(tmp_path):
     log = tmp_path / "log.jsonl"
     args = ("atlas", "--relation", "S", "--v", "6", "--k", "4", "--resume", str(log), "--mode", "json")

@@ -1,5 +1,6 @@
 """Canonical tables and catalogs against independent oracles."""
 
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -70,6 +71,41 @@ def per_representative_utc_sizes(n: int, rep_codes: np.ndarray) -> np.ndarray:
         sizes.append(size if np.any(orbit == full ^ g) else 2 * size)
     assert sum(orbits) == 1 << comb(n, 2)
     return np.array(sizes, dtype=np.int64)
+
+
+@cache
+def searchsorted_catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the catalog pass that the slot table replaced.  Each
+    candidate rebuilds its orbit from all of its bits, and each orbit
+    code's order n-1 row is found by binary search among the order n-1
+    codes of this reference, not of the catalog."""
+    prev = searchsorted_catalog(n - 1)[0] if n > 1 else np.zeros(1, dtype=np.int64)
+    base_bits, full = comb(n - 1, 2), full_code(n)
+    low = (1 << base_bits) - 1
+    marked = np.zeros((len(prev), 1 << (n - 1)), dtype=bool)
+    canon, sizes = [], []
+    for r, rep in enumerate(prev.tolist()):
+        for x in range(1 << (n - 1)):
+            if marked[r, x]:
+                continue
+            code = rep | x << base_bits
+            orbit = relabelings(n, code)
+            size = len(orbit) // int(np.count_nonzero(orbit == code))
+            canon.append(int(orbit.min()))
+            sizes.append(size if np.any(orbit == full ^ code) else 2 * size)
+            rows = np.searchsorted(prev, orbit & low).clip(max=len(prev) - 1)
+            hit = prev[rows] == orbit & low
+            marked[rows[hit], orbit[hit] >> base_bits] = True
+    order = np.argsort(canon)
+    return np.array(canon, dtype=np.int64)[order], np.array(sizes, dtype=np.int64)[order]
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_catalog_matches_searchsorted_oracle(n):
+    rep_codes, sizes = catalog(n)
+    expected_codes, expected_sizes = searchsorted_catalog(n)
+    assert np.array_equal(rep_codes, expected_codes)
+    assert np.array_equal(sizes, expected_sizes)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

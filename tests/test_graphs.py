@@ -167,6 +167,26 @@ def test_validation_from_code_rejects_codes_out_of_range():
         Graph.from_code(65, 0)
 
 
+def test_validation_from_edges_rejects_out_of_range_vertices():
+    cases = [
+        (3, [(0, 3)], "(0, 3)"),
+        (3, [(-1, 1)], "(-1, 1)"),
+        (3, [(1, -1)], "(1, -1)"),
+        (3, [(0, 1), (5, 5)], "(5, 5)"),
+        (64, [(0, 64)], "(0, 64)"),
+        (3, zip([0, 7], [1, 2]), "(7, 2)"),  # a one-pass iterable, as the codec passes
+    ]
+    for n, edges, edge in cases:
+        with pytest.raises(DomainError) as err:
+            Graph.from_edges(n, edges)
+        assert str(err.value) == f"edge {edge} has a vertex outside 0..{n - 1} for order {n}"
+    with pytest.raises(DomainError, match="loop at vertex 1"):
+        Graph.from_edges(3, [(0, 2), (1, 1)])
+    with pytest.raises(ValueError, match="unpack"):  # malformed edges keep their own error
+        Graph.from_edges(3, [(0, 1), (0, 1, 2)])
+    assert Graph.from_edges(3, iter([(0, 2), (2, 1)])) == Graph(3, (0b100, 0b100, 0b011))
+
+
 def test_complement_of_empty_is_complete():
     assert complement(Graph.empty(3)) == Graph.complete(3)
 
