@@ -15,20 +15,29 @@ Each theorem, and each membership cell (S, R) at k < v, is a list of
 claims "A implies B" or "A iff B" (`THEOREMS`).  A and B join atoms,
 each a partition of all 2^C(v,2) codes that respects relabeling: g' is
 in g's class iff it agrees with g on a per-k-subset signature (the
-ladder's row functions tabulated by `hypomorphy.signature_table`, one
-label per code folded over the colex k-subsets; equal 3-homogeneous
-sets are equal h3 counts at k = 3), or iff it is g or its complement.
-g's class contains g, so a claim holds on the pair space iff, for every
-representative g, its class in A is as large as in the join of A and B
-(and in B, for iff); one `np.unique` per join gives the sizes
-(`_decide`).  A failing representative is re-read code by code for its
-exact counts and violations; a cell's witness is the smallest violation
-of the first one.  At k == v the hypothesis class is g's iso-utc class,
-whose size the catalog pass records (`codes.catalog`).  The
-claw-free sweep counts, in each h3 class at k = 3, the ordered pairs
-whose boolean sum or its complement has a claw.  Order 7 multiplies the
-space by 64 and is gated behind `long_running`; sweeps run in one
-process.
+ladder's row functions tabulated by `hypomorphy.signature_table`; equal
+3-homogeneous sets are equal h3 counts at k = 3), or iff it is g or its
+complement.  g's class contains g, so a claim holds on the pair space
+iff, for every representative g, its class in A is as large as in the
+join of A and B (and in B, for iff).
+
+`_decide` gets those sizes by sieving the representatives' classes.  A
+sieve state holds the codes still in some representative's class, a
+group per such code and a group per representative.  Each column, one
+k-subset's signature, maps (old group, value) to a new group through a
+dense table filled from the representatives' own keys; a code whose key
+no representative has drops.  A class size is a bincount of the final
+groups.  A join continues from its longest prefix already sieved in the
+call, with repeated atoms dropped and constant columns skipped; the
+atom "equal" starts from each g and its complement.  A failing
+representative's hypothesis and violations are read off the same states
+as masks of its group's codes; a cell's witness is the smallest
+violation of the first one.  At k == v the hypothesis class is g's
+iso-utc class, whose size the catalog pass records (`codes.catalog`).
+The claw-free sweep labels every code by its h3 counts at k = 3
+(`_labels`) and counts, in each class, the ordered pairs whose boolean
+sum or its complement has a claw.  Order 7 multiplies the space by 64
+and is gated behind `long_running`; sweeps run in one process.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -77,78 +86,128 @@ def enumerate_graphs(n: int) -> GraphCatalog:
     return GraphCatalog(n, tuple(Graph.from_code(n, c) for c in codetables.catalog(n)[0].tolist()))
 
 
-# -- per-subset signature labels ---------------------------------------------
+# -- per-subset signature classes ---------------------------------------------
 
-def _fold(columns, n: int) -> np.ndarray:
-    """Label per code from columns of n non-negative values each; two
-    codes share a label iff every column agrees on them."""
-    labels = np.zeros(n, dtype=np.int64)
-    for column in columns:
-        width = int(column.max()) + 1
-        if (int(labels.max()) + 1) * width > np.iinfo(np.int64).max:
-            labels = np.unique(labels, return_inverse=True)[1]
-        labels = labels * width + column
-    return labels
+_dense: dict[tuple[str, int, bool], np.ndarray] = {}  # (kind, size, direct) -> `_dense_table`
 
 
 def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
     """One label per labeled order-v graph, numbered 0, 1, ...; two graphs
     share a label iff `table` takes equal values on their restrictions to
-    every k-subset."""
+    every k-subset.  Labels are renumbered before they could overflow."""
     dense = np.unique(table, return_inverse=True)[1]
-    columns = (dense[codetables.restriction_codes(v, s)] for s in colex_subsets(v, k))
-    return np.unique(_fold(columns, 1 << comb(v, 2)), return_inverse=True)[1]
+    width = int(dense.max()) + 1
+    labels = np.zeros(1 << comb(v, 2), dtype=np.int64)
+    for s in colex_subsets(v, k):
+        if (int(labels.max()) + 1) * width > np.iinfo(np.int64).max:
+            labels = np.unique(labels, return_inverse=True)[1]
+        labels = labels * width + dense[codetables.restriction_codes(v, s)]
+    return np.unique(labels, return_inverse=True)[1]
 
 
-def _equal_labels(v: int) -> np.ndarray:
-    """One label per order-v code, shared by each graph and its complement."""
-    codes = codetables.all_codes(v)
-    return np.minimum(codes, codetables.full_code(v) ^ codes)
+def _dense_table(v: int, kind: str, size: int) -> np.ndarray:
+    """The `kind` signature of every order-`size` code, numbered 0, 1, ...;
+    utc on the whole vertex set is the canonical utc table itself."""
+    direct = kind == "utc" and size == v
+    if (kind, size, direct) not in _dense:
+        table = codetables.canonical_utc_table(size) if direct else signature_table(kind, size)
+        _dense[kind, size, direct] = np.unique(table, return_inverse=True)[1].astype(np.int32)
+    return _dense[kind, size, direct]
 
 
-def _decide(v: int, claims: list, rep_codes: np.ndarray):
-    """Decide claims (A, B, iff) on the pairs (g, g') with g in `rep_codes`.
-    Returns each g's first antecedent class size, the indices of the g
-    that fail a claim, and `reread(g)`: g's hypothesis size (the union of
-    its antecedents, the first one where g passes) and violating codes."""
-    gbar = codetables.full_code(v) ^ rep_codes
+def _equal_partners(v: int, codes: np.ndarray) -> np.ndarray:
+    """Each code's partner in its class of the atom ("equal", v): its complement."""
+    return codetables.full_code(v) ^ codes
 
-    @cache
-    def atom(a: tuple[str, int]) -> np.ndarray:
-        """Labels of one atom (signature, size), as int32: order-7 codes fit."""
-        kind, size = a
-        if kind == "equal":
-            out = _equal_labels(v)
-        elif size < v:
-            out = _labels(v, size, signature_table(kind, size))
-        else:  # the whole vertex set: the signature of the code itself
-            out = codetables.canonical_utc_table(v) if kind == "utc" else signature_table(kind, v)
-        return out.astype(np.int32)
 
-    @cache
-    def size(*atoms: tuple[str, int]) -> np.ndarray:
+def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int]) -> tuple:
+    """Sieve `state` by each column of one atom, a per-subset signature.
+    A state is (alive codes, or None for all; group per alive code; group
+    per representative): the alive codes are those in some
+    representative's class, and share its group."""
+    alive, groups, rep_groups = state
+    dense = _dense_table(v, *atom)
+    width = int(dense.max()) + 1
+    if width == 1:  # a constant signature separates nothing
+        return state
+    for s in colex_subsets(v, atom[1]):
+        keys = rep_groups * width + dense[codetables.restriction_codes(v, s, reps)]
+        # (old group, value) -> new group: the index of one representative
+        # with that key, whichever the scatter keeps
+        table = np.full((int(rep_groups.max()) + 1) * width, -1, dtype=np.int32)
+        table[keys] = np.arange(len(reps), dtype=np.int32)
+        rep_groups = table[keys]
+        column = dense[codetables.restriction_codes(v, s, alive)]
+        new = table[groups * width + column]
+        keep = new >= 0
+        if keep.all():
+            groups = new
+        else:
+            alive = np.flatnonzero(keep) if alive is None else alive[keep]
+            groups = new[keep]
+    return alive, groups, rep_groups
+
+
+def _join_state(v: int, reps: np.ndarray, join: tuple, states: dict) -> tuple:
+    """Sieve state of a join of atoms, continued from its longest prefix
+    in `states`; the atom ("equal", v), always first, starts the sieve
+    from each representative and its partner."""
+    if join not in states:
+        if not join:  # one group, holding every code
+            states[join] = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
+        elif join == (("equal", v),):
+            partners = _equal_partners(v, reps)
+            rep_groups = np.unique(np.minimum(reps, partners), return_inverse=True)[1]
+            alive, first = np.unique(np.concatenate([reps, partners]), return_index=True)
+            states[join] = alive, np.tile(rep_groups, 2)[first].astype(np.int32), rep_groups
+        else:
+            states[join] = _refine(v, reps, _join_state(v, reps, join[:-1], states), join[-1])
+    return states[join]
+
+
+def _normal(atoms: tuple) -> tuple:
+    """The join of `atoms` as a state key: repeats dropped, "equal" first."""
+    return tuple(sorted(dict.fromkeys(atoms), key=lambda a: a[0] != "equal"))
+
+
+def _decide(v: int, claims: list):
+    """Decide claims (A, B, iff) on the pairs (g, g') with g in the order-v
+    catalog.  Returns each g's first antecedent class size, the indices of
+    the g that fail a claim, and `reread(i)`: the hypothesis size of the
+    g of index i (the union of its antecedents, the first one where g
+    passes) and its violating codes, read off the sieve states as masks."""
+    reps = codetables.catalog(v)[0]
+    states: dict[tuple, tuple] = {}
+
+    def size(atoms: tuple) -> np.ndarray:
         """Size of each representative's class in the join of `atoms`."""
-        key = _fold([atom(a) for a in atoms], 1 << comb(v, 2))
-        if ("equal", v) in atoms:  # g, and its complement (never g) if the join agrees
-            return 1 + (key[gbar] == key[rep_codes])
-        values, counts = np.unique(key, return_counts=True)
-        return counts[np.searchsorted(values, key[rep_codes])]
+        _, groups, rep_groups = _join_state(v, reps, _normal(atoms), states)
+        return np.bincount(groups)[rep_groups]
 
-    held = np.ones(len(rep_codes), dtype=bool)
+    held = np.ones(len(reps), dtype=bool)
     for a, b, iff in claims:
-        held &= size(*a) == size(*a, *b)
+        held &= size(a) == size(a + b)
         if iff:
-            held &= size(*b) == size(*a, *b)
+            held &= size(b) == size(a + b)
 
-    def reread(g: int) -> tuple[int, np.ndarray]:
+    def reread(i: int) -> tuple[int, np.ndarray]:
+        def members(atoms: tuple) -> np.ndarray:
+            alive, groups, rep_groups = _join_state(v, reps, _normal(atoms), states)
+            mask = np.zeros(1 << comb(v, 2), dtype=bool)
+            own = np.flatnonzero(groups == rep_groups[i])
+            mask[own if alive is None else alive[own]] = True
+            return mask
+
         hyp = bad = np.zeros(1 << comb(v, 2), dtype=bool)
         for a, b, iff in claims:
-            in_a, in_b = (np.all([atom(t) == atom(t)[g] for t in c], axis=0) for c in (a, b))
+            in_a, in_ab = members(a), members(a + b)
             hyp = hyp | in_a
-            bad = bad | (in_a != in_b if iff else in_a & ~in_b)
+            bad = bad | (in_a & ~in_ab)
+            if iff:
+                bad = bad | (members(b) & ~in_ab)
         return int(np.count_nonzero(hyp)), np.flatnonzero(bad)
 
-    return size(*claims[0][0]), np.flatnonzero(~held), reread
+    return size(claims[0][0]), np.flatnonzero(~held), reread
 
 
 # -- membership sweeps ------------------------------------------------------
@@ -200,7 +259,7 @@ def _membership(relation: str, v: int, k: int) -> AtlasRecord:
         failing = np.flatnonzero((utc_sizes != pair_sizes) & (relation == "S"))
     else:
         conclusion = ("equal", v) if relation == "S" else ("utc", v)
-        _, failing, reread = _decide(v, [((("utc", k),), (conclusion,), False)], rep_codes)
+        _, failing, reread = _decide(v, [((("utc", k),), (conclusion,), False)])
         examined = len(rep_codes) << comb(v, 2)
     witness = None
     if len(failing):
@@ -209,7 +268,7 @@ def _membership(relation: str, v: int, k: int) -> AtlasRecord:
             members = np.union1d(codetables.relabelings(v, g), codetables.relabelings(v, full ^ g))
             bad = np.setdiff1d(members, [g, full ^ g])
         else:
-            bad = reread(g)[1]
+            bad = reread(failing[0])[1]
         witness = (encode(Graph.from_code(v, g)), encode(Graph.from_code(v, int(bad[0]))))
     return AtlasRecord(
         relation=relation,
@@ -331,10 +390,10 @@ def sweep_theorem(
         examined = 1 << 2 * comb(v, 2)  # all ordered pairs
     else:
         rep_codes = codetables.catalog(v)[0]
-        hyp, failing, reread = _decide(v, claims(v, k), rep_codes)
+        hyp, failing, reread = _decide(v, claims(v, k))
         hyp_total, total_bad, violations = int(np.delete(hyp, failing).sum()), 0, []
-        for g in rep_codes[failing].tolist():  # each failing g, code by code
-            in_hyp, bad = reread(g)
+        for i, g in zip(failing.tolist(), rep_codes[failing].tolist()):  # each failing g
+            in_hyp, bad = reread(i)
             hyp_total, total_bad = hyp_total + in_hyp, total_bad + len(bad)
             violations += [(g, c) for c in bad[: VIOLATION_LIST_CAP - len(violations)].tolist()]
         examined = len(rep_codes) << comb(v, 2)

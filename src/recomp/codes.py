@@ -5,8 +5,11 @@ pair of colex rank r.  Relabeling by a permutation is a bit permutation of
 codes, so canonical forms, restriction codes and the claw-free table
 become numpy gathers over the whole space.  That is what makes exhaustive
 order-6 sweeps (156 canonical graphs against all 32768 labeled graphs) run
-in seconds.  The other per-subset signatures (parity, edge counts, h3)
-are row functions in `hypomorphy`, tabulated by `signature_table`.
+in seconds.  Restriction codes for one vertex subset are read from two
+short tables, one per half of the code bits, kept per (n, subset), for
+the whole space or for given codes.  The other per-subset signatures
+(parity, edge counts, h3) are row functions in `hypomorphy`, tabulated
+by `signature_table`.
 
 One primitive applies relabelings: `relabelings(n, code)` returns the
 codes of all n! relabelings of one graph, as a sum of rows of a
@@ -19,11 +22,13 @@ representative by a new vertex joined in every way, and each candidate
 not yet marked opens a class and marks every candidate in its orbit
 (McKay's isomorph-free generation).  Relabeling is linear in the code
 bits, so a candidate's orbit is its representative's orbit, computed
-once, plus that of its new-vertex bits; and a dense slot table over the
-2^C(n-1,2) order n-1 codes gives each orbit code's representative row,
-or -1, in one gather.  The orbit also gives the class's size up to
-complementation, n!/|Aut g| by orbit-stabilizer, doubled unless g is
-self-complementary.  Each catalog's orbits must cover all 2^C(n,2)
+once, plus that of its new-vertex bits, read from a table of the orbits
+of all 2^(n-1) new-vertex neighbourhoods built once per order (each row
+is the row without the lowest bit plus that bit's weights); and a dense
+slot table over the 2^C(n-1,2) order n-1 codes gives each orbit code's
+representative row, or -1, in one gather.  The orbit also gives the
+class's size up to complementation, n!/|Aut g| by orbit-stabilizer,
+doubled unless g is self-complementary.  Each catalog's orbits must cover all 2^C(n,2)
 codes, and its classes must number `CATALOG_COUNTS[n]`.  Full canonical
 tables (n <= 7) scatter each class's minimum over its orbit.
 """
@@ -109,6 +114,12 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
     low = (1 << base_bits) - 1
     slot = np.full(1 << base_bits, -1, dtype=np.int32)  # row of each order n-1 code in prev
     slot[prev] = np.arange(len(prev), dtype=np.int32)
+    # orbit of each new-vertex neighbourhood x, built from x without its
+    # lowest bit; int32, as order-8 codes fit
+    new_rows = dest_weights(n)[base_bits:].astype(np.int32)
+    x_orbits = np.zeros((1 << (n - 1), new_rows.shape[1]), dtype=np.int32)
+    for x in range(1, 1 << (n - 1)):
+        x_orbits[x] = x_orbits[x & (x - 1)] + new_rows[(x & -x).bit_length() - 1]
     marked = np.zeros((len(prev), 1 << (n - 1)), dtype=bool)
     canon, sizes, covered = [], [], 0
     for r, rep in enumerate(prev.tolist()):
@@ -117,7 +128,7 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
             if marked[r, x]:
                 continue
             code = rep | x << base_bits
-            orbit = rep_orbit + relabelings(n, x << base_bits)  # relabeling is linear in the bits
+            orbit = rep_orbit + x_orbits[x]  # relabeling is linear in the bits
             size = len(orbit) // int(np.count_nonzero(orbit == code))  # n!/|Aut g|
             covered += size
             canon.append(int(orbit.min()))
@@ -171,14 +182,26 @@ def clawfree_both_table(n: int) -> np.ndarray:
     return _clawfree_both_tables[n]
 
 
-def restriction_codes(n: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Restriction code of every order-n code for one vertex subset (sorted
-    ascending, matching induced() relabeling): the OR of those of its low
-    h = C(n,2) // 2 bits and of the rest, each read from a short table."""
+@cache
+def _restriction_halves(n: int, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Restriction codes, for one vertex subset, of the codes with only low
+    h = C(n,2) // 2 bits and of those with only the rest (shifted down)."""
     h = n_pairs(n) // 2
-    codes = np.concatenate([np.arange(1 << h), np.arange(1 << n_pairs(n) - h) << h])
-    out = np.zeros(len(codes), dtype=np.int32)  # restrictions of order <= 8 fit
+    halves = np.concatenate([np.arange(1 << h), np.arange(1 << n_pairs(n) - h) << h])
+    out = np.zeros(len(halves), dtype=np.int32)  # restrictions of order <= 8 fit
     local = [(subset[a], subset[b]) for b in range(len(subset)) for a in range(b)]
     for d, (i, j) in enumerate(local):  # local pair d, in colex order
-        out |= ((codes >> pair_rank(i, j)) & 1) << d
-    return (out[1 << h :, None] | out[: 1 << h]).ravel()
+        out |= ((halves >> pair_rank(i, j)) & 1) << d
+    return out[: 1 << h], out[1 << h :]
+
+
+def restriction_codes(
+    n: int, subset: tuple[int, ...], codes: np.ndarray | None = None
+) -> np.ndarray:
+    """Restriction code for one vertex subset (sorted ascending, matching
+    induced() relabeling) of every order-n code, or of `codes`: the OR of
+    those of its low and its high bits, each read from a short table."""
+    low, high = _restriction_halves(n, tuple(subset))
+    if codes is None:
+        return (high[:, None] | low).ravel()
+    return high[codes >> n_pairs(n) // 2] | low[codes & len(low) - 1]

@@ -20,7 +20,7 @@ serves every graph.  Each condition compares one row function of
 `SIGNATURES`, which maps a chunk of restriction bits to a value per
 row: parity, edge count up to complementation, h3, a0, or for k <= 6 a
 canonical-code table entry.  `signature_table` applies the same
-function to every code of one order, for the atlas labels.  Larger
+function to every code of one order, for the atlas sieve.  Larger
 restrictions compare edge counts, then try the few isomorphism
 witnesses the scan found most recently useful on whole chunks: w, kept
 as the pair-index array idx[rank(i,j)] = rank(w[i], w[j]), settles a

@@ -29,7 +29,7 @@ from recomp.codes import CATALOG_COUNTS
 from recomp.errors import DomainError, OrderTooLarge, VerificationError
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph, complement
-from recomp.hypomorphy import equal_up_to_complementation, k_hypomorphic_utc
+from recomp.hypomorphy import THEOREM_DOMAINS, equal_up_to_complementation, k_hypomorphic_utc
 from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_to_complementation
 
 
@@ -257,7 +257,7 @@ def test_violation_listing_with_narrowed_conclusion(monkeypatch):
     principal at (6, 4): the hypothesis class of g is {g, complement of g},
     and no order-6 graph is self-complementary."""
 
-    monkeypatch.setattr(atlas, "_equal_labels", codes.all_codes)  # each code alone
+    monkeypatch.setattr(atlas, "_equal_partners", lambda v, c: c)  # each code alone
     reps = enumerate_graphs(6).representatives
     listed = [
         {"g": encode(g), "g_prime": encode(complement(g))} for g in reps[:VIOLATION_LIST_CAP]
@@ -400,20 +400,30 @@ def test_sweep_raises_on_bad_order_or_clawfree_k():
         sweep_theorem("clawfree", 4, 9)
 
 
-# (theorem, k) -> hypothesis_count at order 7, one valid k per theorem
+# (theorem, k) -> hypothesis_count at order 7, every valid k
 ORDER7_SWEEPS = {
     ("k0mod4", 4): 2088,
     ("principal", 4): 2088,
     ("corkk1", 4): 2088,
+    ("corkk1", 5): 2092,
+    ("corkk1", 6): 21528,
+    ("corkk1", 7): 68816412,
     ("k1mod4", 5): 2088,
+    ("down", 2): 2189426688,
     ("down", 3): 6728,
+    ("down", 4): 2088,
+    ("down", 5): 2092,
+    ("down", 6): 7040,
     ("kaplus", 3): 6728,
+    ("kaplus", 4): 6728,
     ("clawfree", None): 10545376,
 }
 
 
-@pytest.mark.slow
 def test_order7_sweeps():
+    domains = THEOREM_DOMAINS.items()
+    valid = {(t, k) for t, (holds, _) in domains for k in range(1, 8) if holds(7, k)}
+    assert set(ORDER7_SWEEPS) == valid | {("clawfree", None)}
     for (theorem, k), hyp in ORDER7_SWEEPS.items():
         start = time.perf_counter()
         rep = sweep_theorem(theorem, 7, k, long_running=True)
@@ -490,7 +500,6 @@ def test_orbit_count_mismatch_raises(monkeypatch):
         enumerate_graphs(4)
 
 
-@pytest.mark.slow
 def test_order7_rows():
     for k in range(1, 8):
         for relation, fn, members in (
@@ -628,6 +637,7 @@ def _narrow(monkeypatch, narrowed: tuple[str, int]) -> None:
         return np.arange(1 << comb(k, 2)) if (kind, k) == narrowed else real(kind, k)
 
     monkeypatch.setattr(atlas, "signature_table", table)
+    monkeypatch.setattr(atlas, "_dense", {})  # tables read with the narrowing only
 
 
 def test_failing_union_hypothesis_matches_oracle(monkeypatch):
@@ -641,6 +651,18 @@ def test_failing_union_hypothesis_matches_oracle(monkeypatch):
     assert (got["violation_count"], got["hypothesis_count"]) == (8448, 8604)
     assert len(got["violations"]) == VIOLATION_LIST_CAP
     assert got == _mask_scan_sweep("corkk1", 6, 6)
+
+
+def test_narrowed_utc_reaches_the_hypothesis_only(monkeypatch):
+    """Narrowing utc at size 5 makes the S(6, 5) hypothesis class g alone,
+    so the cell turns Member.  Utc on the whole vertex set, R's
+    conclusion, reads the canonical utc table itself, so narrowing utc
+    at size 6 leaves R(6, 4) a Member."""
+    assert s_membership(6, 5).verdict == "NonMember"
+    _narrow(monkeypatch, ("utc", 5))
+    assert s_membership(6, 5).verdict == "Member"
+    _narrow(monkeypatch, ("utc", 6))
+    assert r_membership(6, 4).verdict == "Member"
 
 
 def test_iff_claim_fails_on_its_converse(monkeypatch):

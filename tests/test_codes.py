@@ -16,8 +16,9 @@ from recomp.codes import (
     clawfree_both_table,
     full_code,
     relabelings,
+    restriction_codes,
 )
-from recomp.graphs import Graph, complement, invariants, is_claw_free
+from recomp.graphs import Graph, complement, induced, invariants, is_claw_free
 from recomp.hypomorphy import signature_table
 
 
@@ -36,6 +37,21 @@ def test_canonical_table_matches_permutation_oracle(n):
     assert table.tolist() == [
         oracle_canonical_code(Graph.from_code(n, c)) for c in range(len(table))
     ]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_restriction_codes_match_induced(n):
+    # every code's restriction at the full space, and a seeded sample read
+    # through `codes`, against induced() on the sample
+    rng = np.random.default_rng(n)
+    sample = rng.integers(0, 1 << comb(n, 2), size=40)
+    for k in (1, 2, 3, n):
+        for s in list(combinations(range(n), k))[:6]:
+            full = restriction_codes(n, s)
+            assert len(full) == 1 << comb(n, 2)
+            got = restriction_codes(n, s, sample)
+            assert got.tolist() == full[sample].tolist()
+            assert got.tolist() == [induced(Graph.from_code(n, int(c)), s).code for c in sample]
 
 
 def marked_canonical_table(n: int) -> np.ndarray:
