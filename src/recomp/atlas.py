@@ -106,12 +106,17 @@ def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
 
 
 def _dense_table(v: int, kind: str, size: int) -> np.ndarray:
-    """The `kind` signature of every order-`size` code, numbered 0, 1, ...;
-    utc on the whole vertex set is the canonical utc table itself."""
+    """The `kind` signature of every order-`size` code, numbered 0, 1, ...
+    in increasing order of value, as `np.unique` would number it, by the
+    rank of each value among those present (the values are small and
+    non-negative: counts, or codes below 2^C(size, 2)); utc on the whole
+    vertex set is the canonical utc table itself."""
     direct = kind == "utc" and size == v
     if (kind, size, direct) not in _dense:
         table = codetables.canonical_utc_table(size) if direct else signature_table(kind, size)
-        _dense[kind, size, direct] = np.unique(table, return_inverse=True)[1].astype(np.int32)
+        present = np.zeros(int(table.max()) + 1, dtype=bool)
+        present[table] = True
+        _dense[kind, size, direct] = (np.cumsum(present, dtype=np.int32) - 1)[table]
     return _dense[kind, size, direct]
 
 
@@ -499,27 +504,3 @@ def membership_with_resume(
     if resume_log:
         append_jsonl(resume_log, record)
     return record
-
-
-def write_csv(records: list[AtlasRecord], path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v", "k", "relation", "verdict", "witness_g", "witness_g_prime"])
-        for r in records:
-            wg, wh = r.witness if r.witness else ("", "")
-            writer.writerow([r.v, r.k, r.relation, r.verdict, wg, wh])
-
-
-def write_witness_files(records: list[AtlasRecord], directory: str) -> list[str]:
-    """One two-line graph6 file per NonMember record; returns the paths."""
-    paths = []
-    for r in records:
-        if not r.witness:
-            continue
-        path = os.path.join(directory, f"{r.relation}_v{r.v}_k{r.k}.g6")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(r.witness[0] + "\n" + r.witness[1] + "\n")
-        paths.append(path)
-    return paths

@@ -7,6 +7,14 @@ x(1,2), x(0,3), ..., which is colex pair order, so the bit stream is
 `Graph.code` read from its lowest bit.  It is zero-padded to a multiple
 of 6, and each 6-bit group (first bit most significant) + 63 is printed
 as one byte.
+
+Both directions work on whole words.  `encode` spreads the code's 6-bit
+groups into byte lanes (group g from offset 6g to offset 8g) in
+log2(groups) rounds of masked shifts (`graphs.shift_rounds`), writes the
+lanes out with `int.to_bytes`, and maps each lane to its printed byte
+with one `bytes.translate`.  `decode` checks the byte range by deleting
+the printable bytes (another `translate`), maps the body back into
+lanes, reads them with `int.from_bytes` and gathers the groups again.
 """
 
 from __future__ import annotations
@@ -14,11 +22,27 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
-from .graphs import MAX_ORDER, Graph
+from .graphs import MAX_ORDER, Graph, gather, shift_rounds, spread
 
 # Six code bits, lowest first, read as a graph6 group (first bit most
-# significant): the bit reversal, which is its own inverse.
+# significant): the bit reversal, which is its own inverse.  `_TO_TEXT`
+# maps a byte lane of six code bits to its printed byte and `_FROM_TEXT`
+# maps a printed byte back; `decode` rejects bytes outside '?'..'~' first.
 _REVERSED = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
+_TO_TEXT = bytes(_REVERSED[v & 63] + 63 for v in range(256))
+_FROM_TEXT = bytes(_REVERSED[v - 63 & 63] for v in range(256))
+_PRINTED = bytes(range(63, 127))  # '?'..'~'
+
+_lanes: dict[int, list[tuple[int, int, int]]] = {}
+
+
+def _lane_rounds(groups: int) -> list[tuple[int, int, int]]:
+    """Rounds that move 6-bit group g of a code to byte lane g (offset 6g
+    to offset 8g), cached per group count."""
+    rounds = _lanes.get(groups)
+    if rounds is None:
+        rounds = _lanes[groups] = shift_rounds((6 * g, 6, 2 * g) for g in range(groups))
+    return rounds
 
 
 def _encode_order(n: int) -> str:
@@ -28,9 +52,9 @@ def _encode_order(n: int) -> str:
 
 
 def encode(g: Graph) -> str:
-    code = g.code
-    body = (chr(_REVERSED[code >> s & 63] + 63) for s in range(0, comb(g.n, 2), 6))
-    return _encode_order(g.n) + "".join(body)
+    groups = (comb(g.n, 2) + 5) // 6
+    lanes = spread(g.code, _lane_rounds(groups)).to_bytes(groups, "little")
+    return _encode_order(g.n) + lanes.translate(_TO_TEXT).decode("ascii")
 
 
 def decode(s: str) -> Graph:
@@ -39,26 +63,25 @@ def decode(s: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise DomainError("empty graph6 string")
-    vals = [ord(ch) - 63 for ch in s]
-    if min(vals) < 0 or max(vals) > 63:
-        bad = next(ch for ch, v in zip(s, vals) if not 0 <= v <= 63)
+    raw = s.encode("ascii", "ignore")
+    if len(raw) < len(s) or raw.translate(None, _PRINTED):  # a byte dropped or left over
+        bad = next(ch for ch in s if not 63 <= ord(ch) <= 126)
         raise DomainError(f"byte {bad!r} outside graph6 range")
-    if vals[0] == 63:  # '~' long form
-        if len(vals) < 4:
+    if raw[0] == 126:  # '~' long form
+        if len(raw) < 4:
             raise DomainError("truncated graph6 order")
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = raw[1] - 63 << 12 | raw[2] - 63 << 6 | raw[3] - 63
+        body = raw[4:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = raw[0] - 63
+        body = raw[1:]
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"graph6 order {n} unsupported (1..{MAX_ORDER})")
     m = comb(n, 2)
-    if len(body) != (m + 5) // 6:
+    groups = (m + 5) // 6
+    if len(body) != groups:
         raise DomainError("graph6 body length does not match the order")
-    code = 0
-    for v in reversed(body):
-        code = code << 6 | _REVERSED[v]
+    code = gather(int.from_bytes(body.translate(_FROM_TEXT), "little"), _lane_rounds(groups))
     if code >> m:
         raise DomainError("nonzero padding bits")
     return Graph.from_code(n, code)

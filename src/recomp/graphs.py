@@ -6,10 +6,18 @@ subsets travel as plain int bitmasks.  Pairs {i, j} with i < j are indexed
 in colexicographic order, rank(i, j) = i + C(j, 2), and the `code` of a
 graph packs its upper triangle into one int using that order (the same
 order graph6 uses for its bit stream): row j puts its bits below j at
-offset C(j, 2).  Rows packed w bits apart (w the least power of two >= n)
-form a w x w bit matrix, which `_transpose` transposes in log2(w) masked
-block swaps: a code's lower triangle L gives the rows L | transpose(L),
-and validation checks that the packed rows equal their transpose.
+offset C(j, 2).
+
+Every conversion works on whole words, with no loop over rows or pairs
+that grows one big int.  The rows pack w bits apart (w the least power of
+two >= max(n, 8)) in one `struct` call, and form a w x w bit matrix that
+`_transpose` transposes in log2(w) masked block swaps.  Validation checks
+the packed rows against one mask of the diagonal and the bits beyond the
+order, and checks that they equal their transpose; only a failure walks
+the rows, to name the first faulty one.  `shift_rounds` moves bit fields
+by their own distances in log2 rounds of masked shifts: `from_code`
+spreads row j's field from offset C(j, 2) to j*w, which gives the lower
+triangle L and the rows L | transpose(L), and `code` gathers it back.
 
 The a0/a1/a2 counts classify unordered {edge, non-edge} pairs: a0 counts
 the vertex-disjoint ones, a1 the ones sharing a vertex, a2 = a0 + a1 all
@@ -21,8 +29,10 @@ from __future__ import annotations
 
 import operator
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -63,14 +73,6 @@ def pair_rank(i: int, j: int) -> int:
     return i + comb(j, 2)
 
 
-def _width(n: int) -> int:
-    """Bits per row of a packed adjacency matrix: the least power of two
-    >= n.  Rejects orders outside 1..MAX_ORDER, so masks stay small."""
-    if not 1 <= n <= MAX_ORDER:
-        raise DomainError(f"order must be in 1..{MAX_ORDER}, got {n}")
-    return 1 << (operator.index(n) - 1).bit_length()
-
-
 _transpose_masks: dict[int, list[tuple[int, int]]] = {}
 
 
@@ -92,6 +94,89 @@ def _transpose(x: int, w: int) -> int:
     return x
 
 
+def shift_rounds(fields: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Masked shift rounds that move bit fields (offset, length, shift)
+    left by their shifts, for fields in increasing offset order whose
+    shifts never decrease (Warren, Hacker's Delight, 7-5).  Round s moves
+    the fields whose shift has bit s set, highest s first, so after each
+    round every shift is cut to a multiple of s; the cut shifts still
+    never decrease, so no two fields ever overlap.  Each round is (s, mask
+    before the move, mask after it)."""
+    fields = [list(f) for f in fields]
+    top = max((d for _, _, d in fields), default=0)
+    rounds = []
+    for s in (1 << b for b in reversed(range(top.bit_length()))):
+        m = 0
+        for f in fields:
+            if f[2] & s:
+                m |= (1 << f[1]) - 1 << f[0]
+                f[0] += s
+        if m:
+            rounds.append((s, m, m << s))
+    return rounds
+
+
+def spread(x: int, rounds: list[tuple[int, int, int]]) -> int:
+    """x with its fields moved to their destinations by `shift_rounds`."""
+    for s, m, _ in rounds:
+        t = x & m
+        x ^= t ^ t << s
+    return x
+
+
+def gather(x: int, rounds: list[tuple[int, int, int]]) -> int:
+    """The inverse of `spread`: the rounds undone, lowest s first."""
+    for s, _, m in reversed(rounds):
+        t = x & m
+        x ^= t ^ t >> s
+    return x
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How the graphs of one order pack: rows w bits apart, w the least
+    power of two >= max(n, 8), row 0 lowest, as the struct format `fmt`
+    writes and reads them; `outside` marks the diagonal and the bits at or
+    beyond the order of every row, `lower` the lower triangle, and
+    `rounds` move row j's lower-triangle field between offset C(j, 2) of
+    the code and offset j*w."""
+
+    w: int
+    fmt: str
+    outside: int
+    lower: int
+    rounds: list[tuple[int, int, int]]
+
+
+_layouts: dict[int, _Layout] = {}
+
+
+def _layout(n: int) -> _Layout:
+    """The packing of order n.  Rejects orders outside 1..MAX_ORDER, so
+    masks stay small."""
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    n = operator.index(n)
+    layout = _layouts.get(n)
+    if layout is None:
+        size = 1 << max(0, (n - 1).bit_length() - 3)  # bytes per row
+        w = 8 * size
+        beyond = (1 << w) - (1 << n)
+        outside = sum((beyond | 1 << i) << i * w for i in range(n))
+        lower = sum((1 << j) - 1 << j * w for j in range(n))
+        rounds = shift_rounds((comb(j, 2), j, j * w - comb(j, 2)) for j in range(1, n))
+        fmt = f"<{n}{'BHIQ'[size.bit_length() - 1]}"
+        layout = _layouts[n] = _Layout(w, fmt, outside, lower, rounds)
+    return layout
+
+
+@lru_cache(maxsize=MAX_ORDER + 1)
+def _vertex_bits(n: int) -> dict[int, int]:
+    """{b: 1 << b} over the vertices b of order n: a vertex outside
+    0..n-1, numpy integer or not, is a KeyError."""
+    return {b: 1 << b for b in range(n)}
+
+
 @dataclass(frozen=True)
 class Graph:
     """Labeled simple graph on vertices 0..n-1."""
@@ -100,22 +185,25 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        w = _width(self.n)
+        layout = _layout(self.n)
         if len(self.adj) != self.n:
             raise DomainError("adjacency row count must equal the order")
         adj = tuple(map(operator.index, self.adj))  # numpy ints become ints
         object.__setattr__(self, "adj", adj)
-        full = (1 << self.n) - 1
-        x = 0  # the rows packed w bits apart, row 0 lowest
-        for i, row in enumerate(adj):
-            if row & ~full:
-                raise DomainError(f"row {i} has bits at or beyond the order")
-            if row >> i & 1:
-                raise DomainError(f"nonzero diagonal at vertex {i}")
-            x |= row << i * w
-        lone = x & ~_transpose(x, w)  # (i, j) set, (j, i) clear
+        try:
+            x = int.from_bytes(struct.pack(layout.fmt, *adj), "little")  # the packed rows
+        except struct.error:  # a negative row, or one wider than w bits
+            x = layout.outside
+        if x & layout.outside:  # the first faulty row names the fault
+            full = (1 << self.n) - 1
+            for i, row in enumerate(adj):
+                if row & ~full:
+                    raise DomainError(f"row {i} has bits at or beyond the order")
+                if row >> i & 1:
+                    raise DomainError(f"nonzero diagonal at vertex {i}")
+        lone = x & ~_transpose(x, layout.w)  # (i, j) set, (j, i) clear
         if lone:
-            i, j = divmod((lone & -lone).bit_length() - 1, w)
+            i, j = divmod((lone & -lone).bit_length() - 1, layout.w)
             raise DomainError(f"asymmetric adjacency at {{{i},{j}}}")
 
     # -- basic accessors -------------------------------------------------
@@ -137,8 +225,11 @@ class Graph:
 
     @property
     def code(self) -> int:
-        """Upper triangle packed in colex pair order."""
-        return sum((row & ((1 << j) - 1)) << comb(j, 2) for j, row in enumerate(self.adj))
+        """Upper triangle packed in colex pair order: row j's bits below j,
+        gathered from offset j*w to offset C(j, 2)."""
+        layout = _layout(self.n)
+        x = int.from_bytes(struct.pack(layout.fmt, *self.adj), "little")
+        return gather(x & layout.lower, layout.rounds)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges())})"
@@ -148,14 +239,15 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
+        bits = _vertex_bits(n)
         i = j = 0  # bound for the handler even if the first edge does not unpack
         try:
             for i, j in edges:
                 if i == j:
                     raise DomainError(f"loop at vertex {i}")
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        except (IndexError, ValueError):  # a vertex index or shift out of range
+                rows[i] |= bits[j]
+                rows[j] |= bits[i]
+        except (IndexError, KeyError, ValueError):  # a vertex outside 0..n-1
             if 0 <= i < n and 0 <= j < n:  # checked only on failure, not per edge
                 raise
             message = f"edge ({i}, {j}) has a vertex outside 0..{n - 1} for order {n}"
@@ -164,17 +256,13 @@ class Graph:
 
     @staticmethod
     def from_code(n: int, code: int) -> "Graph":
-        w = _width(n)
-        rest = operator.index(code)
-        lower = 0
-        for j in range(1, n):  # row j of the lower triangle: the next j bits
-            lower |= (rest & ((1 << j) - 1)) << j * w
-            rest >>= j
-        if rest:
+        layout = _layout(n)
+        code = operator.index(code)
+        if code >> comb(n, 2):
             raise DomainError(f"code {code} is not in [0, 2^{comb(n, 2)}) for order {n}")
-        x = lower | _transpose(lower, w)
-        full = (1 << n) - 1
-        return Graph(n, [x >> s & full for s in range(0, n * w, w)])
+        lower = spread(code, layout.rounds)  # row j's field moved from C(j, 2) to j*w
+        x = lower | _transpose(lower, layout.w)
+        return Graph(n, struct.unpack(layout.fmt, x.to_bytes(n * layout.w // 8, "little")))
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -229,12 +317,6 @@ def boolean_sum(g: Graph, h: Graph) -> Graph:
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
     return Graph(g.n, tuple(a ^ b for a, b in zip(g.adj, h.adj)))
-
-
-def intersection(g: Graph, h: Graph) -> Graph:
-    if g.n != h.n:
-        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return Graph(g.n, tuple(a & b for a, b in zip(g.adj, h.adj)))
 
 
 def induced(g: Graph, vertices: Iterable[int] | int) -> Graph:

@@ -88,20 +88,6 @@ class VerifierResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PairProfile:
-    """Per-k-subset record for a pair, colex subset order: restriction
-    edge counts, canonical codes up to complementation, h3 counts."""
-
-    k: int
-    e_g: tuple[int, ...]
-    e_h: tuple[int, ...]
-    utc_code_g: tuple[int, ...]
-    utc_code_h: tuple[int, ...]
-    h3_g: tuple[int, ...]
-    h3_h: tuple[int, ...]
-
-
 def _check_pair(g: Graph, h: Graph, k: int) -> None:
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
@@ -356,13 +342,6 @@ def same_3_homogeneous(g: Graph, h: Graph) -> HypoVerdict:
     return HypoVerdict(False, min(differ)) if differ else HypoVerdict(True)
 
 
-def restriction_h3_count(g: Graph, subset: tuple[int, ...]) -> int:
-    """3-homogeneous triples of the restriction to a vertex subset."""
-    k = len(subset)
-    ranks = _rows_of(np.array(sorted(subset), dtype=np.intp).reshape(1, k))[:, k:]
-    return int(_h3(_codebits(g)[ranks], k)[0])
-
-
 def same_h3_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:
     """h3(g|K) = h3(h|K) for every k-subset K (counts, not sets)."""
     return _same_signature("h3", g, h, k)
@@ -378,22 +357,6 @@ def equal_up_to_complementation(g: Graph, h: Graph) -> bool:
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
     return h.adj == g.adj or h.adj == complement(g).adj
-
-
-def pair_profile(g: Graph, h: Graph, k: int) -> PairProfile:
-    """Full per-subset census for one pair (k <= 8 for canonical codes)."""
-    _check_pair(g, h, k)
-    if k > codetables.CANON_MAX_ORDER:
-        raise KTooLarge(f"profiles carry canonical codes, k <= {codetables.CANON_MAX_ORDER}")
-    e_g, e_h, cg, ch, h3g, h3h = [], [], [], [], [], []
-    for _, (bg, bh) in _restriction_bits(k, g, h):
-        e_g += _edges(bg).tolist()
-        e_h += _edges(bh).tolist()
-        cg += [codetables.canonical_utc_code(k, c) for c in _codes(bg).tolist()]
-        ch += [codetables.canonical_utc_code(k, c) for c in _codes(bh).tolist()]
-        h3g += _h3(bg, k).tolist()
-        h3h += _h3(bh, k).tolist()
-    return PairProfile(k, tuple(e_g), tuple(e_h), tuple(cg), tuple(ch), tuple(h3g), tuple(h3h))
 
 
 # -- counting-identity and theorem verifiers -----------------------------

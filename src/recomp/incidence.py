@@ -85,12 +85,6 @@ class InclusionMatrix:
     def mod(self, p: int) -> ModMatrix:
         return ModMatrix(self.array, p)
 
-    def row_subset(self, i: int) -> tuple[int, ...]:
-        return subset_unrank(i, self.t, self.v)
-
-    def col_subset(self, j: int) -> tuple[int, ...]:
-        return subset_unrank(j, self.k, self.v)
-
 
 @dataclass(frozen=True)
 class KneserMatrix:
@@ -177,15 +171,6 @@ def kernel_graphs_mod2(k: int, v: int) -> list[Graph]:
     for b in basis_codes:
         codes += [c ^ b for c in codes]
     return [Graph.from_code(v, c) for c in sorted(codes)]
-
-
-def restriction_edge_counts_via_matrix(g: Graph, k: int) -> list[int]:
-    """Per-k-subset restriction edge counts computed as the product of the
-    graph's edge row vector with W(2, k), colex column order."""
-    w = build_w(2, k, g.n)
-    code = g.code
-    edge_row = np.array([code >> r & 1 for r in range(comb(g.n, 2))], dtype=np.int64)
-    return (edge_row @ w.array.astype(np.int64)).tolist()
 
 
 def rank_report(t: int, k: int, v: int, p: int | None = None) -> dict:

@@ -66,17 +66,6 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def cramer_determinant(v: int, k: int) -> int:
-    """The 2x2 system determinant C(v-4, k-4) - C(v-3, k-3), guaranteed
-    equal to -C(v-4, k-3) and nonzero for 4 <= k <= v - 1."""
-    if not 4 <= k <= v - 1:
-        raise DomainError(f"need 4 <= k <= v-1, got k={k}, v={v}")
-    delta = binomial(v - 4, k - 4) - binomial(v - 3, k - 3)
-    if delta != -binomial(v - 4, k - 3) or delta == 0:
-        raise VerificationError(f"Cramer determinant {delta} at v={v}, k={k} is not -C(v-4, k-3)")
-    return delta
-
-
 class ExactMatrix:
     """Dense matrix over the rationals (int or Fraction entries)."""
 
@@ -279,15 +268,6 @@ class ModMatrix:
     def transpose(self) -> "ModMatrix":
         entries = _gf2_unpack(self.rows, self.ncols) if self.p == 2 else self.rows
         return ModMatrix(entries.T, self.p)
-
-    def mul_vector(self, vec: Sequence[int]) -> list[int]:
-        if self.p == 2:
-            vmask = sum((v & 1) << c for c, v in enumerate(vec))
-            return [(row & vmask).bit_count() & 1 for row in self.rows]
-        return [
-            sum(a * b for a, b in zip(self.row_entries(i), vec)) % self.p
-            for i in range(self.nrows)
-        ]
 
 
 def _gf2_unpack(rows: list[int], ncols: int) -> np.ndarray:

@@ -22,14 +22,12 @@ from recomp.atlas import (
     r_membership,
     s_membership,
     sweep_theorem,
-    write_csv,
-    write_witness_files,
 )
 from recomp.codes import CATALOG_COUNTS
 from recomp.errors import DomainError, OrderTooLarge, VerificationError
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph, complement
-from recomp.hypomorphy import THEOREM_DOMAINS, equal_up_to_complementation, k_hypomorphic_utc
+from recomp.hypomorphy import THEOREM_DOMAINS, equal_up_to_complementation, k_hypomorphic_utc, signature_table
 from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_to_complementation
 
 
@@ -352,24 +350,6 @@ def test_resume_log_accepts_valid_records(tmp_path):
         assert rec is not None and rec.to_json() == entry
 
 
-def test_write_csv(tmp_path):
-    rec = s_membership(6, 4)
-    path = tmp_path / "table.csv"
-    write_csv([rec], str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "v,k,relation,verdict,witness_g,witness_g_prime"
-    assert lines[1].startswith("6,4,S,Member")
-
-
-def test_witness_files(tmp_path):
-    recs = [s_membership(6, 3), s_membership(6, 4)]
-    paths = write_witness_files(recs, str(tmp_path))
-    assert len(paths) == 1 and paths[0].endswith("S_v6_k3.g6")
-    lines = open(paths[0]).read().splitlines()
-    g, h = decode(lines[0]), decode(lines[1])
-    assert k_hypomorphic_utc(g, h, 3).holds and not equal_up_to_complementation(g, h)
-
-
 def test_atlas_record_json_is_stable():
     rec = s_membership(6, 4)
     blob = rec.to_json()
@@ -673,3 +653,32 @@ def test_iff_claim_fails_on_its_converse(monkeypatch):
     got = sweep_theorem("k0mod4", 6, 4).to_json()
     assert (got["violation_count"], got["hypothesis_count"]) == (156, 156)
     assert got == _mask_scan_sweep("k0mod4", 6, 4)
+
+
+# every dense table the order <= 7 cells and sweeps read: (kind, size), and
+# utc on the whole vertex set, which reads the canonical utc table itself
+DENSE_ATOMS_V7 = [
+    *((kind, size) for kind in ("edges", "h3") for size in range(3, 8)),
+    ("parity", 4),
+    ("parity", 5),
+    *(("utc", size) for size in range(1, 7)),
+]
+
+
+def test_dense_tables_number_like_unique(monkeypatch):
+    """The presence-rank numbering of each table equals `np.unique`'s."""
+    monkeypatch.setattr(atlas, "_dense", {})
+    tables = []
+
+    def recorded(kind, size):
+        tables.append(signature_table(kind, size))
+        return tables[-1]
+
+    monkeypatch.setattr(atlas, "signature_table", recorded)
+    for kind, size in DENSE_ATOMS_V7:
+        got = atlas._dense_table(8, kind, size)  # order 8: no size is the whole vertex set
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.unique(tables.pop(), return_inverse=True)[1])
+    for v in range(2, 8):
+        got = atlas._dense_table(v, "utc", v)
+        assert np.array_equal(got, np.unique(codes.canonical_utc_table(v), return_inverse=True)[1])

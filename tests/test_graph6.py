@@ -1,8 +1,12 @@
+from math import comb
+
 import pytest
 
 from recomp.errors import DomainError
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph
+
+from graph_reference import groupwise_decode, groupwise_encode, rowwise_rows
 
 
 def reference_encode(g: Graph) -> str:
@@ -86,6 +90,45 @@ def test_rejects_nonzero_padding_in_long_form():
         decode(text[:-1] + chr(63 + 1))
     assert str(err.value) == "nonzero padding bits"
     assert decode(text[:-1] + chr(63 + 8)).has_edge(61, 62)
+
+
+def oracle_graphs(n, rng):
+    """Empty, complete, and random graphs of order n at several densities."""
+    yield Graph.empty(n)
+    yield Graph.complete(n)
+    for p in (0.1, 0.5, 0.9):
+        yield Graph.random(n, rng, p)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_encode_decode_match_groupwise_oracle(n, rng):
+    for g in oracle_graphs(n, rng):
+        text = encode(g)
+        assert text == groupwise_encode(g)
+        order, code = groupwise_decode(text)
+        assert order == n and decode(text).adj == rowwise_rows(n, code) == g.adj
+
+
+def oracle_message(text):
+    with pytest.raises(DomainError) as err:
+        groupwise_decode(text)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_rejects_like_groupwise_oracle(n, rng):
+    pad = -comb(n, 2) % 6  # padding bits, the low bits of the last printed group
+    for g in oracle_graphs(n, rng):
+        text = encode(g)
+        bad_texts = [text[:-1] + chr(63 + (ord(text[-1]) - 63 ^ 1 << b)) for b in range(pad)]
+        for ch in ("!", ">", "\x7f", "\x00", "È", "€", chr(1000)):  # outside '?'..'~', not stripped
+            at = rng.randrange(len(text) + 1)
+            bad_texts.append(text[:at] + ch + text[at:])
+        bad_texts += [text + "?", text[:-1]]  # a group too many, one too few
+        for bad in bad_texts:
+            with pytest.raises(DomainError) as err:
+                decode(bad)
+            assert str(err.value) == oracle_message(bad)
 
 
 def test_networkx_interop_if_available(rng):

@@ -13,14 +13,21 @@ from recomp.graphs import (
     complement,
     homogeneous_triples,
     induced,
-    intersection,
     invariants,
     is_claw_free,
     is_complete_bipartite,
     is_regular,
 )
 
-from graph_reference import complete_bipartite_by_components, mask_of, subgraph_edge_count
+from graph_reference import (
+    complete_bipartite_by_components,
+    intersection,
+    mask_of,
+    rowwise_code,
+    rowwise_fault,
+    rowwise_rows,
+    subgraph_edge_count,
+)
 
 
 def test_graph_validation():
@@ -185,6 +192,77 @@ def test_validation_from_edges_rejects_out_of_range_vertices():
     with pytest.raises(ValueError, match="unpack"):  # malformed edges keep their own error
         Graph.from_edges(3, [(0, 1), (0, 1, 2)])
     assert Graph.from_edges(3, iter([(0, 2), (2, 1)])) == Graph(3, (0b100, 0b100, 0b011))
+
+
+def test_validation_from_edges_numpy_vertices():
+    # numpy integers index the rows and the vertex bits like ints; a
+    # negative one is out of range, not a row counted from the end
+    def out_of_range(n, edge):
+        return f"edge {edge} has a vertex outside 0..{n - 1} for order {n}"
+
+    cases = [
+        (3, [(np.int64(-1), np.int64(-2))], "(-1, -2)"),
+        (3, [(np.int64(-1), np.int64(1)), (2, 1)], "(-1, 1)"),
+        (3, [(np.int64(1), np.int64(-1))], "(1, -1)"),
+        (3, [(np.uint8(0), np.uint8(3))], "(0, 3)"),
+        (64, [(np.int64(0), np.int64(64))], "(0, 64)"),
+    ]
+    for n, edges, edge in cases:
+        with pytest.raises(DomainError) as err:
+            Graph.from_edges(n, edges)
+        assert str(err.value) == out_of_range(n, edge)
+    assert Graph.from_edges(64, [(np.int64(0), np.int64(63))]) == Graph.from_edges(64, [(0, 63)])
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert Graph.from_edges(64, [(dtype(0), dtype(40))]) == Graph.from_edges(64, [(0, 40)])
+        assert Graph.from_edges(64, zip(*np.array([[0, 5], [63, 40]], dtype=dtype))) == Graph.from_edges(
+            64, [(0, 63), (5, 40)]
+        )
+
+
+def faulty_rows(n, rows, rng):
+    """Copies of valid rows with faults of each kind, alone and combined."""
+    w = 1 << max(3, (n - 1).bit_length())
+    for _ in range(12):
+        bad = list(rows)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(n)
+            kind = rng.randrange(6)
+            if kind == 0 and n < w:
+                bad[i] |= 1 << rng.randrange(n, w)  # beyond the order, inside the row's bytes
+            elif kind == 1:
+                bad[i] |= 1 << rng.randrange(w, 2 * w + 3)  # beyond the row's bytes
+            elif kind == 2:
+                bad[i] = -1 - bad[i]  # negative
+            elif kind == 3:
+                bad[i] ^= 1 << i  # diagonal
+            elif n > 1:
+                bad[i] ^= 1 << rng.choice([j for j in range(n) if j != i])  # asymmetric
+        yield bad
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_validation_matches_rowwise_oracle(n, rng):
+    for p in (0, 0.1, 0.5, 0.9, 1):
+        code = random_code(n, p, rng)
+        rows = rowwise_rows(n, code)
+        g = Graph(n, rows)
+        assert g.adj == rows and rowwise_fault(n, rows) is None
+        assert g.code == rowwise_code(rows) == code
+        assert Graph.from_code(n, code) == g
+        for bad in faulty_rows(n, rows, rng):
+            message = rowwise_fault(n, bad)
+            if message is None:
+                assert Graph(n, tuple(bad)).adj == tuple(bad)
+                continue
+            with pytest.raises(DomainError) as err:
+                Graph(n, tuple(bad))
+            assert str(err.value) == message
+    for code in (-1, -(1 << 70), 1 << comb(n, 2), (1 << comb(n, 2) + 5) - 1):
+        with pytest.raises(DomainError) as err:
+            rowwise_rows(n, code)
+        with pytest.raises(DomainError) as ours:
+            Graph.from_code(n, code)
+        assert str(ours.value) == str(err.value)
 
 
 def test_complement_of_empty_is_complete():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from recomp.atlas import sweep_theorem
@@ -14,15 +15,13 @@ from recomp.graphs import (
     invariants,
 )
 from recomp.hypomorphy import (
+    SIGNATURES,
     THEOREM_DOMAINS,
-    PairProfile,
     dense_subset_edge_bound,
     equal_up_to_complementation,
     equality_threshold,
     k_hypomorphic,
     k_hypomorphic_utc,
-    pair_profile,
-    restriction_h3_count,
     same_3_homogeneous,
     same_a0_counts,
     same_edge_counts_utc,
@@ -209,16 +208,6 @@ def test_ladder_strictness_witnesses():
     pair = k7_counterexample(10, verify=False)
     assert same_edge_counts_utc(pair.g, pair.g_prime, 7).holds
     assert not k_hypomorphic_utc(pair.g, pair.g_prime, 7).holds
-
-
-def test_pair_profile():
-    g = Graph.cycle(5)
-    prof = pair_profile(g, complement(g), 3)
-    assert isinstance(prof, PairProfile)
-    assert len(prof.e_g) == comb(5, 3)
-    assert prof.utc_code_g == prof.utc_code_h  # complements share utc codes
-    # first colex 3-subset of the cycle is the path 0-1-2
-    assert prof.e_g[0] == 2 and prof.e_h[0] == 1
 
 
 # -- identity verifiers -------------------------------------------------------
@@ -609,8 +598,9 @@ def test_restriction_h3_count_matches_triple_census(rng):
         for p in (0.2, 0.5, 0.8):
             g = Graph.random(n, rng, p)
             for k in {3, max(3, n // 2 + 1), n}:
-                s = tuple(sorted(rng.sample(range(n), k)))
-                assert restriction_h3_count(g, s) == len(homogeneous_triples(induced(g, s)))
+                sub = induced(g, rng.sample(range(n), k))
+                bits = np.array([[sub.code >> r & 1 for r in range(comb(k, 2))]], dtype=np.uint8)
+                assert SIGNATURES["h3"](bits, k)[0] == len(homogeneous_triples(sub))
 
 
 def _iso(a: Graph, b: Graph) -> bool:

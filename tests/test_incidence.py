@@ -13,7 +13,6 @@ from recomp.incidence import (
     colex_subsets,
     kernel_graphs_mod2,
     rank_report,
-    restriction_edge_counts_via_matrix,
     subset_rank,
     subset_unrank,
     verify_gottlieb_kantor,
@@ -23,7 +22,7 @@ from recomp.incidence import (
 )
 from recomp.linalg import rank_exact, rank_mod
 
-from graph_reference import mask_of, subgraph_edge_count
+from graph_reference import mask_of, restriction_edge_counts_via_matrix, subgraph_edge_count
 
 
 def test_subset_rank_examples():
@@ -68,8 +67,8 @@ def test_build_w_shapes_and_entries():
     assert w.array.shape == (15, 15)
     for i in range(15):
         for j in range(15):
-            t = set(w.row_subset(i))
-            k = set(w.col_subset(j))
+            t = set(subset_unrank(i, w.t, w.v))
+            k = set(subset_unrank(j, w.k, w.v))
             assert w.array[i, j] == (1 if t <= k else 0)
 
 
@@ -97,7 +96,7 @@ def test_w_equals_kneser_after_complement_relabeling():
         full = (1 << v) - 1
         # column K of W corresponds to Kneser column indexed by V \ K
         perm = [
-            subset_rank(full ^ mask_of(w.col_subset(j))) for j in range(w.array.shape[1])
+            subset_rank(full ^ mask_of(subset_unrank(j, w.k, w.v))) for j in range(w.array.shape[1])
         ]
         assert np.array_equal(w.array[:, np.argsort(perm)], kn.array)
         assert np.array_equal(kn.array, kn.array.T)

@@ -11,12 +11,13 @@ from recomp.linalg import (
     ModMatrix,
     _rref_gfp,
     binomial,
-    cramer_determinant,
     is_prime,
     kernel_basis_mod,
     rank_exact,
     rank_mod,
 )
+
+from graph_reference import mul_vector
 
 
 P31 = (1 << 31) - 1
@@ -241,7 +242,7 @@ def test_kernel_vectors_annihilate(rng):
             basis = kernel_basis_mod(m)
             assert len(basis) == c - rank_mod(m)
             for vec in basis:
-                assert all(x == 0 for x in m.mul_vector(vec))
+                assert all(x == 0 for x in mul_vector(m, vec))
             if basis:
                 stacked = ModMatrix(list(basis), p)
                 assert rank_mod(stacked) == len(basis)  # linear independence
@@ -290,15 +291,14 @@ def test_binomial():
 
 
 def test_cramer_determinant():
-    assert cramer_determinant(6, 4) == 1 - 3 == -2 == -binomial(2, 1)
-    assert cramer_determinant(10, 5) == -binomial(6, 2) == -15
+    # the 2x2 system of the a0/a1 identities has determinant
+    # C(v-4, k-4) - C(v-3, k-3) = -C(v-4, k-3), nonzero for 4 <= k <= v-1
+    assert binomial(2, 0) - binomial(3, 1) == -2 == -binomial(2, 1)
+    assert binomial(6, 1) - binomial(7, 2) == -15 == -binomial(6, 2)
     for v in range(5, 21):
         for k in range(4, v):
-            assert cramer_determinant(v, k) != 0
-    with pytest.raises(DomainError):
-        cramer_determinant(6, 3)
-    with pytest.raises(DomainError):
-        cramer_determinant(6, 6)
+            delta = binomial(v - 4, k - 4) - binomial(v - 3, k - 3)
+            assert delta == -binomial(v - 4, k - 3) != 0
 
 
 def test_is_prime_matches_sieve():
