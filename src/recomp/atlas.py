@@ -26,18 +26,20 @@ sieve state holds the codes still in some representative's class, a
 group per such code and a group per representative.  Each column, one
 k-subset's signature, maps (old group, value) to a new group through a
 dense table filled from the representatives' own keys; a code whose key
-no representative has drops.  A class size is a bincount of the final
-groups.  A join continues from its longest prefix already sieved in the
-call, with repeated atoms dropped and constant columns skipped; the
-atom "equal" starts from each g and its complement.  A failing
-representative's hypothesis and violations are read off the same states
-as masks of its group's codes; a cell's witness is the smallest
-violation of the first one.  At k == v the hypothesis class is g's
-iso-utc class, whose size the catalog pass records (`codes.catalog`).
-The claw-free sweep labels every code by its h3 counts at k = 3
-(`_labels`) and counts, in each class, the ordered pairs whose boolean
-sum or its complement has a claw.  Order 7 multiplies the space by 64
-and is gated behind `long_running`; sweeps run in one process.
+no representative has drops.  The signature values are numbered from 0
+once per process, in tables that every order shares.  A class size
+is a bincount of the final groups.  A join continues from its longest
+prefix already sieved in the call, with repeated atoms dropped and
+constant columns skipped; the atom "equal" starts from each g and its
+complement.  A failing representative's hypothesis and violations are
+read off the same states as masks of its group's codes; a cell's witness
+is the smallest violation of the first one.  At k == v the hypothesis
+class is g's iso-utc class, whose size the catalog pass records
+(`codes.catalog`).  The claw-free sweep labels every code by its h3
+counts at k = 3 (`_labels`) and counts, in each class, the ordered pairs
+whose boolean sum or its complement has a claw.  Order 7 multiplies the
+space by 64 and is gated behind `long_running`; sweeps run in one
+process.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -88,9 +90,6 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
 # -- per-subset signature classes ---------------------------------------------
 
-_dense: dict[tuple[str, int, bool], np.ndarray] = {}  # (kind, size, direct) -> `_dense_table`
-
-
 def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
     """One label per labeled order-v graph, numbered 0, 1, ...; two graphs
     share a label iff `table` takes equal values on their restrictions to
@@ -107,17 +106,22 @@ def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
 
 def _dense_table(v: int, kind: str, size: int) -> np.ndarray:
     """The `kind` signature of every order-`size` code, numbered 0, 1, ...
-    in increasing order of value, as `np.unique` would number it, by the
-    rank of each value among those present (the values are small and
-    non-negative: counts, or codes below 2^C(size, 2)); utc on the whole
-    vertex set is the canonical utc table itself."""
-    direct = kind == "utc" and size == v
-    if (kind, size, direct) not in _dense:
-        table = codetables.canonical_utc_table(size) if direct else signature_table(kind, size)
-        present = np.zeros(int(table.max()) + 1, dtype=bool)
-        present[table] = True
-        _dense[kind, size, direct] = (np.cumsum(present, dtype=np.int32) - 1)[table]
-    return _dense[kind, size, direct]
+    in increasing order of value; utc on the whole vertex set is the
+    canonical utc table itself."""
+    return _numbering(kind, size, kind == "utc" and size == v)
+
+
+@cache
+def _numbering(kind: str, size: int, direct: bool) -> np.ndarray:
+    """`_dense_table` without the order, which only chooses `direct`, so
+    every order reads the same table.  Values are numbered as `np.unique`
+    would number them, by the rank of each value among those present (the
+    values are small and non-negative: counts, or codes below
+    2^C(size, 2))."""
+    table = codetables.canonical_utc_table(size) if direct else signature_table(kind, size)
+    present = np.zeros(int(table.max()) + 1, dtype=bool)
+    present[table] = True
+    return (np.cumsum(present, dtype=np.int32) - 1)[table]
 
 
 def _equal_partners(v: int, codes: np.ndarray) -> np.ndarray:

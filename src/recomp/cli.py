@@ -21,7 +21,6 @@ from .graph6 import decode, encode
 from .graphs import (
     Graph,
     classify_bipartite_kernel,
-    complement,
     induced,
     invariants,
     is_claw_free,

@@ -31,6 +31,10 @@ class's size up to complementation, n!/|Aut g| by orbit-stabilizer,
 doubled unless g is self-complementary.  Each catalog's orbits must cover all 2^C(n,2)
 codes, and its classes must number `CATALOG_COUNTS[n]`.  Full canonical
 tables (n <= 7) scatter each class's minimum over its orbit.
+
+Each table is built once per order, or per (n, subset), by a
+`functools.cache` function, and kept for the process; its argument
+checks raise on every call, since exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -49,11 +53,6 @@ TABLE_MAX_ORDER = 7
 # unlabeled graphs of order n (OEIS A000088)
 CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
-_dest_weights: dict[int, np.ndarray] = {}
-_canon_tables: dict[int, np.ndarray] = {}
-_canon_utc_tables: dict[int, np.ndarray] = {}
-_clawfree_both_tables: dict[int, np.ndarray] = {}
-
 
 def n_pairs(n: int) -> int:
     return comb(n, 2)
@@ -63,18 +62,17 @@ def full_code(n: int) -> int:
     return (1 << n_pairs(n)) - 1
 
 
+@cache
 def dest_weights(n: int) -> np.ndarray:
     """(C(n,2), n!) array: row s, column p holds 1 << d, where d is the
     destination bit that source bit s moves to under permutation p."""
     if n > CANON_MAX_ORDER:
         raise OrderTooLarge(f"canonical codes support n <= {CANON_MAX_ORDER}")
-    if n not in _dest_weights:
-        perms = np.array(list(permutations(range(n))), dtype=np.int64)
-        rank = np.array([[pair_rank(i, j) for j in range(n)] for i in range(n)], dtype=np.int64)
-        sources = [(i, j) for j in range(n) for i in range(j)]  # colex pair order
-        i, j = np.array(sources, dtype=np.int64).reshape(-1, 2).T
-        _dest_weights[n] = np.int64(1) << rank[perms[:, i], perms[:, j]].T
-    return _dest_weights[n]
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    rank = np.array([[pair_rank(i, j) for j in range(n)] for i in range(n)], dtype=np.int64)
+    sources = [(i, j) for j in range(n) for i in range(j)]  # colex pair order
+    i, j = np.array(sources, dtype=np.int64).reshape(-1, 2).T
+    return np.int64(1) << rank[perms[:, i], perms[:, j]].T
 
 
 def relabelings(n: int, code: int) -> np.ndarray:
@@ -148,38 +146,35 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(canon, dtype=np.int64)[order], np.array(sizes, dtype=np.int64)[order]
 
 
+@cache
 def canonical_table(n: int) -> np.ndarray:
     """Canonical code of every labeled graph of order n (n <= 7)."""
     if n > TABLE_MAX_ORDER:
         raise OrderTooLarge(f"full canonical tables are built only for n <= {TABLE_MAX_ORDER}")
-    if n not in _canon_tables:
-        table = np.empty(1 << n_pairs(n), dtype=np.int64)
-        for code in catalog(n)[0].tolist():
-            table[relabelings(n, code)] = code
-        _canon_tables[n] = table
-    return _canon_tables[n]
+    table = np.empty(1 << n_pairs(n), dtype=np.int64)
+    for code in catalog(n)[0].tolist():
+        table[relabelings(n, code)] = code
+    return table
 
 
+@cache
 def canonical_utc_table(n: int) -> np.ndarray:
     """Canonical code up to complementation of every labeled graph."""
-    if n not in _canon_utc_tables:
-        t = canonical_table(n)
-        _canon_utc_tables[n] = np.minimum(t, t[::-1])  # t[::-1][c] = t[full_code ^ c]
-    return _canon_utc_tables[n]
+    t = canonical_table(n)
+    return np.minimum(t, t[::-1])  # t[::-1][c] = t[full_code ^ c]
 
 
+@cache
 def clawfree_both_table(n: int) -> np.ndarray:
     """Per code: the graph and its complement are both claw-free, that is,
     no 4-subset induces a claw or the claw's complement, the two graphs of
     the claw's class up to complementation."""
-    if n not in _clawfree_both_tables:
-        utc4 = canonical_utc_table(4)
-        claw = utc4[Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).code]
-        out = np.ones(1 << n_pairs(n), dtype=bool)
-        for s in combinations(range(n), 4):
-            out &= utc4[restriction_codes(n, s)] != claw
-        _clawfree_both_tables[n] = out
-    return _clawfree_both_tables[n]
+    utc4 = canonical_utc_table(4)
+    claw = utc4[Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).code]
+    out = np.ones(1 << n_pairs(n), dtype=bool)
+    for s in combinations(range(n), 4):
+        out &= utc4[restriction_codes(n, s)] != claw
+    return out
 
 
 @cache

@@ -33,10 +33,6 @@ class NonPrimeModulus(RecompError):
     """Modular matrices require a prime modulus."""
 
 
-class IndexOutOfRange(RecompError):
-    """Subset rank/unrank index outside the valid range."""
-
-
 class KernelTooLarge(RecompError):
     """Kernel dimension exceeds the enumeration cap."""
 

@@ -10,15 +10,17 @@ as one byte.
 
 Both directions work on whole words.  `encode` spreads the code's 6-bit
 groups into byte lanes (group g from offset 6g to offset 8g) in
-log2(groups) rounds of masked shifts (`graphs.shift_rounds`), writes the
-lanes out with `int.to_bytes`, and maps each lane to its printed byte
-with one `bytes.translate`.  `decode` checks the byte range by deleting
-the printable bytes (another `translate`), maps the body back into
-lanes, reads them with `int.from_bytes` and gathers the groups again.
+log2(groups) rounds of masked shifts (`graphs.shift_rounds`, cached per
+group count), writes the lanes out with `int.to_bytes`, and maps each
+lane to its printed byte with one `bytes.translate`.  `decode` checks
+the byte range by deleting the printable bytes (another `translate`),
+maps the body back into lanes, reads them with `int.from_bytes` and
+gathers the groups again.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from .errors import DomainError
@@ -33,16 +35,12 @@ _TO_TEXT = bytes(_REVERSED[v & 63] + 63 for v in range(256))
 _FROM_TEXT = bytes(_REVERSED[v - 63 & 63] for v in range(256))
 _PRINTED = bytes(range(63, 127))  # '?'..'~'
 
-_lanes: dict[int, list[tuple[int, int, int]]] = {}
 
-
+@cache
 def _lane_rounds(groups: int) -> list[tuple[int, int, int]]:
     """Rounds that move 6-bit group g of a code to byte lane g (offset 6g
     to offset 8g), cached per group count."""
-    rounds = _lanes.get(groups)
-    if rounds is None:
-        rounds = _lanes[groups] = shift_rounds((6 * g, 6, 2 * g) for g in range(groups))
-    return rounds
+    return shift_rounds((6 * g, 6, 2 * g) for g in range(groups))
 
 
 def _encode_order(n: int) -> str:

@@ -18,6 +18,10 @@ the rows, to name the first faulty one.  `shift_rounds` moves bit fields
 by their own distances in log2 rounds of masked shifts: `from_code`
 spreads row j's field from offset C(j, 2) to j*w, which gives the lower
 triangle L and the rows L | transpose(L), and `code` gathers it back.
+The packing of each order, the transpose rounds of each width and the
+vertex bits of each order are `functools.cache` functions.  The order
+check runs outside the cache, on every call, and every constructor runs
+it before it allocates anything.
 
 The a0/a1/a2 counts classify unordered {edge, non-edge} pairs: a0 counts
 the vertex-disjoint ones, a1 the ones sharing a vertex, a2 = a0 + a1 all
@@ -32,7 +36,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -73,22 +77,24 @@ def pair_rank(i: int, j: int) -> int:
     return i + comb(j, 2)
 
 
-_transpose_masks: dict[int, list[tuple[int, int]]] = {}
+@cache
+def _transpose_rounds(w: int) -> list[tuple[int, int]]:
+    """The delta swaps (distance, mask) of `_transpose` for width w: round
+    s marks the entries with bit s clear in i and set in j, and each moves
+    by s*(w - 1)."""
+    rounds = []
+    for s in (w >> b for b in range(1, w.bit_length())):
+        m = sum(1 << i * w + j for i in range(w) for j in range(w) if j & s and not i & s)
+        rounds.append((s * (w - 1), m))
+    return rounds
 
 
 def _transpose(x: int, w: int) -> int:
     """Transpose of the w x w bit matrix packed in x (entry (i, j) at bit
     i*w + j, w a power of two).  Round s swaps the off-diagonal s x s
     blocks of every 2s x 2s block with one masked delta swap (Warren,
-    Hacker's Delight, 7-3); the mask marks entries with bit s clear in i
-    and set in j, and each moves by s*(w - 1)."""
-    rounds = _transpose_masks.get(w)
-    if rounds is None:
-        rounds = _transpose_masks[w] = []
-        for s in (w >> b for b in range(1, w.bit_length())):
-            m = sum(1 << i * w + j for i in range(w) for j in range(w) if j & s and not i & s)
-            rounds.append((s * (w - 1), m))
-    for d, m in rounds:
+    Hacker's Delight, 7-3)."""
+    for d, m in _transpose_rounds(w):
         t = (x ^ x >> d) & m
         x ^= t ^ t << d
     return x
@@ -148,29 +154,29 @@ class _Layout:
     rounds: list[tuple[int, int, int]]
 
 
-_layouts: dict[int, _Layout] = {}
-
-
 def _layout(n: int) -> _Layout:
     """The packing of order n.  Rejects orders outside 1..MAX_ORDER, so
-    masks stay small."""
+    masks stay small.  The checks run on every call, outside the cache:
+    cache keys compare by value, so 5.0 would hit an entry cached for
+    np.int64(5)."""
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must be in 1..{MAX_ORDER}, got {n}")
-    n = operator.index(n)
-    layout = _layouts.get(n)
-    if layout is None:
-        size = 1 << max(0, (n - 1).bit_length() - 3)  # bytes per row
-        w = 8 * size
-        beyond = (1 << w) - (1 << n)
-        outside = sum((beyond | 1 << i) << i * w for i in range(n))
-        lower = sum((1 << j) - 1 << j * w for j in range(n))
-        rounds = shift_rounds((comb(j, 2), j, j * w - comb(j, 2)) for j in range(1, n))
-        fmt = f"<{n}{'BHIQ'[size.bit_length() - 1]}"
-        layout = _layouts[n] = _Layout(w, fmt, outside, lower, rounds)
-    return layout
+    return _packing(operator.index(n))
 
 
-@lru_cache(maxsize=MAX_ORDER + 1)
+@cache
+def _packing(n: int) -> _Layout:
+    size = 1 << max(0, (n - 1).bit_length() - 3)  # bytes per row
+    w = 8 * size
+    beyond = (1 << w) - (1 << n)
+    outside = sum((beyond | 1 << i) << i * w for i in range(n))
+    lower = sum((1 << j) - 1 << j * w for j in range(n))
+    rounds = shift_rounds((comb(j, 2), j, j * w - comb(j, 2)) for j in range(1, n))
+    fmt = f"<{n}{'BHIQ'[size.bit_length() - 1]}"
+    return _Layout(w, fmt, outside, lower, rounds)
+
+
+@cache
 def _vertex_bits(n: int) -> dict[int, int]:
     """{b: 1 << b} over the vertices b of order n: a vertex outside
     0..n-1, numpy integer or not, is a KeyError."""
@@ -238,6 +244,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _layout(n)  # the order is checked before anything is allocated
         rows = [0] * n
         bits = _vertex_bits(n)
         i = j = 0  # bound for the handler even if the first edge does not unpack
@@ -266,10 +273,12 @@ class Graph:
 
     @staticmethod
     def empty(n: int) -> "Graph":
+        _layout(n)
         return Graph(n, (0,) * n)
 
     @staticmethod
     def complete(n: int) -> "Graph":
+        _layout(n)
         full = (1 << n) - 1
         return Graph(n, tuple(full ^ (1 << i) for i in range(n)))
 
@@ -277,15 +286,16 @@ class Graph:
     def cycle(n: int) -> "Graph":
         if n < 3:
             raise DomainError("a cycle needs at least 3 vertices")
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
     @staticmethod
     def path(n: int) -> "Graph":
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
     @staticmethod
     def random(n: int, rng: random.Random, p: float = 0.5) -> "Graph":
-        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        _layout(n)  # combinations(range(n), 2) needs n to fit a C ssize_t
+        edges = (e for e in combinations(range(n), 2) if rng.random() < p)
         return Graph.from_edges(n, edges)
 
 

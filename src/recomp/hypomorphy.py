@@ -16,7 +16,9 @@ per subset: the graph's code bits gathered at the global colex pair
 ranks i + C(j,2) of the subset's local pairs.  Colex order of k-subsets
 does not depend on the vertex count, so one prefix table per k of the
 subsets and those ranks, grown on demand within a fixed byte budget,
-serves every graph.  Each condition compares one row function of
+serves every graph.  Unlike the package's other tables, each a
+`functools.cache` function keyed by its order, a prefix table grows in
+place as longer prefixes are asked for.  Each condition compares one row function of
 `SIGNATURES`, which maps a chunk of restriction bits to a value per
 row: parity, edge count up to complementation, h3, a0, or for k <= 6 a
 canonical-code table entry.  `signature_table` applies the same
@@ -135,7 +137,8 @@ def _subset_rows(k: int, start: int, stop: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _codebits(g: Graph) -> np.ndarray:
     """Entry r is bit r of g.code: 1 iff the pair of colex rank r is an
-    edge.  Cached for the few graphs a ladder walk asks about; read-only."""
+    edge.  Cached for the few graphs a ladder walk asks about, and bounded,
+    since graphs are unbounded keys; read-only."""
     raw = g.code.to_bytes((comb(g.n, 2) + 7) // 8, "little")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     bits.flags.writeable = False

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, KernelTooLarge
+from .errors import DomainError, KernelTooLarge
 from .graphs import MAX_ORDER, Graph, bits_of, colex_masks
 from .linalg import ModMatrix, binomial, is_prime, rank_exact, rank_mod, kernel_basis_mod
 
@@ -52,15 +52,6 @@ def colex_vertices(k: int, start: int, stop: int) -> np.ndarray:
         out[:, i - 1] = np.searchsorted(_BINOMIALS[i], rest, side="right") - 1
         rest -= _BINOMIALS[i, out[:, i - 1]]
     return out
-
-
-def subset_unrank(r: int, size: int, v: int) -> tuple[int, ...]:
-    """Inverse of subset_rank for `size`-subsets of {0..v-1}, v <= MAX_ORDER."""
-    if v > MAX_ORDER:
-        raise DomainError(f"subsets of at most {MAX_ORDER} vertices, got v={v}")
-    if not 0 <= r < comb(v, size):
-        raise IndexOutOfRange(f"rank {r} outside [0, C({v},{size}))")
-    return tuple(colex_vertices(size, r, r + 1)[0].tolist())
 
 
 def colex_subsets(v: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -260,15 +260,6 @@ class ModMatrix:
         else:
             self.rows = mat
 
-    def row_entries(self, i: int) -> list[int]:
-        if self.p == 2:
-            return [(self.rows[i] >> c) & 1 for c in range(self.ncols)]
-        return self.rows[i].tolist()
-
-    def transpose(self) -> "ModMatrix":
-        entries = _gf2_unpack(self.rows, self.ncols) if self.p == 2 else self.rows
-        return ModMatrix(entries.T, self.p)
-
 
 def _gf2_unpack(rows: list[int], ncols: int) -> np.ndarray:
     """Packed GF(2) rows as an int64 0/1 array."""

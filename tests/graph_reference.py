@@ -12,7 +12,7 @@ import numpy as np
 
 from recomp.errors import DomainError, OrderMismatch
 from recomp.graphs import MAX_ORDER, Graph, bits_of, complement
-from recomp.incidence import build_w
+from recomp.incidence import build_w, colex_vertices
 from recomp.linalg import ModMatrix
 
 
@@ -77,9 +77,27 @@ def intersection(g: Graph, h: Graph) -> Graph:
     return Graph(g.n, tuple(a & b for a, b in zip(g.adj, h.adj)))
 
 
+def subset_unrank(r: int, size: int) -> tuple[int, ...]:
+    """The colex `size`-subset of rank r: the inverse of `subset_rank`."""
+    return tuple(colex_vertices(size, r, r + 1)[0].tolist())
+
+
+def row_entries(m: ModMatrix, i: int) -> list[int]:
+    """Row i of m as residues, bit by bit for a packed GF(2) row."""
+    if m.p == 2:
+        return [(m.rows[i] >> c) & 1 for c in range(m.ncols)]
+    return m.rows[i].tolist()
+
+
+def transpose(m: ModMatrix) -> ModMatrix:
+    """The transpose of m, built from its rows' entries."""
+    entries = np.array([row_entries(m, i) for i in range(m.nrows)], dtype=np.int64)
+    return ModMatrix(entries.T, m.p)
+
+
 def mul_vector(m: ModMatrix, vec: Sequence[int]) -> list[int]:
     """The product m * vec over GF(p), row by row."""
-    return [sum(a * b for a, b in zip(m.row_entries(i), vec)) % m.p for i in range(m.nrows)]
+    return [sum(a * b for a, b in zip(row_entries(m, i), vec)) % m.p for i in range(m.nrows)]
 
 
 def restriction_edge_counts_via_matrix(g: Graph, k: int) -> list[int]:

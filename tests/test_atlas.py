@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 import warnings
-from functools import reduce
+from functools import cache, reduce
 from math import comb
 
 import numpy as np
@@ -617,7 +617,8 @@ def _narrow(monkeypatch, narrowed: tuple[str, int]) -> None:
         return np.arange(1 << comb(k, 2)) if (kind, k) == narrowed else real(kind, k)
 
     monkeypatch.setattr(atlas, "signature_table", table)
-    monkeypatch.setattr(atlas, "_dense", {})  # tables read with the narrowing only
+    # tables read with the narrowing only, in a cache that ends with the test
+    monkeypatch.setattr(atlas, "_numbering", cache(atlas._numbering.__wrapped__))
 
 
 def test_failing_union_hypothesis_matches_oracle(monkeypatch):
@@ -667,7 +668,7 @@ DENSE_ATOMS_V7 = [
 
 def test_dense_tables_number_like_unique(monkeypatch):
     """The presence-rank numbering of each table equals `np.unique`'s."""
-    monkeypatch.setattr(atlas, "_dense", {})
+    monkeypatch.setattr(atlas, "_numbering", cache(atlas._numbering.__wrapped__))
     tables = []
 
     def recorded(kind, size):

@@ -147,6 +147,35 @@ def test_validation_order_of_checks():
         assert str(err.value) == message
 
 
+def test_validation_constructor_orders(rng):
+    """Every constructor rejects the order before it builds rows or edges,
+    so a huge order costs nothing."""
+    constructors = [
+        lambda n: Graph.from_edges(n, []),
+        Graph.empty,
+        Graph.complete,
+        Graph.cycle,
+        Graph.path,
+        lambda n: Graph.random(n, rng),
+    ]
+    for n in (65, 10**30):
+        for make in constructors:
+            with pytest.raises(DomainError) as err:
+                make(n)
+            assert str(err.value) == f"order must be in 1..64, got {n}"
+
+
+def test_validation_float_order_after_numpy_order():
+    # cached packings are found by value, and np.int64(5) == 5.0, so the
+    # order's type is checked before the cache on every call
+    assert Graph.empty(np.int64(5)) == Graph.empty(5)
+    for n in (5.0, np.float64(5)):
+        with pytest.raises(TypeError):
+            Graph(n, (0,) * 5)
+        with pytest.raises(TypeError):
+            Graph.from_edges(n, [(0, 1)])
+
+
 @pytest.mark.parametrize("n", [1, 5, 31, 62, 63, 64])
 def test_validation_numpy_integer_rows(n, rng):
     rows = reference_rows(n, random_code(n, 0.5, rng))

@@ -1,0 +1,32 @@
+"""Source hygiene checks over the `recomp` package, read with `ast`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import recomp
+
+MODULES = sorted(p for p in Path(recomp.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """Every name a module imports is read somewhere in it (the package's
+    `__init__.py`, which imports to re-export, is left out)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported and never used: {unused}"
