@@ -34,12 +34,16 @@ tables (n <= 7) scatter each class's minimum over its orbit.
 
 Each table is built once per order, or per (n, subset), by a
 `functools.cache` function, and kept for the process; its argument
-checks raise on every call, since exceptions are never cached.
+checks raise on every call, since exceptions are never cached.  A table
+of one order is keyed by `operator.index(n)`, taken before the cache:
+cache keys compare by value, so 5.0 would hit an entry cached for
+np.int64(5).
 """
 
 from __future__ import annotations
 
-from functools import cache
+import operator
+from functools import cache, wraps
 from itertools import combinations, permutations
 from math import comb
 
@@ -62,7 +66,20 @@ def full_code(n: int) -> int:
     return (1 << n_pairs(n)) - 1
 
 
-@cache
+def _order_cache(table):
+    """`functools.cache` for a table of one order n, keyed by
+    operator.index(n), so a float order raises TypeError on every call."""
+    cached = cache(table)
+
+    @wraps(table)
+    def lookup(n):
+        return cached(operator.index(n))
+
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
+@_order_cache
 def dest_weights(n: int) -> np.ndarray:
     """(C(n,2), n!) array: row s, column p holds 1 << d, where d is the
     destination bit that source bit s moves to under permutation p."""
@@ -97,7 +114,7 @@ def all_codes(n: int) -> np.ndarray:
     return np.arange(1 << n_pairs(n), dtype=np.int64)
 
 
-@cache
+@_order_cache
 def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical codes of order n (n <= 8), ascending, one per isomorphism
     class, and each class's iso-utc size; sound because every order-n
@@ -146,7 +163,7 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(canon, dtype=np.int64)[order], np.array(sizes, dtype=np.int64)[order]
 
 
-@cache
+@_order_cache
 def canonical_table(n: int) -> np.ndarray:
     """Canonical code of every labeled graph of order n (n <= 7)."""
     if n > TABLE_MAX_ORDER:
@@ -157,14 +174,14 @@ def canonical_table(n: int) -> np.ndarray:
     return table
 
 
-@cache
+@_order_cache
 def canonical_utc_table(n: int) -> np.ndarray:
     """Canonical code up to complementation of every labeled graph."""
     t = canonical_table(n)
     return np.minimum(t, t[::-1])  # t[::-1][c] = t[full_code ^ c]
 
 
-@cache
+@_order_cache
 def clawfree_both_table(n: int) -> np.ndarray:
     """Per code: the graph and its complement are both claw-free, that is,
     no 4-subset induces a claw or the claw's complement, the two graphs of

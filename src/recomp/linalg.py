@@ -1,29 +1,35 @@
 """Exact rational and prime-field dense linear algebra.
 
-Odd primes share one elimination kernel, `_rref_gfp`: the reduced row
-echelon form of a numpy array of residues, int64 for p < 2^31 (products
-of residues stay below 2^62) and Python ints in an object array above.
-Each column pivots on its first nonzero entry at or below the current
-row; the RREF is unique for given pivots, so kernel bases are
-reproducible.  GF(2) matrices pack each row into one int and eliminate
-with xor.
+Elimination runs in two steps.  The forward pass, `_echelon_gfp`, brings
+a numpy array of residues to row echelon form: each column pivots on its
+first nonzero entry at or below the current row, the pivot row is scaled
+to a leading 1, and only the rows below it are updated.  A rank reads the
+forward pass alone.  A kernel needs the reduced row echelon form (RREF):
+`_reduce_gfp` clears each pivot column above its pivot, over the r pivot
+rows only, last pivot first.  The RREF of a matrix is unique and its
+pivot columns do not depend on the elimination order, so kernel bases
+are reproducible.  Odd primes share these two steps, on int64 residues
+for p < 2^31 (products of residues stay below 2^62) and on Python ints
+in an object array above.  GF(2) matrices pack each row into one int and
+run the same two steps with xor (`_echelon_gf2`, `_reduce_gf2`).
 
 Rank over the rationals: the rank r modulo 2^31 - 1 is a lower bound,
-and the answer when it equals min(rows, cols).  Otherwise the GF(p)
-kernel of the smaller side is lifted to integer vectors by rational
-reconstruction (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10)
-and checked against the matrix in exact integer arithmetic; the vectors
-are independent (each is nonzero only at its own free column among the
-free columns), so the rank is at most r.  When a lift or a check fails,
-the next prime below 2^31 is tried; once the product of the primes
-exceeds the Hadamard bound, the largest rank seen is the rational rank
-(Dixon, Numer. Math. 40, 1982).  No floating point is involved.
+and the answer when it equals min(rows, cols).  Otherwise the same
+echelon is reduced, with no second forward pass, and the GF(p) kernel of
+the smaller side is lifted to integer vectors by rational reconstruction
+(von zur Gathen & Gerhard, Modern Computer Algebra, 5.10), in integers
+throughout, and checked against the matrix in exact integer arithmetic;
+the vectors are independent (each is nonzero only at its own free column
+among the free columns), so the rank is at most r.  When a lift or a
+check fails, the next prime below 2^31 is tried; once the product of the
+primes exceeds the Hadamard bound, the largest rank seen is the rational
+rank (Dixon, Numer. Math. 40, 1982).  No floating point is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, isqrt, lcm, prod
 from numbers import Rational
 from typing import Iterator, Sequence
 
@@ -106,7 +112,12 @@ def _integer_array(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndar
         if m.dtype != object and (m.dtype != np.uint64 or m.max() <= _INT64_MAX):
             return m.astype(np.int64)
         m = m.tolist()
-    rows = (m if isinstance(m, ExactMatrix) else ExactMatrix(m)).integer_rows()
+    return _int_rows((m if isinstance(m, ExactMatrix) else ExactMatrix(m)).integer_rows())
+
+
+def _int_rows(rows: list[list[int]]) -> np.ndarray:
+    """Rows of Python ints as an int64 array, or as an object array when an
+    entry does not fit in int64."""
     fits = all(-_INT64_MAX <= x <= _INT64_MAX for row in rows for x in row)
     return np.array(rows, dtype=np.int64 if fits else object)
 
@@ -119,15 +130,25 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return a.astype(object) % p
 
 
-def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p), p an odd prime, of an array of
-    residues in [0, p): the nonzero rows and the pivot columns."""
+def _eliminate(work: np.ndarray, rows: np.ndarray, r: int, col: int, p: int) -> None:
+    """Clear column col of the given rows of work with its pivot row r,
+    whose entry there is 1; only the pivot row's nonzero columns move."""
+    cols = col + work[r, col:].nonzero()[0]
+    block = rows[:, None], cols
+    # adding (p - f) times the pivot row keeps entries in [0, p^2)
+    work[block] = (work[block] + (p - work[rows, col][:, None]) * work[r, cols]) % p
+
+
+def _echelon_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over GF(p), p an odd prime, of an array of residues
+    in [0, p): the nonzero rows, each with a leading 1, and their pivot
+    columns.  Only the rows below each pivot are updated."""
     work = a.copy()
     nrows = work.shape[0]
     pivots: list[int] = []
     for col in range(work.shape[1]):
         r = len(pivots)
-        below = np.flatnonzero(work[r:, col])
+        below = work[r:, col].nonzero()[0]
         if not below.size:
             continue
         if below[0]:
@@ -135,18 +156,23 @@ def _rref_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         inv = pow(int(work[r, col]), -1, p)
         if inv != 1:
             work[r, col:] = work[r, col:] * inv % p
-        factors = work[:, col].copy()
-        factors[r] = 0
-        rows = np.flatnonzero(factors)
-        if rows.size:
-            cols = col + np.flatnonzero(work[r, col:])
-            block = np.ix_(rows, cols)
-            # adding (p - f) times the pivot row keeps entries in [0, p^2)
-            work[block] = (work[block] + (p - factors[rows, None]) * work[r, cols]) % p
+        if below.size > 1:  # the swapped-down row is zero in this column
+            _eliminate(work, r + below[1:], r, col, p)
         pivots.append(col)
         if len(pivots) == nrows:
             break
     return work[: len(pivots)], pivots
+
+
+def _reduce_gfp(echelon: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """The reduced row echelon form, in place, of `_echelon_gfp`'s rows:
+    each pivot column cleared above its pivot, last pivot first, so no
+    cleared entry is filled in again."""
+    for r in range(len(pivots) - 1, 0, -1):
+        above = echelon[:r, pivots[r]].nonzero()[0]
+        if above.size:
+            _eliminate(echelon, above, r, pivots[r], p)
+    return echelon
 
 
 def _kernel_vectors(rref: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
@@ -160,16 +186,17 @@ def _kernel_vectors(rref: np.ndarray, pivots: list[int], ncols: int, p: int) -> 
     return basis
 
 
-def _rational(u: int, p: int, bound: int) -> Fraction | None:
+def _rational(u: int, p: int, bound: int) -> tuple[int, int] | None:
     """The fraction a/b = u mod p with |a|, b <= bound, if there is one (then
-    it is unique, since 2 bound^2 < p): the half extended Euclid."""
+    it is unique, since 2 bound^2 < p), as (a, b) in lowest terms with
+    b > 0: the half extended Euclid."""
     r0, r1, s0, s1 = p, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _lift(basis: np.ndarray, p: int) -> np.ndarray | None:
@@ -179,14 +206,12 @@ def _lift(basis: np.ndarray, p: int) -> np.ndarray | None:
     bound = isqrt(p // 2)
     rows = []
     for vec in basis.tolist():
-        row = []
-        for u in vec:
-            x = _rational(u, p, bound)
-            if x is None:
-                return None
-            row.append(x)
-        rows.append(row)
-    return _integer_array(rows)
+        fracs = [_rational(u, p, bound) for u in vec]
+        if None in fracs:
+            return None
+        denom = lcm(*(b for _, b in fracs))
+        rows.append([a * (denom // b) for a, b in fracs])
+    return _int_rows(rows)
 
 
 def _magnitude(a: np.ndarray) -> int:
@@ -232,10 +257,11 @@ def rank_exact(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndarray)
         a = a.T  # certify the smaller kernel
     best, modulus, hadamard = 0, 1, None
     for p in _cert_primes():
-        rref, pivots = _rref_gfp(_residues(a, p), p)
-        if len(pivots) == a.shape[1] or _kernel_lifts(a, rref, pivots, p):
-            return len(pivots)
-        best = max(best, len(pivots))
+        echelon, pivots = _echelon_gfp(_residues(a, p), p)
+        rank = len(pivots)
+        if rank == a.shape[1] or _kernel_lifts(a, _reduce_gfp(echelon, pivots, p), pivots, p):
+            return rank
+        best = max(best, rank)
         modulus *= p
         if hadamard is None:
             hadamard = _hadamard_bound(a)
@@ -269,38 +295,48 @@ def _gf2_unpack(rows: list[int], ncols: int) -> np.ndarray:
     return bits.astype(np.int64)
 
 
-def _rref_gf2(m: ModMatrix) -> tuple[list[int], list[int]]:
+def _echelon_gf2(m: ModMatrix) -> tuple[list[int], list[int]]:
+    """Row echelon form over GF(2) of packed rows: the nonzero rows and
+    their pivot columns.  Only the rows below each pivot are updated."""
     work = list(m.rows)
-    pivots = []
-    r = 0
+    pivots: list[int] = []
     for col in range(m.ncols):
-        piv = next((i for i in range(r, len(work)) if work[i] >> col & 1), None)
+        r, bit = len(pivots), 1 << col
+        piv = next((i for i in range(r, len(work)) if work[i] & bit), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] >> col & 1:
-                work[i] ^= work[r]
+        row = work[r]  # rows r+1..piv are zero in this column
+        work[piv + 1 :] = [w ^ row if w & bit else w for w in work[piv + 1 :]]
         pivots.append(col)
-        r += 1
-        if r == len(work):
+        if len(pivots) == len(work):
             break
-    return work, pivots
+    return work[: len(pivots)], pivots
+
+
+def _reduce_gf2(echelon: list[int], pivots: list[int]) -> list[int]:
+    """The reduced row echelon form, in place, of `_echelon_gf2`'s rows,
+    last pivot first."""
+    for r in range(len(pivots) - 1, 0, -1):
+        row, bit = echelon[r], 1 << pivots[r]
+        echelon[:r] = [w ^ row if w & bit else w for w in echelon[:r]]
+    return echelon
 
 
 def rank_mod(m: ModMatrix) -> int:
     """Rank over GF(p)."""
     if m.p == 2:
-        return len(_rref_gf2(m)[1])
-    return len(_rref_gfp(m.rows, m.p)[1])
+        return len(_echelon_gf2(m)[1])
+    return len(_echelon_gfp(m.rows, m.p)[1])
 
 
 def kernel_basis_mod(m: ModMatrix) -> list[tuple[int, ...]]:
     """Basis of the right null space {x : m x = 0 over GF(p)}, one vector
     per free column, in column order."""
     if m.p == 2:
-        rows, pivots = _rref_gf2(m)
-        rref = _gf2_unpack(rows[: len(pivots)], m.ncols)
+        rows, pivots = _echelon_gf2(m)
+        rref = _gf2_unpack(_reduce_gf2(rows, pivots), m.ncols)
     else:
-        rref, pivots = _rref_gfp(m.rows, m.p)
+        echelon, pivots = _echelon_gfp(m.rows, m.p)
+        rref = _reduce_gfp(echelon, pivots, m.p)
     return list(map(tuple, _kernel_vectors(rref, pivots, m.ncols, m.p).tolist()))

@@ -14,6 +14,7 @@ from recomp.codes import (
     canonical_utc_table,
     catalog,
     clawfree_both_table,
+    dest_weights,
     full_code,
     relabelings,
     restriction_codes,
@@ -190,3 +191,15 @@ def test_clawfree_both_table_matches_graph_loop(n):
         g = Graph.from_code(n, c)
         expected.append(is_claw_free(g) and is_claw_free(complement(g)))
     assert clawfree_both_table(n).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "table", [dest_weights, catalog, canonical_table, canonical_utc_table, clawfree_both_table]
+)
+def test_validation_float_order_after_numpy_order(table):
+    # cache keys compare by value, and (np.int64(4),) equals (4.0,) with the
+    # same hash: a float order must not hit the entry of a numpy order
+    table(np.int64(4))
+    for bad in (4.0, 4.5):
+        with pytest.raises(TypeError):
+            table(bad)

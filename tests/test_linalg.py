@@ -9,7 +9,11 @@ from recomp.incidence import build_w
 from recomp.linalg import (
     ExactMatrix,
     ModMatrix,
-    _rref_gfp,
+    _echelon_gf2,
+    _echelon_gfp,
+    _gf2_unpack,
+    _reduce_gf2,
+    _reduce_gfp,
     binomial,
     is_prime,
     kernel_basis_mod,
@@ -40,8 +44,10 @@ def _fraction_rank(m):
     return rank
 
 
-def _scalar_rref(rows, p):
-    """Reference GF(p) RREF, one entry at a time: (nonzero rows, pivot columns)."""
+def _scalar_rref(rows, p, upward=True):
+    """Reference GF(p) RREF, one entry at a time: (nonzero rows, pivot
+    columns).  Without `upward`, only the rows below each pivot are
+    cleared: the row echelon form of the forward pass."""
     work = [[x % p for x in row] for row in rows]
     pivots = []
     for col in range(len(work[0])):
@@ -52,7 +58,7 @@ def _scalar_rref(rows, p):
         work[r], work[piv] = work[piv], work[r]
         inv = pow(work[r][col], p - 2, p)
         work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
+        for i in range(len(work)) if upward else range(r + 1, len(work)):
             if i != r and work[i][col]:
                 f = work[i][col]
                 work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
@@ -155,6 +161,26 @@ def test_certificate_fallback_when_lift_is_corrupted(monkeypatch, rng):
     assert len(calls) >= len(cases) and len(set(calls)) == 2
 
 
+def test_rank_deficient_certified_by_one_forward_pass(monkeypatch, rng):
+    # a rank-deficient matrix whose kernel lifts is decided at the first
+    # prime: one forward pass, whose echelon is then reduced, never redone
+    calls = []
+
+    def counted(name):
+        real = getattr(linalg, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(linalg, "_echelon_gfp", counted("_echelon_gfp"))
+    monkeypatch.setattr(linalg, "_reduce_gfp", counted("_reduce_gfp"))
+    cases = [[[1, 2], [2, 4], [3, 6]], [[2, 3, 5], [4, 6, 10], [1, -7, 2], [3, -4, 7]]]
+    cases += [_low_rank(rng, rng.randint(3, 8), rng.randint(3, 8), 2) for _ in range(10)]
+    cases.append(np.vstack([build_w(2, 4, 7).array, build_w(1, 4, 7).array]))
+    for m in cases:
+        calls.clear()
+        assert rank_exact(m) == _fraction_rank(np.asarray(m).tolist())
+        assert calls == ["_echelon_gfp", "_reduce_gfp"]
+
+
 BAD_ARRAYS = [
     np.array([[1.5, 2]]),
     np.array([[1 + 0j, 2]]),
@@ -192,6 +218,28 @@ def test_rank_exact_integer_dtypes():
     assert rank_exact(fractions) == 1
 
 
+def _two_steps(m):
+    """The forward pass of m and its reduction: (echelon rows, pivots, RREF rows)."""
+    if m.p == 2:
+        rows, pivots = _echelon_gf2(m)
+        echelon = _gf2_unpack(rows, m.ncols).tolist()
+        return echelon, pivots, _gf2_unpack(_reduce_gf2(rows, pivots), m.ncols).tolist()
+    rows, pivots = _echelon_gfp(m.rows, m.p)
+    echelon = rows.tolist()
+    return echelon, pivots, _reduce_gfp(rows, pivots, m.p).tolist()
+
+
+def _check_against_scalar_rref(rows, p):
+    """Both elimination steps, rank_mod and kernel_basis_mod over GF(p)
+    against the scalar reference."""
+    m = ModMatrix(rows, p)
+    ref_echelon, ref_pivots = _scalar_rref(rows, p, upward=False)
+    ref_rows = _scalar_rref(rows, p)[0]
+    assert _two_steps(m) == (ref_echelon, ref_pivots, ref_rows)
+    assert rank_mod(m) == len(ref_pivots)
+    assert kernel_basis_mod(m) == _scalar_kernel(ref_rows, ref_pivots, len(rows[0]), p)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, P31, 2147483659])
 def test_odd_prime_kernel_matches_scalar_rref(rng, p):
     mats = [
@@ -206,14 +254,49 @@ def test_odd_prime_kernel_matches_scalar_rref(rng, p):
         rows = _low_rank(rng, r, c, rng.randint(1, min(r, c)), 0, p - 1)
         mats.append(rows + rows[:1])  # rank deficient, a repeated row
     for rows in mats:
-        ncols = len(rows[0])
-        ref_rows, ref_pivots = _scalar_rref(rows, p)
-        m = ModMatrix(rows, p)
-        got_rows, got_pivots = _rref_gfp(m.rows, p)
-        assert got_pivots == ref_pivots
-        assert got_rows.tolist() == ref_rows
-        assert rank_mod(m) == len(ref_pivots)
-        assert kernel_basis_mod(m) == _scalar_kernel(ref_rows, ref_pivots, ncols, p)
+        _check_against_scalar_rref(rows, p)
+
+
+def test_gf2_kernel_matches_scalar_rref(rng):
+    # pins the basis order that incidence.kernel_graphs_mod2 reads
+    mats = [build_w(2, k, v).array.T.tolist() for k, v in ((2, 4), (3, 6), (4, 7), (4, 8), (5, 9))]
+    for _ in range(40):
+        r, c = rng.randint(1, 12), rng.randint(1, 70)  # rows of up to 9 bytes
+        mats.append([[rng.randint(0, 1) for _ in range(c)] for _ in range(r)])
+        rows = _low_rank(rng, r, c, rng.randint(1, min(r, c)), 0, 1)
+        mats.append(rows + rows[:1])  # rank deficient, a repeated row
+    for rows in mats:
+        _check_against_scalar_rref(rows, 2)
+
+
+def _full_row_rank_early(rng, r, c, p):
+    """An r x c matrix, r < c, of rank r whose last pivot is column r - 1:
+    unit lower triangular times [upper triangular | random]."""
+    upper = [
+        [0] * i + [rng.randint(1, p - 1)] + [rng.randrange(p) for _ in range(c - i - 1)]
+        for i in range(r)
+    ]
+    lower = [[rng.randrange(p) for _ in range(i)] + [1] + [0] * (r - i - 1) for i in range(r)]
+    return [[sum(lower[i][t] * upper[t][j] for t in range(r)) % p for j in range(c)] for i in range(r)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, P31, 2147483659])
+def test_forward_pass_matches_scalar_reference_on_shapes(rng, p):
+    mats = [[[0]], [[1]], [[p - 1]], [[0] * 5 for _ in range(4)]]
+    for _ in range(6):
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        mats.append([[rng.randrange(p) for _ in range(c)]])  # one row
+        mats.append([[rng.randrange(p)] for _ in range(r)])  # one column
+        mats.append([[0, 0] + [rng.randrange(p) for _ in range(c)] for _ in range(r)])
+        mats.append([[rng.randrange(p) for _ in range(12)] for _ in range(2)])  # wide
+        mats.append([[rng.randrange(p) for _ in range(2)] for _ in range(12)])  # tall
+        early = _full_row_rank_early(rng, r, r + rng.randint(1, 6), p)
+        assert _scalar_rref(early, p)[1] == list(range(r))  # full row rank at column r - 1
+        mats.append(early)
+        rows = _low_rank(rng, r, c + 3, rng.randint(1, min(r, c)), 0, p - 1)
+        mats.append(rows + [[0] * (c + 3)] + rows[:1])
+    for rows in mats:
+        _check_against_scalar_rref(rows, p)
 
 
 def test_rank_mod_basics():
