@@ -82,7 +82,7 @@ class GraphCatalog:
         return len(self.representatives)
 
 
-@cache
+@codetables._order_cache
 def enumerate_graphs(n: int) -> GraphCatalog:
     """Catalog of order n (1 <= n <= 8): the codes of `codes.catalog` as Graphs."""
     return GraphCatalog(n, tuple(Graph.from_code(n, c) for c in codetables.catalog(n)[0].tolist()))

@@ -364,18 +364,6 @@ def triangle_count(g: Graph) -> int:
     return t // 3
 
 
-def homogeneous_triples(g: Graph) -> set[tuple[int, int, int]]:
-    """3-element subsets inducing a triangle in g or in its complement."""
-    out = set()
-    full = (1 << g.n) - 1
-    for i, j in combinations(range(g.n), 2):
-        # third vertices l > j joined to both i and j, or to neither, as i to j
-        a, b = g.adj[i], g.adj[j]
-        third = a & b if a >> j & 1 else full & ~(a | b)
-        out.update((i, j, l) for l in bits_of(third >> j + 1 << j + 1))
-    return out
-
-
 def invariants(g: Graph) -> InvariantBundle:
     """Counting invariants with a0/a1 by direct enumeration of
     {edge, non-edge} pairs split by disjointness."""

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, comb
 from typing import Callable, Iterator
 
@@ -53,7 +54,6 @@ from .graphs import (
     Graph,
     boolean_sum,
     complement,
-    homogeneous_triples,
     invariants,
     is_claw_free,
 )
@@ -338,11 +338,20 @@ def same_parity_utc(g: Graph, h: Graph, k: int) -> HypoVerdict:
 
 def same_3_homogeneous(g: Graph, h: Graph) -> HypoVerdict:
     """The two graphs have identical sets of 3-homogeneous subsets; the
-    witness is the lex-least triple in exactly one of them."""
+    witness is the lex-least triple in exactly one of them: the first pair
+    i < j whose third vertices differ, with its least such l."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    differ = homogeneous_triples(g) ^ homogeneous_triples(h)
-    return HypoVerdict(False, min(differ)) if differ else HypoVerdict(True)
+    full = (1 << g.n) - 1
+    for i, j in combinations(range(g.n), 2):
+        differ = 0
+        for x in (g, h):
+            # third vertices l > j joined to both i and j, or to neither, as i to j
+            a, b = x.adj[i], x.adj[j]
+            differ ^= (a & b if a >> j & 1 else full & ~(a | b)) >> j + 1
+        if differ:
+            return HypoVerdict(False, (i, j, j + (differ & -differ).bit_length()))
+    return HypoVerdict(True)
 
 
 def same_h3_counts(g: Graph, h: Graph, k: int) -> HypoVerdict:

@@ -8,10 +8,11 @@ forward pass alone.  A kernel needs the reduced row echelon form (RREF):
 `_reduce_gfp` clears each pivot column above its pivot, over the r pivot
 rows only, last pivot first.  The RREF of a matrix is unique and its
 pivot columns do not depend on the elimination order, so kernel bases
-are reproducible.  Odd primes share these two steps, on int64 residues
-for p < 2^31 (products of residues stay below 2^62) and on Python ints
-in an object array above.  GF(2) matrices pack each row into one int and
-run the same two steps with xor (`_echelon_gf2`, `_reduce_gf2`).
+are reproducible.  Every prime runs these two steps, on residues in the
+narrowest dtype that holds each intermediate of a row update, at most
+p(p - 1) (a residue plus p - 1 times another): uint8 for p(p - 1) < 256,
+that is p <= 13; int64 for p < 2^31; Python ints in an object array
+above.  Over GF(2) a row update is an xor of the pivot row's tail.
 
 Rank over the rationals: the rank r modulo 2^31 - 1 is a lower bound,
 and the answer when it equals min(rows, cols).  Otherwise the same
@@ -123,8 +124,12 @@ def _int_rows(rows: list[list[int]]) -> np.ndarray:
 
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
-    """Entries of an integer array mod p: int64 for p < 2^31, where products
-    of residues fit, Python ints in an object array otherwise."""
+    """Entries of an integer array mod p, in the narrowest dtype that holds
+    every intermediate of `_eliminate`, at most p(p - 1): uint8 for
+    p(p - 1) < 256 (p <= 13), int64 for p < 2^31, Python ints in an object
+    array otherwise."""
+    if p * (p - 1) < 256:
+        return (a % p).astype(np.uint8)
     if p <= _CERT_PRIME:
         return (a % p).astype(np.int64, copy=False)
     return a.astype(object) % p
@@ -132,17 +137,21 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 
 def _eliminate(work: np.ndarray, rows: np.ndarray, r: int, col: int, p: int) -> None:
     """Clear column col of the given rows of work with its pivot row r,
-    whose entry there is 1; only the pivot row's nonzero columns move."""
+    whose entry there is 1: over GF(2) by xor, otherwise moving only the
+    pivot row's nonzero columns."""
+    if p == 2:
+        work[rows, col:] ^= work[r, col:]
+        return
     cols = col + work[r, col:].nonzero()[0]
     block = rows[:, None], cols
-    # adding (p - f) times the pivot row keeps entries in [0, p^2)
+    # adding (p - f) times the pivot row keeps entries at most p(p - 1)
     work[block] = (work[block] + (p - work[rows, col][:, None]) * work[r, cols]) % p
 
 
 def _echelon_gfp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over GF(p), p an odd prime, of an array of residues
-    in [0, p): the nonzero rows, each with a leading 1, and their pivot
-    columns.  Only the rows below each pivot are updated."""
+    """Row echelon form over GF(p) of an array of residues in [0, p): the
+    nonzero rows, each with a leading 1, and their pivot columns.  Only
+    the rows below each pivot are updated."""
     work = a.copy()
     nrows = work.shape[0]
     pivots: list[int] = []
@@ -182,7 +191,7 @@ def _kernel_vectors(rref: np.ndarray, pivots: list[int], ncols: int, p: int) -> 
     free = np.setdiff1d(np.arange(ncols), pivots)
     basis = np.zeros((len(free), ncols), dtype=rref.dtype)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-rref[:, free].T) % p
+    basis[:, pivots] = (p - rref[:, free].T) % p  # -x would wrap in uint8
     return basis
 
 
@@ -271,72 +280,25 @@ def rank_exact(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndarray)
 
 
 class ModMatrix:
-    """Dense matrix over GF(p): an array of residues for odd p (see
-    `_residues`), one packed int per row for p = 2."""
+    """Dense matrix over GF(p): `rows` is an array of residues in [0, p),
+    in the dtype that `_residues` picks for p."""
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray, p: int):
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
-        mat = _residues(_integer_array(rows), p)
-        self.nrows, self.ncols = mat.shape
-        if p == 2:
-            packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
-            self.rows: list | np.ndarray = [int.from_bytes(r.tobytes(), "little") for r in packed]
-        else:
-            self.rows = mat
-
-
-def _gf2_unpack(rows: list[int], ncols: int) -> np.ndarray:
-    """Packed GF(2) rows as an int64 0/1 array."""
-    width = (ncols + 7) // 8
-    buf = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    bits = np.unpackbits(buf.reshape(len(rows), width), axis=1, count=ncols, bitorder="little")
-    return bits.astype(np.int64)
-
-
-def _echelon_gf2(m: ModMatrix) -> tuple[list[int], list[int]]:
-    """Row echelon form over GF(2) of packed rows: the nonzero rows and
-    their pivot columns.  Only the rows below each pivot are updated."""
-    work = list(m.rows)
-    pivots: list[int] = []
-    for col in range(m.ncols):
-        r, bit = len(pivots), 1 << col
-        piv = next((i for i in range(r, len(work)) if work[i] & bit), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        row = work[r]  # rows r+1..piv are zero in this column
-        work[piv + 1 :] = [w ^ row if w & bit else w for w in work[piv + 1 :]]
-        pivots.append(col)
-        if len(pivots) == len(work):
-            break
-    return work[: len(pivots)], pivots
-
-
-def _reduce_gf2(echelon: list[int], pivots: list[int]) -> list[int]:
-    """The reduced row echelon form, in place, of `_echelon_gf2`'s rows,
-    last pivot first."""
-    for r in range(len(pivots) - 1, 0, -1):
-        row, bit = echelon[r], 1 << pivots[r]
-        echelon[:r] = [w ^ row if w & bit else w for w in echelon[:r]]
-    return echelon
+        self.rows = _residues(_integer_array(rows), p)
+        self.nrows, self.ncols = self.rows.shape
 
 
 def rank_mod(m: ModMatrix) -> int:
     """Rank over GF(p)."""
-    if m.p == 2:
-        return len(_echelon_gf2(m)[1])
     return len(_echelon_gfp(m.rows, m.p)[1])
 
 
 def kernel_basis_mod(m: ModMatrix) -> list[tuple[int, ...]]:
     """Basis of the right null space {x : m x = 0 over GF(p)}, one vector
     per free column, in column order."""
-    if m.p == 2:
-        rows, pivots = _echelon_gf2(m)
-        rref = _gf2_unpack(_reduce_gf2(rows, pivots), m.ncols)
-    else:
-        echelon, pivots = _echelon_gfp(m.rows, m.p)
-        rref = _reduce_gfp(echelon, pivots, m.p)
+    echelon, pivots = _echelon_gfp(m.rows, m.p)
+    rref = _reduce_gfp(echelon, pivots, m.p)
     return list(map(tuple, _kernel_vectors(rref, pivots, m.ncols, m.p).tolist()))

@@ -1,10 +1,12 @@
 """Reference helpers shared by the tests: plain loops over int vertex
-masks, kept as independent checks on the numpy subset lanes, and the
+masks, kept as independent checks on the numpy subset lanes; the
+3-homogeneous triple sets that the h3 rung no longer builds; and the
 group-by-group graph6 codec and row-by-row `Graph` packing that the
 whole-word paths replaced, kept as their oracles."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -70,6 +72,18 @@ def complete_bipartite_by_components(g: Graph) -> bool:
     return len(comps) <= 2 and all(_is_clique_mask(h, c) for c in comps)
 
 
+def homogeneous_triples(g: Graph) -> set[tuple[int, int, int]]:
+    """3-element subsets inducing a triangle in g or in its complement."""
+    out = set()
+    full = (1 << g.n) - 1
+    for i, j in combinations(range(g.n), 2):
+        # third vertices l > j joined to both i and j, or to neither, as i to j
+        a, b = g.adj[i], g.adj[j]
+        third = a & b if a >> j & 1 else full & ~(a | b)
+        out.update((i, j, l) for l in bits_of(third >> j + 1 << j + 1))
+    return out
+
+
 def intersection(g: Graph, h: Graph) -> Graph:
     """Graph of the edges the two graphs share."""
     if g.n != h.n:
@@ -83,9 +97,7 @@ def subset_unrank(r: int, size: int) -> tuple[int, ...]:
 
 
 def row_entries(m: ModMatrix, i: int) -> list[int]:
-    """Row i of m as residues, bit by bit for a packed GF(2) row."""
-    if m.p == 2:
-        return [(m.rows[i] >> c) & 1 for c in range(m.ncols)]
+    """Row i of m as residues."""
     return m.rows[i].tolist()
 
 

@@ -66,6 +66,16 @@ def test_catalog_order_below_one_raises():
             enumerate_graphs(n)
 
 
+def test_enumerate_graphs_float_order_raises():
+    # the cache is keyed by operator.index(n): a numpy order is stored as a
+    # plain int, and 5.0, equal to it by value, finds no cached catalog
+    enumerate_graphs.cache_clear()
+    assert type(enumerate_graphs(np.int64(5)).n) is int
+    for n in (5.0, np.float64(5)):
+        with pytest.raises(TypeError):
+            enumerate_graphs(n)
+
+
 def _only_catalogs_up_to_order_3():
     """Drop every cached catalog, then build orders 1-3 again."""
     codes.catalog.cache_clear()

@@ -11,7 +11,6 @@ from recomp.graphs import (
     boolean_sum,
     classify_bipartite_kernel,
     complement,
-    homogeneous_triples,
     induced,
     invariants,
     is_claw_free,
@@ -21,6 +20,7 @@ from recomp.graphs import (
 
 from graph_reference import (
     complete_bipartite_by_components,
+    homogeneous_triples,
     intersection,
     mask_of,
     rowwise_code,

@@ -10,7 +10,6 @@ from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
 from recomp.graphs import (
     Graph,
     complement,
-    homogeneous_triples,
     induced,
     invariants,
 )
@@ -42,7 +41,7 @@ from recomp.hypomorphy import (
 )
 from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
 
-from graph_reference import mask_of, subgraph_edge_count
+from graph_reference import homogeneous_triples, mask_of, subgraph_edge_count
 
 
 def relabel(g: Graph, perm) -> Graph:
