@@ -32,14 +32,15 @@ is a bincount of the final groups.  A join continues from its longest
 prefix already sieved in the call, with repeated atoms dropped and
 constant columns skipped; the atom "equal" starts from each g and its
 complement.  A failing representative's hypothesis and violations are
-read off the same states as masks of its group's codes; a cell's witness
-is the smallest violation of the first one.  At k == v the hypothesis
-class is g's iso-utc class, whose size the catalog pass records
-(`codes.catalog`).  The claw-free sweep labels every code by its h3
-counts at k = 3 (`_labels`) and counts, in each class, the ordered pairs
-whose boolean sum or its complement has a claw.  Order 7 multiplies the
-space by 64 and is gated behind `long_running`; sweeps run in one
-process.
+read off the same states as sorted arrays of its group's codes
+(`_class_codes`); a cell's witness is the smallest violation of the
+first one.  At k == v the hypothesis class is g's iso-utc class, whose
+size the catalog pass records (`codes.catalog`).  The claw-free sweep
+reads each g's class of the atom ("h3", 3) off the same sieve and tests
+the boolean sum of g with each member, and its complement, for a claw;
+g stands for its n!/|Aut g| relabelings, an orbit size the catalog pass
+also records.  Order 7 multiplies the space by 64 and is gated behind
+`long_running`; sweeps run in one process.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -52,7 +53,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from math import comb
 from typing import Callable
@@ -89,20 +90,6 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
 
 # -- per-subset signature classes ---------------------------------------------
-
-def _labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
-    """One label per labeled order-v graph, numbered 0, 1, ...; two graphs
-    share a label iff `table` takes equal values on their restrictions to
-    every k-subset.  Labels are renumbered before they could overflow."""
-    dense = np.unique(table, return_inverse=True)[1]
-    width = int(dense.max()) + 1
-    labels = np.zeros(1 << comb(v, 2), dtype=np.int64)
-    for s in colex_subsets(v, k):
-        if (int(labels.max()) + 1) * width > np.iinfo(np.int64).max:
-            labels = np.unique(labels, return_inverse=True)[1]
-        labels = labels * width + dense[codetables.restriction_codes(v, s)]
-    return np.unique(labels, return_inverse=True)[1]
-
 
 def _dense_table(v: int, kind: str, size: int) -> np.ndarray:
     """The `kind` signature of every order-`size` code, numbered 0, 1, ...
@@ -174,6 +161,13 @@ def _join_state(v: int, reps: np.ndarray, join: tuple, states: dict) -> tuple:
     return states[join]
 
 
+def _class_codes(state: tuple, i: int) -> np.ndarray:
+    """The codes of representative i's class in a sieve state, ascending."""
+    alive, groups, rep_groups = state
+    own = groups == rep_groups[i]
+    return np.flatnonzero(own) if alive is None else alive[own]
+
+
 def _normal(atoms: tuple) -> tuple:
     """The join of `atoms` as a state key: repeats dropped, "equal" first."""
     return tuple(sorted(dict.fromkeys(atoms), key=lambda a: a[0] != "equal"))
@@ -184,7 +178,8 @@ def _decide(v: int, claims: list):
     catalog.  Returns each g's first antecedent class size, the indices of
     the g that fail a claim, and `reread(i)`: the hypothesis size of the
     g of index i (the union of its antecedents, the first one where g
-    passes) and its violating codes, read off the sieve states as masks."""
+    passes) and its violating codes, ascending, read off the sieve states
+    as sorted code sets."""
     reps = codetables.catalog(v)[0]
     states: dict[tuple, tuple] = {}
 
@@ -201,20 +196,16 @@ def _decide(v: int, claims: list):
 
     def reread(i: int) -> tuple[int, np.ndarray]:
         def members(atoms: tuple) -> np.ndarray:
-            alive, groups, rep_groups = _join_state(v, reps, _normal(atoms), states)
-            mask = np.zeros(1 << comb(v, 2), dtype=bool)
-            own = np.flatnonzero(groups == rep_groups[i])
-            mask[own if alive is None else alive[own]] = True
-            return mask
+            return _class_codes(_join_state(v, reps, _normal(atoms), states), i)
 
-        hyp = bad = np.zeros(1 << comb(v, 2), dtype=bool)
+        hyp, bad = [], []
         for a, b, iff in claims:
             in_a, in_ab = members(a), members(a + b)
-            hyp = hyp | in_a
-            bad = bad | (in_a & ~in_ab)
+            hyp.append(in_a)
+            bad.append(np.setdiff1d(in_a, in_ab, assume_unique=True))
             if iff:
-                bad = bad | (members(b) & ~in_ab)
-        return int(np.count_nonzero(hyp)), np.flatnonzero(bad)
+                bad.append(np.setdiff1d(members(b), in_ab, assume_unique=True))
+        return len(reduce(np.union1d, hyp)), reduce(np.union1d, bad)
 
     return size(claims[0][0]), np.flatnonzero(~held), reread
 
@@ -258,7 +249,7 @@ def _check_sweep_order(v: int, long_running: bool) -> None:
 
 def _membership(relation: str, v: int, k: int) -> AtlasRecord:
     start = time.perf_counter()
-    rep_codes, utc_sizes = codetables.catalog(v)
+    rep_codes, utc_sizes, _ = codetables.catalog(v)
     full = codetables.full_code(v)
     if k == v:
         # the hypothesis class is g's iso-utc class: R holds, and S holds
@@ -359,23 +350,37 @@ THEOREMS: dict[str, Callable[[int, int], list] | None] = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
+def _has_claw(v: int, codes: np.ndarray) -> np.ndarray:
+    """Per code: the graph or its complement has a claw, that is, some
+    4-subset induces a graph of the claw's class up to complementation."""
+    utc4 = codetables.canonical_utc_table(4)
+    claw = utc4[Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).code]
+    out = np.zeros(len(codes), dtype=bool)
+    for s in colex_subsets(v, 4):
+        out |= utc4[codetables.restriction_codes(v, s, codes)] == claw
+    return out
+
+
 def _clawfree(v: int) -> tuple[list[tuple[int, int]], int, int]:
     """Ordered pairs (c, c') in one h3 class at size 3 whose boolean sum
     c ^ c' or its complement has a claw: the first VIOLATION_LIST_CAP in
     (c, c') order, their number, and the number of pairs in the classes.
-    The classes of one size are read as one (classes, size, size) block."""
-    ids = _labels(v, 3, signature_table("h3", 3))
-    by_class = np.argsort(ids)
-    sizes = np.bincount(ids)
-    starts = np.cumsum(sizes) - sizes
-    both = codetables.clawfree_both_table(v)
-    found, total = [], 0
-    for size in np.unique(sizes).tolist():
-        members = by_class[starts[sizes == size, None] + np.arange(size)]
-        cls, i, j = np.nonzero(~both[members[:, :, None] ^ members[:, None, :]])
-        total += len(cls)
-        found += zip(members[cls, i].tolist(), members[cls, j].tolist())
-    return sorted(found)[:VIOLATION_LIST_CAP], total, int((sizes**2).sum())
+    Relabeling both codes keeps their class and relabels their sum, so
+    each representative g is paired with its class, read off the sieve,
+    for n!/|Aut g| labeled pairs, and a failing pair is listed relabeled."""
+    reps, _, orbit_sizes = codetables.catalog(v)
+    state = _join_state(v, reps, (("h3", 3),), {})
+    classes = [_class_codes(state, i) for i in range(len(reps))]
+    owner = np.repeat(np.arange(len(reps)), [len(c) for c in classes])
+    members = np.concatenate(classes)
+    weight = orbit_sizes[owner]
+    bad = _has_claw(v, reps[owner] ^ members)
+    found = np.zeros(0, dtype=np.int64)  # the least pairs so far, as c << C(v,2) | c'
+    for g, c in zip(reps[owner[bad]].tolist(), members[bad].tolist()):
+        pairs = codetables.relabelings(v, g) << comb(v, 2) | codetables.relabelings(v, c)
+        found = np.union1d(found, pairs)[:VIOLATION_LIST_CAP]
+    listed = [divmod(p, 1 << comb(v, 2)) for p in found.tolist()]
+    return listed, int(weight[bad].sum()), int(weight.sum())
 
 
 def sweep_theorem(

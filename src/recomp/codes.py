@@ -2,12 +2,12 @@
 
 A labeled graph on n vertices is a code in [0, 2^C(n,2)): bit r holds the
 pair of colex rank r.  Relabeling by a permutation is a bit permutation of
-codes, so canonical forms, restriction codes and the claw-free table
-become numpy gathers over the whole space.  That is what makes exhaustive
-order-6 sweeps (156 canonical graphs against all 32768 labeled graphs) run
-in seconds.  Restriction codes for one vertex subset are read from two
-short tables, one per half of the code bits, kept per (n, subset), for
-the whole space or for given codes.  The other per-subset signatures
+codes, so canonical forms and restriction codes become numpy gathers
+over the whole space.  That is what makes exhaustive order-6 sweeps (156
+canonical graphs against all 32768 labeled graphs) run in seconds.
+Restriction codes for one vertex subset are read from two short tables,
+one per half of the code bits, kept per (n, subset), for the whole space
+or for given codes.  The other per-subset signatures
 (parity, edge counts, h3) are row functions in `hypomorphy`, tabulated
 by `signature_table`.
 
@@ -27,10 +27,11 @@ of all 2^(n-1) new-vertex neighbourhoods built once per order (each row
 is the row without the lowest bit plus that bit's weights); and a dense
 slot table over the 2^C(n-1,2) order n-1 codes gives each orbit code's
 representative row, or -1, in one gather.  The orbit also gives the
-class's size up to complementation, n!/|Aut g| by orbit-stabilizer,
-doubled unless g is self-complementary.  Each catalog's orbits must cover all 2^C(n,2)
-codes, and its classes must number `CATALOG_COUNTS[n]`.  Full canonical
-tables (n <= 7) scatter each class's minimum over its orbit.
+class's orbit size, n!/|Aut g| by orbit-stabilizer, and its size up to
+complementation, the orbit size doubled unless g is self-complementary.
+Each catalog's orbits must cover all 2^C(n,2) codes, and its classes
+must number `CATALOG_COUNTS[n]`.  Full canonical tables (n <= 7)
+scatter each class's minimum over its orbit.
 
 Each table is built once per order, or per (n, subset), by a
 `functools.cache` function, and kept for the process; its argument
@@ -44,13 +45,13 @@ from __future__ import annotations
 
 import operator
 from functools import cache, wraps
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 
 import numpy as np
 
 from .errors import DomainError, OrderTooLarge, VerificationError
-from .graphs import Graph, pair_rank
+from .graphs import pair_rank
 
 CANON_MAX_ORDER = 8
 TABLE_MAX_ORDER = 7
@@ -115,11 +116,11 @@ def all_codes(n: int) -> np.ndarray:
 
 
 @_order_cache
-def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
+def catalog(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical codes of order n (n <= 8), ascending, one per isomorphism
-    class, and each class's iso-utc size; sound because every order-n
-    class contains a graph whose first n-1 vertices induce an order-(n-1)
-    representative."""
+    class, with each class's iso-utc size and its orbit size n!/|Aut g|;
+    sound because every order-n class contains a graph whose first n-1
+    vertices induce an order-(n-1) representative."""
     if n < 1:
         raise DomainError(f"catalogs need n >= 1, got {n}")
     if n > CANON_MAX_ORDER:
@@ -136,7 +137,7 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
     for x in range(1, 1 << (n - 1)):
         x_orbits[x] = x_orbits[x & (x - 1)] + new_rows[(x & -x).bit_length() - 1]
     marked = np.zeros((len(prev), 1 << (n - 1)), dtype=bool)
-    canon, sizes, covered = [], [], 0
+    canon, sizes, orbits = [], [], []
     for r, rep in enumerate(prev.tolist()):
         rep_orbit = relabelings(n, rep)
         for x in range(1 << (n - 1)):
@@ -145,12 +146,13 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
             code = rep | x << base_bits
             orbit = rep_orbit + x_orbits[x]  # relabeling is linear in the bits
             size = len(orbit) // int(np.count_nonzero(orbit == code))  # n!/|Aut g|
-            covered += size
             canon.append(int(orbit.min()))
             sizes.append(size if np.any(orbit == full ^ code) else 2 * size)
+            orbits.append(size)
             rows = slot[orbit & low]
             hit = rows >= 0
             marked[rows[hit], orbit[hit] >> base_bits] = True
+    covered = sum(orbits)
     if covered != 1 << n_pairs(n):
         raise VerificationError(
             f"order-{n} orbits cover {covered} codes, expected {1 << n_pairs(n)}"
@@ -160,7 +162,7 @@ def catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
             f"order-{n} catalog has {len(canon)} classes, expected {CATALOG_COUNTS[n]}"
         )
     order = np.argsort(canon)
-    return np.array(canon, dtype=np.int64)[order], np.array(sizes, dtype=np.int64)[order]
+    return tuple(np.array(x, dtype=np.int64)[order] for x in (canon, sizes, orbits))
 
 
 @_order_cache
@@ -179,19 +181,6 @@ def canonical_utc_table(n: int) -> np.ndarray:
     """Canonical code up to complementation of every labeled graph."""
     t = canonical_table(n)
     return np.minimum(t, t[::-1])  # t[::-1][c] = t[full_code ^ c]
-
-
-@_order_cache
-def clawfree_both_table(n: int) -> np.ndarray:
-    """Per code: the graph and its complement are both claw-free, that is,
-    no 4-subset induces a claw or the claw's complement, the two graphs of
-    the claw's class up to complementation."""
-    utc4 = canonical_utc_table(4)
-    claw = utc4[Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]).code]
-    out = np.ones(1 << n_pairs(n), dtype=bool)
-    for s in combinations(range(n), 4):
-        out &= utc4[restriction_codes(n, s)] != claw
-    return out
 
 
 @cache

@@ -1,11 +1,13 @@
 """Reference helpers shared by the tests: plain loops over int vertex
 masks, kept as independent checks on the numpy subset lanes; the
-3-homogeneous triple sets that the h3 rung no longer builds; and the
-group-by-group graph6 codec and row-by-row `Graph` packing that the
-whole-word paths replaced, kept as their oracles."""
+3-homogeneous triple sets that the h3 rung no longer builds; the
+full-space signature labels and claw-free table that the sweeps' sieve
+replaced; and the group-by-group graph6 codec and row-by-row `Graph`
+packing that the whole-word paths replaced, kept as their oracles."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -13,8 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from recomp.errors import DomainError, OrderMismatch
-from recomp.graphs import MAX_ORDER, Graph, bits_of, complement
-from recomp.incidence import build_w, colex_vertices
+from recomp.codes import restriction_codes
+from recomp.graphs import MAX_ORDER, Graph, bits_of, complement, is_claw_free
+from recomp.incidence import build_w, colex_subsets, colex_vertices
 from recomp.linalg import ModMatrix
 
 
@@ -119,6 +122,31 @@ def restriction_edge_counts_via_matrix(g: Graph, k: int) -> list[int]:
     code = g.code
     edge_row = np.array([code >> r & 1 for r in range(comb(g.n, 2))], dtype=np.int64)
     return (edge_row @ w.array.astype(np.int64)).tolist()
+
+
+# -- full-space labels ----------------------------------------------------
+
+
+def signature_labels(v: int, k: int, table: np.ndarray) -> np.ndarray:
+    """One label per labeled order-v graph, numbered 0, 1, ...; two graphs
+    share a label iff `table` takes equal values on their restrictions to
+    every k-subset.  Labels are renumbered before they could overflow."""
+    dense = np.unique(table, return_inverse=True)[1]
+    width = int(dense.max()) + 1
+    labels = np.zeros(1 << comb(v, 2), dtype=np.int64)
+    for s in colex_subsets(v, k):
+        if (int(labels.max()) + 1) * width > np.iinfo(np.int64).max:
+            labels = np.unique(labels, return_inverse=True)[1]
+        labels = labels * width + dense[restriction_codes(v, s)]
+    return np.unique(labels, return_inverse=True)[1]
+
+
+@cache
+def clawfree_both(n: int) -> np.ndarray:
+    """Per order-n code: the graph and its complement are both claw-free,
+    by `is_claw_free` on each Graph."""
+    graphs = (Graph.from_code(n, c) for c in range(1 << comb(n, 2)))
+    return np.array([is_claw_free(g) and is_claw_free(complement(g)) for g in graphs])
 
 
 # -- the codec and packing loops ------------------------------------------

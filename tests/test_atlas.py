@@ -30,6 +30,8 @@ from recomp.graphs import Graph, complement
 from recomp.hypomorphy import THEOREM_DOMAINS, equal_up_to_complementation, k_hypomorphic_utc, signature_table
 from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_to_complementation
 
+from graph_reference import clawfree_both, signature_labels
+
 
 def test_catalog_counts_small():
     for n in range(1, 7):
@@ -95,7 +97,7 @@ def test_labels_renumber_before_int64_overflow():
     # in some 4-subset); its 64 values over the 15 4-subsets of 6 vertices
     # make 2^90 combinations, so labels must be renumbered on the way, and
     # wrapped int64 arithmetic would show as negative labels
-    labels = atlas._labels(6, 4, np.arange(64)[::-1])
+    labels = signature_labels(6, 4, np.arange(64)[::-1])
     assert labels.min() >= 0
     assert len(np.unique(labels)) == 1 << 15
 
@@ -432,7 +434,7 @@ def _mask_scan_membership(relation: str, v: int, k: int) -> tuple[str, tuple | N
     reps = enumerate_graphs(v).representatives
     full = codes.full_code(v)
     if k < v:
-        labels = atlas._labels(v, k, codes.canonical_utc_table(k))
+        labels = signature_labels(v, k, codes.canonical_utc_table(k))
         utc = codes.canonical_utc_table(v)
     witness, examined = None, 0
     for g in reps:
@@ -523,7 +525,7 @@ def _signature_equality(v: int):
 
     def same(kind: str, k: int, g: int) -> np.ndarray:
         if (kind, k) not in cache:
-            cache[kind, k] = atlas._labels(v, k, atlas.signature_table(kind, k))
+            cache[kind, k] = signature_labels(v, k, atlas.signature_table(kind, k))
         labels = cache[kind, k]
         return labels == labels[g]
 
@@ -558,7 +560,7 @@ def _theorem_masks(theorem: str, v: int, k: int | None, same, g: int):
     paired with code g, each statement written out as mask algebra."""
     if theorem == "clawfree":
         hyp = same("h3", 3, g)
-        return hyp, hyp & ~codes.clawfree_both_table(v)[codes.all_codes(v) ^ g]
+        return hyp, hyp & ~clawfree_both(v)[codes.all_codes(v) ^ g]
     if theorem == "k0mod4":
         hyp = same("parity", k, g)
         return hyp, hyp ^ _equal_utc(v, g)
@@ -618,17 +620,22 @@ def test_sweeps_match_mask_scan_oracle():
         )
 
 
-def _narrow(monkeypatch, narrowed: tuple[str, int]) -> None:
-    """Make one signature table the restriction code itself, so its atom
-    separates every code (each pair of vertices lies in some subset)."""
+def _replace_table(monkeypatch, atom: tuple[str, int], values) -> None:
+    """Make one signature table `values(number of codes)` for the test."""
     real = atlas.signature_table
 
     def table(kind: str, k: int) -> np.ndarray:
-        return np.arange(1 << comb(k, 2)) if (kind, k) == narrowed else real(kind, k)
+        return values(1 << comb(k, 2)) if (kind, k) == atom else real(kind, k)
 
     monkeypatch.setattr(atlas, "signature_table", table)
-    # tables read with the narrowing only, in a cache that ends with the test
+    # tables read with the replacement only, in a cache that ends with the test
     monkeypatch.setattr(atlas, "_numbering", cache(atlas._numbering.__wrapped__))
+
+
+def _narrow(monkeypatch, narrowed: tuple[str, int]) -> None:
+    """Make one signature table the restriction code itself, so its atom
+    separates every code (each pair of vertices lies in some subset)."""
+    _replace_table(monkeypatch, narrowed, np.arange)
 
 
 def test_failing_union_hypothesis_matches_oracle(monkeypatch):
@@ -664,6 +671,20 @@ def test_iff_claim_fails_on_its_converse(monkeypatch):
     got = sweep_theorem("k0mod4", 6, 4).to_json()
     assert (got["violation_count"], got["hypothesis_count"]) == (156, 156)
     assert got == _mask_scan_sweep("k0mod4", 6, 4)
+
+
+def test_widened_clawfree_lists_relabeled_violations(monkeypatch):
+    """With h3 at size 3 made constant, all codes share one class, so the
+    claw-free sweep fails wherever the sum of two codes or its complement
+    has a claw.  The sweep tests each representative against its class
+    and lists each failing pair with all its relabelings; the list,
+    sorted and capped, must equal the scan over every labeled pair."""
+    _replace_table(monkeypatch, ("h3", 3), lambda size: np.zeros(size, dtype=np.int64))
+    for v, bad in ((3, 0), (4, 512)):
+        got = sweep_theorem("clawfree", v).to_json()
+        assert (got["violation_count"], got["hypothesis_count"]) == (bad, 1 << 2 * comb(v, 2))
+        assert got == _mask_scan_sweep("clawfree", v, None), v
+    assert len(got["violations"]) == VIOLATION_LIST_CAP
 
 
 # every dense table the order <= 7 cells and sweeps read: (kind, size), and

@@ -7,20 +7,21 @@ from math import comb
 import numpy as np
 import pytest
 
-from recomp.atlas import enumerate_graphs
+from recomp.atlas import _has_claw, enumerate_graphs
 from recomp.codes import (
     all_codes,
     canonical_table,
     canonical_utc_table,
     catalog,
-    clawfree_both_table,
     dest_weights,
     full_code,
     relabelings,
     restriction_codes,
 )
-from recomp.graphs import Graph, complement, induced, invariants, is_claw_free
+from recomp.graphs import Graph, induced, invariants
 from recomp.hypomorphy import signature_table
+
+from graph_reference import clawfree_both
 
 
 def oracle_canonical_code(g: Graph) -> int:
@@ -119,7 +120,7 @@ def searchsorted_catalog(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_catalog_matches_searchsorted_oracle(n):
-    rep_codes, sizes = catalog(n)
+    rep_codes, sizes, _ = catalog(n)
     expected_codes, expected_sizes = searchsorted_catalog(n)
     assert np.array_equal(rep_codes, expected_codes)
     assert np.array_equal(sizes, expected_sizes)
@@ -132,12 +133,24 @@ def test_canonical_table_matches_orbit_marking_oracle(n):
 
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_catalog_utc_sizes_match_per_representative_oracle(n):
-    rep_codes, sizes = catalog(n)
+    rep_codes, sizes, _ = catalog(n)
     assert np.array_equal(sizes, per_representative_utc_sizes(n, rep_codes))
     if n <= 7:  # and the number of codes sharing each representative's utc code
         values, counts = np.unique(canonical_utc_table(n), return_counts=True)
         utc = canonical_utc_table(n)[rep_codes]
         assert np.array_equal(sizes, counts[np.searchsorted(values, utc)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_catalog_orbit_sizes_count_distinct_relabelings(n):
+    """n!/|Aut g| is the number of distinct codes among g's relabelings;
+    a class's iso-utc size is that, or twice that, and the orbits
+    partition the code space."""
+    rep_codes, utc_sizes, orbit_sizes = catalog(n)
+    distinct = [len(np.unique(relabelings(n, g))) for g in rep_codes.tolist()]
+    assert orbit_sizes.tolist() == distinct
+    assert set((utc_sizes // orbit_sizes).tolist()) <= {1, 2}
+    assert int(orbit_sizes.sum()) == 1 << comb(n, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -184,18 +197,12 @@ def test_signature_tables_match_graph_invariants(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_clawfree_both_table_matches_graph_loop(n):
-    """Reference: the per-code loop over Graph objects that the 4-subset
-    fold replaced."""
-    expected = []
-    for c in range(1 << comb(n, 2)):
-        g = Graph.from_code(n, c)
-        expected.append(is_claw_free(g) and is_claw_free(complement(g)))
-    assert clawfree_both_table(n).tolist() == expected
+    """The claw-free sweep's 4-subset claw check, applied to every code,
+    against the per-code loop over Graph objects."""
+    assert (~_has_claw(n, all_codes(n))).tolist() == clawfree_both(n).tolist()
 
 
-@pytest.mark.parametrize(
-    "table", [dest_weights, catalog, canonical_table, canonical_utc_table, clawfree_both_table]
-)
+@pytest.mark.parametrize("table", [dest_weights, catalog, canonical_table, canonical_utc_table])
 def test_validation_float_order_after_numpy_order(table):
     # cache keys compare by value, and (np.int64(4),) equals (4.0,) with the
     # same hash: a float order must not hit the entry of a numpy order

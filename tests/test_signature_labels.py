@@ -1,9 +1,11 @@
-"""Sweep labels against the scalar pairwise ladder on sampled pairs.
+"""Full-space signature labels against the scalar pairwise ladder on
+sampled pairs.
 
 Two codes share a signature label iff the scalar predicate for that
 signature holds on the pair.  Labels and rungs read the same row
 functions (`hypomorphy.SIGNATURES`), so this checks the label fold over
-all codes against the per-pair subset scan; the h3set predicate counts
+all codes (`graph_reference.signature_labels`, the oracle of the sweeps'
+sieve) against the per-pair subset scan; the h3set predicate counts
 homogeneous triples on its own.
 """
 
@@ -16,7 +18,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomp import atlas
 from recomp.graphs import Graph
 from recomp.hypomorphy import (
     k_hypomorphic_utc,
@@ -26,6 +27,8 @@ from recomp.hypomorphy import (
     same_parity,
     signature_table,
 )
+
+from graph_reference import signature_labels
 
 PREDICATES = {
     "utc": k_hypomorphic_utc,
@@ -42,7 +45,8 @@ _labels: dict[tuple[int, int, str], np.ndarray] = {}
 
 def labels(v: int, k: int, kind: str) -> np.ndarray:
     if (v, k, kind) not in _labels:
-        _labels[v, k, kind] = atlas._labels(v, k, signature_table(SIGNATURE_OF.get(kind, kind), k))
+        table = signature_table(SIGNATURE_OF.get(kind, kind), k)
+        _labels[v, k, kind] = signature_labels(v, k, table)
     return _labels[v, k, kind]
 
 
