@@ -31,9 +31,15 @@ once per process, in tables that every order shares.  A class size
 is a bincount of the final groups.  A join continues from its longest
 prefix already sieved in the call, with repeated atoms dropped and
 constant columns skipped; the atom "equal" starts from each g and its
-complement.  A failing representative's hypothesis and violations are
-read off the same states as sorted arrays of its group's codes
-(`_class_codes`); a cell's witness is the smallest violation of the
+complement.  Any other first atom grows the sieve one vertex at a time
+(`_grow`): in colex order the columns whose largest vertex is j read only
+the pairs inside {0..j}, so the codes gain vertex j's neighbourhoods just
+before those columns apply, and a code dies before any of its extensions
+exist.  A constant atom, or one with k >= v, starts from all 2^C(v,2)
+codes, and atoms of size v go last in a join (`_normal`).  A failing
+representative's hypothesis and violations are read off the same states
+as sorted arrays of its group's codes (`_class_codes`), joined by one
+sort (`_union`); a cell's witness is the smallest violation of the
 first one.  At k == v the hypothesis class is g's iso-utc class, whose
 size the catalog pass records (`codes.catalog`).  The claw-free sweep
 reads each g's class of the atom ("h3", 3) off the same sieve and tests
@@ -53,8 +59,8 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cache, reduce
-from itertools import product
+from functools import cache
+from itertools import groupby, product
 from math import comb
 from typing import Callable
 
@@ -116,17 +122,18 @@ def _equal_partners(v: int, codes: np.ndarray) -> np.ndarray:
     return codetables.full_code(v) ^ codes
 
 
-def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int]) -> tuple:
-    """Sieve `state` by each column of one atom, a per-subset signature.
-    A state is (alive codes, or None for all; group per alive code; group
-    per representative): the alive codes are those in some
-    representative's class, and share its group."""
+def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int], columns=None) -> tuple:
+    """Sieve `state` by the columns of one atom, a per-subset signature:
+    every k-subset in colex order, or the k-subsets `columns`.  A state is
+    (alive codes, or None for all; group per alive code; group per
+    representative): the alive codes are those in some representative's
+    class, and share its group."""
     alive, groups, rep_groups = state
     dense = _dense_table(v, *atom)
     width = int(dense.max()) + 1
     if width == 1:  # a constant signature separates nothing
         return state
-    for s in colex_subsets(v, atom[1]):
+    for s in colex_subsets(v, atom[1]) if columns is None else columns:
         keys = rep_groups * width + dense[codetables.restriction_codes(v, s, reps)]
         # (old group, value) -> new group: the index of one representative
         # with that key, whichever the scatter keeps
@@ -144,18 +151,39 @@ def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int]) -> tu
     return alive, groups, rep_groups
 
 
+def _grow(v: int, reps: np.ndarray, atom: tuple[str, int]) -> tuple:
+    """Sieve state of the join of one atom of size k, grown from every code
+    on k - 1 vertices: at each vertex j, the 2^j neighbourhoods of j as top
+    bits (the codes stay ascending), then the columns whose largest vertex
+    is j.  A constant atom, or one with k >= v, starts from every code."""
+    k = atom[1]
+    if k >= v or not _dense_table(v, *atom).any():
+        state = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
+        return _refine(v, reps, state, atom)
+    alive = codetables.all_codes(k - 1)
+    state = alive, np.zeros(len(alive), np.int32), np.zeros(len(reps), np.int32)
+    for j, columns in groupby(colex_subsets(v, k), key=lambda s: s[-1]):
+        alive, groups, rep_groups = state
+        alive = (np.arange(1 << j, dtype=np.int64)[:, None] << comb(j, 2) | alive).ravel()
+        if len(alive) == 1 << comb(v, 2):  # every code alive: read them whole
+            alive = None
+        state = _refine(v, reps, (alive, np.tile(groups, 1 << j), rep_groups), atom, columns)
+    return state
+
+
 def _join_state(v: int, reps: np.ndarray, join: tuple, states: dict) -> tuple:
     """Sieve state of a join of atoms, continued from its longest prefix
     in `states`; the atom ("equal", v), always first, starts the sieve
-    from each representative and its partner."""
+    from each representative and its partner, and any other first atom
+    grows it (`_grow`)."""
     if join not in states:
-        if not join:  # one group, holding every code
-            states[join] = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
-        elif join == (("equal", v),):
+        if join == (("equal", v),):
             partners = _equal_partners(v, reps)
             rep_groups = np.unique(np.minimum(reps, partners), return_inverse=True)[1]
             alive, first = np.unique(np.concatenate([reps, partners]), return_index=True)
             states[join] = alive, np.tile(rep_groups, 2)[first].astype(np.int32), rep_groups
+        elif len(join) == 1:
+            states[join] = _grow(v, reps, join[0])
         else:
             states[join] = _refine(v, reps, _join_state(v, reps, join[:-1], states), join[-1])
     return states[join]
@@ -168,9 +196,23 @@ def _class_codes(state: tuple, i: int) -> np.ndarray:
     return np.flatnonzero(own) if alive is None else alive[own]
 
 
-def _normal(atoms: tuple) -> tuple:
-    """The join of `atoms` as a state key: repeats dropped, "equal" first."""
-    return tuple(sorted(dict.fromkeys(atoms), key=lambda a: a[0] != "equal"))
+def _normal(v: int, atoms: tuple) -> tuple:
+    """The join of `atoms` as a state key: repeats dropped, "equal" first
+    and atoms of size v last, so a smaller atom grows the sieve."""
+    return tuple(sorted(dict.fromkeys(atoms), key=lambda a: (a[0] != "equal", a[1] >= v)))
+
+
+def _union(arrays: list) -> np.ndarray:
+    """The ascending union of code arrays: one stable sort, which merges
+    ascending runs, and repeats dropped (numpy 2's `np.union1d` hashes
+    through `np.unique`, seconds on 2^21 codes).  A lone array is a class
+    array, ascending already, and comes back as it is."""
+    if len(arrays) == 1:
+        return arrays[0]
+    codes = np.sort(np.concatenate(arrays), kind="stable")
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
 
 
 def _decide(v: int, claims: list):
@@ -185,7 +227,7 @@ def _decide(v: int, claims: list):
 
     def size(atoms: tuple) -> np.ndarray:
         """Size of each representative's class in the join of `atoms`."""
-        _, groups, rep_groups = _join_state(v, reps, _normal(atoms), states)
+        _, groups, rep_groups = _join_state(v, reps, _normal(v, atoms), states)
         return np.bincount(groups)[rep_groups]
 
     held = np.ones(len(reps), dtype=bool)
@@ -196,7 +238,7 @@ def _decide(v: int, claims: list):
 
     def reread(i: int) -> tuple[int, np.ndarray]:
         def members(atoms: tuple) -> np.ndarray:
-            return _class_codes(_join_state(v, reps, _normal(atoms), states), i)
+            return _class_codes(_join_state(v, reps, _normal(v, atoms), states), i)
 
         hyp, bad = [], []
         for a, b, iff in claims:
@@ -205,7 +247,7 @@ def _decide(v: int, claims: list):
             bad.append(np.setdiff1d(in_a, in_ab, assume_unique=True))
             if iff:
                 bad.append(np.setdiff1d(members(b), in_ab, assume_unique=True))
-        return len(reduce(np.union1d, hyp)), reduce(np.union1d, bad)
+        return len(_union(hyp)), _union(bad)
 
     return size(claims[0][0]), np.flatnonzero(~held), reread
 
@@ -265,7 +307,7 @@ def _membership(relation: str, v: int, k: int) -> AtlasRecord:
     if len(failing):
         g = int(rep_codes[failing[0]])
         if k == v:
-            members = np.union1d(codetables.relabelings(v, g), codetables.relabelings(v, full ^ g))
+            members = _union([codetables.relabelings(v, g), codetables.relabelings(v, full ^ g)])
             bad = np.setdiff1d(members, [g, full ^ g])
         else:
             bad = reread(failing[0])[1]
@@ -378,7 +420,7 @@ def _clawfree(v: int) -> tuple[list[tuple[int, int]], int, int]:
     found = np.zeros(0, dtype=np.int64)  # the least pairs so far, as c << C(v,2) | c'
     for g, c in zip(reps[owner[bad]].tolist(), members[bad].tolist()):
         pairs = codetables.relabelings(v, g) << comb(v, 2) | codetables.relabelings(v, c)
-        found = np.union1d(found, pairs)[:VIOLATION_LIST_CAP]
+        found = _union([found, pairs])[:VIOLATION_LIST_CAP]
     listed = [divmod(p, 1 << comb(v, 2)) for p in found.tolist()]
     return listed, int(weight[bad].sum()), int(weight.sum())
 

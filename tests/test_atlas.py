@@ -492,6 +492,21 @@ def test_orbit_count_mismatch_raises(monkeypatch):
         enumerate_graphs(4)
 
 
+# the witness of each order-7 NonMember cell, in graph6: its first failing
+# representative and that one's smallest violation
+ORDER7_WITNESSES = {
+    ("S", 1): ("F????", "F_???"),
+    ("R", 1): ("F????", "F_???"),
+    ("S", 2): ("F????", "F_???"),
+    ("R", 2): ("F????", "F_???"),
+    ("S", 3): ("Fsa??", "Fs_C?"),
+    ("R", 3): ("Fsa??", "FsaC?"),
+    ("S", 5): ("Ftv_?", "F}i[?"),
+    ("S", 6): ("FK???", "FQ???"),
+    ("S", 7): ("F_???", "FO???"),
+}
+
+
 def test_order7_rows():
     for k in range(1, 8):
         for relation, fn, members in (
@@ -505,6 +520,7 @@ def test_order7_rows():
             print(f"{relation}(7,{k}) {rec.verdict} {wall:.2f} s, peak RSS {rss:.0f} MB")
             assert rss < 512
             assert rec.verdict == ("Member" if k in members else "NonMember"), (relation, k)
+            assert rec.witness == ORDER7_WITNESSES.get((relation, k)), (relation, k)
             assert rec.pairs_examined == (1044 << comb(7, 2) if k < 7 else 2 << comb(7, 2))
             if rec.verdict == "Member":
                 continue
@@ -714,3 +730,57 @@ def test_dense_tables_number_like_unique(monkeypatch):
     for v in range(2, 8):
         got = atlas._dense_table(v, "utc", v)
         assert np.array_equal(got, np.unique(codes.canonical_utc_table(v), return_inverse=True)[1])
+
+
+def test_union_matches_union1d():
+    """`_union` equals `np.union1d` over seeded code arrays, sorted class
+    arrays and unsorted ones with repeats, sharing codes or empty; a lone
+    array comes back as it is."""
+    rng = np.random.default_rng(22)
+    for trial in range(300):
+        arrays = [rng.integers(0, 64, rng.integers(0, 40)) for _ in range(rng.integers(2, 5))]
+        if trial % 2:
+            arrays = [np.unique(a) for a in arrays]
+        got = atlas._union(arrays)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reduce(np.union1d, arrays)), trial
+    empty = np.zeros(0, dtype=np.int64)
+    assert np.array_equal(atlas._union([empty, empty]), empty)
+    lone = np.arange(5)
+    assert atlas._union([lone]) is lone
+
+
+SIEVE_KINDS = ("utc", "edges", "h3", "parity", "parity_utc", "a0")
+
+
+def _assert_grown_matches_full_space(v: int, atom: tuple[str, int], sample=None) -> None:
+    """The oracle: the state of every code in one group, refined by every
+    column of `atom`.  `_grow` must give each representative (or each of
+    `sample`) the same class size and the same class codes."""
+    reps = codes.catalog(v)[0]
+    start = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
+    full = atlas._refine(v, reps, start, atom)
+    grown = atlas._grow(v, reps, atom)
+    sizes = [np.bincount(groups)[rep_groups] for _, groups, rep_groups in (grown, full)]
+    assert np.array_equal(*sizes), (v, atom)
+    for i in range(len(reps)) if sample is None else sample:
+        assert np.array_equal(atlas._class_codes(grown, i), atlas._class_codes(full, i)), (v, atom, i)
+
+
+def test_grown_sieve_matches_full_space():
+    """Every single atom at v <= 6 and every size 1..v+1, and 1..3 at
+    v = 1 for the claw-free sweep's ("h3", 3): constant atoms, atoms of
+    size v and past v included, which start from every code."""
+    for v in range(1, 7):
+        for kind in SIEVE_KINDS:
+            for k in range(1, max(v, 2) + 2):
+                _assert_grown_matches_full_space(v, (kind, k))
+
+
+def test_grown_sieve_matches_full_space_order7_sample():
+    """Three seeded atoms at v = 7, on 40 seeded representatives each."""
+    rng = np.random.default_rng(7)
+    reps = len(codes.catalog(7)[0])
+    atoms = [(kind, k) for kind in SIEVE_KINDS for k in range(1, 8)]
+    for a in rng.choice(len(atoms), 3, replace=False):
+        _assert_grown_matches_full_space(7, atoms[a], rng.choice(reps, 40, replace=False))
