@@ -22,7 +22,6 @@ from typing import Callable, Iterable
 
 from .errors import (
     DomainError,
-    HypothesisNotMet,
     NotPrimePowerOneMod4,
     OrderTooLarge,
     VerificationError,
@@ -593,21 +592,3 @@ def search_class_g(n: int, budget: int) -> ClassGSearchReport:
         members=tuple(members),
         connection_sets=tuple(sets),
     )
-
-
-def verify_equal_or_class_g(g: Graph, h: Graph, k: int) -> VerifierResult:
-    """Pairs that are (v-1)-hypomorphic with matching restriction
-    parities up to complementation at some k = 0 (mod 4) are either
-    equal or the first graph is a class-G member."""
-    v = g.n
-    if not (1 <= k <= v - 2 and k % 4 == 0):
-        raise DomainError(f"need 1 <= k <= v-2 with k = 0 (mod 4), got k={k}")
-    hyp1 = k_hypomorphic(g, h, v - 1)
-    if not hyp1:
-        raise HypothesisNotMet(f"pair is not (v-1)-hypomorphic, witness {hyp1.witness}")
-    hyp2 = same_parity_utc(g, h, k)
-    if not hyp2:
-        raise HypothesisNotMet(f"parity condition fails at {hyp2.witness}")
-    equal = g.adj == h.adj
-    member = False if equal else class_g_member(g).is_member
-    return VerifierResult(equal or member, {"equal": equal, "class_g_member": member})

@@ -6,7 +6,7 @@ contained in the column subset.  Dotting a graph's edge-indicator row
 vector with W(2, k) produces the per-k-subset restriction edge counts,
 which is what ties these matrices to hypomorphy questions.
 
-Verifiers here compute both sides of each rank statement independently:
+`rank_report` computes both sides of each rank statement independently:
 the expected rank from the closed formula, the actual rank by exact or
 modular elimination on the materialized matrix.
 """
@@ -112,13 +112,6 @@ def build_kneser(t: int, v: int) -> KneserMatrix:
     return KneserMatrix(t, v, arr)
 
 
-def verify_gottlieb_kantor(t: int, k: int, v: int) -> bool:
-    """Full row rank of W(t, k) over the rationals for t <= min(k, v-k)."""
-    if t > min(k, v - k):
-        raise DomainError(f"need t <= min(k, v-k), got t={t}, k={k}, v={v}")
-    return build_w(t, k, v).exact_rank() == comb(v, t)
-
-
 def verify_kneser_nonsingular(t: int, v: int) -> bool:
     """The Kneser adjacency matrix is nonsingular for t <= v/2."""
     if 2 * t > v:
@@ -140,14 +133,6 @@ def wilson_rank_expected(t: int, k: int, v: int, p: int) -> int:
     return total
 
 
-def verify_wilson(t: int, k: int, v: int, p: int) -> bool:
-    """Modular rank of the materialized W(t, k) matches the formula."""
-    if v > MOD_RANK_MAX_V:
-        raise DomainError(f"modular rank checks capped at v <= {MOD_RANK_MAX_V}")
-    expected = wilson_rank_expected(t, k, v, p)
-    return rank_mod(build_w(t, k, v).mod(p)) == expected
-
-
 def kernel_graphs_mod2(k: int, v: int) -> list[Graph]:
     """All graphs whose edge-indicator vector lies in the kernel of the
     transpose of W(2, k) over GF(2), sorted by code."""
@@ -165,7 +150,11 @@ def kernel_graphs_mod2(k: int, v: int) -> list[Graph]:
 
 
 def rank_report(t: int, k: int, v: int, p: int | None = None) -> dict:
-    """One verification row: expected vs computed rank, rational or mod p."""
+    """One verification row of a rank theorem, in its domain
+    t <= min(k, v-k): the rank from the closed formula (C(v,t) over Q,
+    Wilson's formula mod p) against the rank of the materialized W(t, k)."""
+    if t > min(k, v - k):
+        raise DomainError(f"need t <= min(k, v-k), got t={t}, k={k}, v={v}")
     if p is None:
         expected = comb(v, t)
         computed = build_w(t, k, v).exact_rank()

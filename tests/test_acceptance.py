@@ -30,14 +30,8 @@ from recomp.hypomorphy import (
     k_hypomorphic,
     k_hypomorphic_utc,
     same_edge_counts_utc,
-    verify_mixed_pair_identities,
 )
-from recomp.incidence import (
-    kernel_graphs_mod2,
-    verify_gottlieb_kantor,
-    verify_wilson,
-    wilson_rank_expected,
-)
+from recomp.incidence import kernel_graphs_mod2, rank_report, wilson_rank_expected
 from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
 from recomp.constructions import (
     class_g_member,
@@ -51,6 +45,8 @@ from recomp.constructions import (
     threshold_pair,
     verify_class_g_characterization,
 )
+
+from theorem_reference import verify_mixed_pair_identities
 
 
 @contextmanager
@@ -101,7 +97,7 @@ def test_criterion_03_full_row_rank_all_cells():
         for v in range(1, 11):
             for k in range(v + 1):
                 for t in range(min(k, v - k) + 1):
-                    assert verify_gottlieb_kantor(t, k, v), (t, k, v)
+                    assert rank_report(t, k, v)["pass"], (t, k, v)
 
 
 def test_criterion_04_modular_rank_formula():
@@ -111,7 +107,7 @@ def test_criterion_04_modular_rank_formula():
         for v in range(4, 11):
             for k in range(2, v - 1):
                 for p in (2, 3):
-                    assert verify_wilson(2, k, v, p), (k, v, p)
+                    assert rank_report(2, k, v, p)["pass"], (k, v, p)
 
 
 def test_criterion_05_kernel_characterizations():

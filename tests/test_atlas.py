@@ -24,13 +24,22 @@ from recomp.atlas import (
     sweep_theorem,
 )
 from recomp.codes import CATALOG_COUNTS
-from recomp.errors import DomainError, OrderTooLarge, VerificationError
+from recomp.errors import DomainError, HypothesisNotMet, OrderTooLarge, VerificationError
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph, complement
 from recomp.hypomorphy import THEOREM_DOMAINS, equal_up_to_complementation, k_hypomorphic_utc, signature_table
 from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_to_complementation
 
 from graph_reference import clawfree_both, signature_labels
+from theorem_reference import (
+    verify_boolean_sum_clawfree,
+    verify_complementary_size_transfer,
+    verify_downward_hypomorphy,
+    verify_principal_theorem,
+    verify_profile_implications,
+    verify_theorem_k0mod4,
+    verify_theorem_k1mod4,
+)
 
 
 def test_catalog_counts_small():
@@ -424,6 +433,51 @@ def test_order7_sweeps():
         assert rep.ok and rep.violations == ()
         assert rep.hypothesis_count == hyp, theorem
         assert rep.pairs_examined == (1 << 42 if k is None else 1044 << comb(7, 2))
+
+
+# theorem -> its per-pair verifier at (g, h, k), and the flag of the
+# sweep's hypothesis in the verifier's details, or None where the
+# verifier raises HypothesisNotMet instead
+PAIR_VERIFIERS = {
+    "k0mod4": (verify_theorem_k0mod4, lambda d: d["parity_holds"]),
+    "k1mod4": (verify_theorem_k1mod4, lambda d: d["parity_holds"] and d["same_3_homogeneous"]),
+    "principal": (verify_principal_theorem, lambda d: d["i_hypomorphic_utc"]),
+    "down": (lambda g, h, k: verify_downward_hypomorphy(g, h, k, min(k, g.n - k)), None),
+    "corkk1": (lambda g, h, k: verify_profile_implications(g, h, k, 3), lambda d: d["i"]),
+    "kaplus": (lambda g, h, k: verify_complementary_size_transfer(g, h, k, "h3"), None),
+    "clawfree": (lambda g, h, k: verify_boolean_sum_clawfree(g, h), None),
+}
+
+
+def test_sweeps_agree_with_pair_verifiers_order7():
+    """The per-pair verifiers, the sieve's independent oracle at order 7.
+    For each sweep, 12 seeded representatives g; for each g, up to 4
+    seeded members of its hypothesis class, read off the sieve, and each
+    member with one seeded pair flipped.  Every verifier call holds, and
+    its hypothesis holds (the flag, or no HypothesisNotMet) iff the code
+    is in g's class."""
+    rng = np.random.default_rng(23)
+    reps = codes.catalog(7)[0]
+    for theorem, k in ORDER7_SWEEPS:
+        claims = atlas.THEOREMS[theorem]
+        atoms = (("h3", 3),) if claims is None else claims(7, k)[0][0]
+        state = atlas._join_state(7, reps, atlas._normal(7, atoms), {})
+        verify, flag = PAIR_VERIFIERS[theorem]
+        for i in rng.choice(len(reps), 12, replace=False):
+            members = atlas._class_codes(state, i)
+            picked = rng.choice(members, min(4, len(members)), replace=False)
+            pairs = np.concatenate([picked, picked ^ 1 << rng.integers(comb(7, 2), size=len(picked))])
+            at = np.minimum(np.searchsorted(members, pairs), len(members) - 1)
+            g = Graph.from_code(7, int(reps[i]))
+            for c, inside in zip(pairs.tolist(), (members[at] == pairs).tolist()):
+                try:
+                    res = verify(g, Graph.from_code(7, c), k)
+                except HypothesisNotMet:
+                    held = False
+                else:
+                    assert res.ok, (theorem, k, encode(g), c)
+                    held = flag is None or flag(res.details)
+                assert held == inside, (theorem, k, encode(g), c)
 
 
 def _mask_scan_membership(relation: str, v: int, k: int) -> tuple[str, tuple | None, int]:

@@ -76,6 +76,14 @@ def test_matrix_rational_row():
     assert code == 0 and row["field"] == "Q" and row["expected_rank"] == 15 and row["pass"]
 
 
+def test_matrix_outside_rank_theorem_domain_is_usage_error():
+    # t > min(k, v-k) is outside both rank theorems: a usage error (2), not a falsification (1)
+    for t, k, v in (("2", "4", "5"), ("1", "1", "1")):
+        for field in ((), ("--p", "2")):
+            code, payload = run_json("matrix", "--t", t, "--k", k, "--v", v, *field, "--mode", "json")
+            assert code == 2 and "min(k, v-k)" in payload["error"], payload
+
+
 def test_check_pair_verdict():
     code, verdict = run_json("check-pair", encode(Graph.empty(4)), encode(Graph.from_edges(4, [(0, 1)])), "--k", "2", "--mode", "hypo")
     assert code == 0

@@ -45,8 +45,9 @@ from recomp.constructions import (
     star_parity_pair,
     threshold_pair,
     verify_class_g_characterization,
-    verify_equal_or_class_g,
 )
+
+from theorem_reference import verify_equal_or_class_g
 
 
 # -- finite fields ------------------------------------------------------------

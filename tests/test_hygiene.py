@@ -30,3 +30,28 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported and never used: {unused}"
+
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+def test_every_verifier_has_a_caller():
+    """Every public `verify_*` function of the package is called from
+    `src/` or `demos/`: a check that only tests call belongs with the
+    tests (`tests/theorem_reference.py`), not in the package."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in MODULES + DEMOS}
+    defined = {
+        (path.name, node.name)
+        for path, tree in trees.items()
+        if path in MODULES
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+    }
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    uncalled = sorted(f"{module}:{name}" for module, name in defined if name not in called)
+    assert not uncalled, f"verifiers with no caller in src/ or demos/: {uncalled}"

@@ -16,7 +16,6 @@ from recomp.graphs import (
 from recomp.hypomorphy import (
     SIGNATURES,
     THEOREM_DOMAINS,
-    dense_subset_edge_bound,
     equal_up_to_complementation,
     equality_threshold,
     k_hypomorphic,
@@ -27,6 +26,12 @@ from recomp.hypomorphy import (
     same_h3_counts,
     same_parity,
     same_parity_utc,
+)
+from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
+
+from graph_reference import homogeneous_triples, mask_of, subgraph_edge_count
+from theorem_reference import (
+    dense_subset_edge_bound,
     verify_boolean_sum_clawfree,
     verify_complementary_size_transfer,
     verify_dense_subset_equality,
@@ -39,9 +44,6 @@ from recomp.hypomorphy import (
     verify_theorem_k0mod4,
     verify_theorem_k1mod4,
 )
-from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
-
-from graph_reference import homogeneous_triples, mask_of, subgraph_edge_count
 
 
 def relabel(g: Graph, perm) -> Graph:

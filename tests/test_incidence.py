@@ -14,9 +14,7 @@ from recomp.incidence import (
     kernel_graphs_mod2,
     rank_report,
     subset_rank,
-    verify_gottlieb_kantor,
     verify_kneser_nonsingular,
-    verify_wilson,
     wilson_rank_expected,
 )
 from recomp.linalg import rank_exact, rank_mod
@@ -103,18 +101,18 @@ def test_w_equals_kneser_after_complement_relabeling():
 
 
 def test_gottlieb_kantor_examples():
-    assert verify_gottlieb_kantor(2, 3, 6) and build_w(2, 3, 6).exact_rank() == 15
-    assert verify_gottlieb_kantor(2, 4, 8) and build_w(2, 4, 8).exact_rank() == 28
-    assert verify_gottlieb_kantor(1, 1, 3)
+    assert rank_report(2, 3, 6)["pass"] and build_w(2, 3, 6).exact_rank() == 15
+    assert rank_report(2, 4, 8)["pass"] and build_w(2, 4, 8).exact_rank() == 28
+    assert rank_report(1, 1, 3)["pass"]
     with pytest.raises(DomainError):
-        verify_gottlieb_kantor(3, 4, 6)  # t > v - k
+        rank_report(3, 4, 6)  # t > v - k
 
 
 def test_gottlieb_kantor_sweep_small():
     for v in range(1, 9):
         for k in range(v + 1):
             for t in range(min(k, v - k) + 1):
-                assert verify_gottlieb_kantor(t, k, v)
+                assert rank_report(t, k, v)["pass"]
 
 
 def test_kneser_nonsingular():
@@ -139,9 +137,9 @@ def test_wilson_expected_values():
 
 
 def test_wilson_formula_vs_elimination():
-    assert verify_wilson(2, 4, 6, 2)
-    assert verify_wilson(2, 5, 8, 2)
-    assert verify_wilson(2, 3, 7, 2)
+    assert rank_report(2, 4, 6, 2)["pass"]
+    assert rank_report(2, 5, 8, 2)["pass"]
+    assert rank_report(2, 3, 7, 2)["pass"]
     expected = wilson_rank_expected(2, 3, 7, 2)
     assert rank_mod(build_w(2, 3, 7).mod(2)) == expected == 15
 
@@ -150,7 +148,7 @@ def test_wilson_sweep_small():
     for v in range(4, 9):
         for k in range(2, v - 1):
             for p in (2, 3):
-                assert verify_wilson(2, k, v, p), (k, v, p)
+                assert rank_report(2, k, v, p)["pass"], (k, v, p)
 
 
 def test_wilson_rank_never_exceeds_rational_rank(rng):
@@ -221,3 +219,18 @@ def test_rank_report_rows():
     }
     row_q = rank_report(2, 3, 6)
     assert row_q["field"] == "Q" and row_q["pass"] and row_q["expected_rank"] == 15
+
+
+def test_rank_report_domain():
+    """Both rank theorems need t <= min(k, v-k), and raise outside it
+    rather than report a failed row; Wilson's formula needs a prime."""
+    for t, k, v in ((2, 4, 5), (1, 1, 1), (3, 4, 6), (9, 2, 6)):
+        for p in (None, 2):
+            with pytest.raises(DomainError, match="min"):
+                rank_report(t, k, v, p)
+    with pytest.raises(DomainError, match="not prime"):
+        rank_report(2, 4, 6, 4)
+    # the only order cap is the one of build_w, v <= 16
+    assert rank_report(1, 2, 13, 2)["pass"]
+    with pytest.raises(DomainError, match="16"):
+        rank_report(1, 2, 17)
