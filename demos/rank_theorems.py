@@ -11,7 +11,6 @@ import json
 
 from recomp.incidence import (
     build_kneser,
-    build_w,
     kernel_graphs_mod2,
     rank_report,
     verify_kneser_nonsingular,

@@ -15,7 +15,7 @@ own claims raises instead of returning quietly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .graphs import Graph, complement, induced
 from .hypomorphy import (
-    VerifierResult,
     equal_up_to_complementation,
     k_hypomorphic,
     k_hypomorphic_utc,
@@ -477,6 +476,17 @@ def _four_regular_order9_classes() -> list[Graph]:
         if all(find_isomorphism(cand, r) is None for r in reps):
             reps.append(cand)
     return reps
+
+
+@dataclass(frozen=True)
+class VerifierResult:
+    """Outcome of a theorem check with the independently computed sides."""
+
+    ok: bool
+    details: dict = field(default_factory=dict)
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def verify_class_g_characterization(n: int) -> VerifierResult:

@@ -28,14 +28,19 @@ witnesses the scan found most recently useful on whole chunks: w, kept
 as the pair-index array idx[rank(i,j)] = rank(w[i], w[j]), settles a
 row when h's bits gathered by idx equal g's (or, up to complementation,
 differ in every column).  Each row left gets a backtracking search, in
-row order, whose witness is then tried on the rest of the chunk.  h3
-and a0 counts come from the restriction degrees by Goodman's identity.
+row order, whose witness is then tried on the rest of the chunk.  The
+search is `isomorphism.find_isomorphism_rows` on the two restrictions'
+adjacency rows, made from the row's bits by one product with a table
+per k (and the complement's by one xor per row); no `Graph` is built,
+and up to complementation only a direction whose edge count matches is
+searched.  h3 and a0 counts come from the restriction degrees by
+Goodman's identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator
@@ -46,7 +51,7 @@ from . import codes as codetables
 from .errors import DomainError, KTooLarge, OrderMismatch
 from .graphs import Graph, complement
 from .incidence import colex_vertices
-from .isomorphism import ISO_MAX_ORDER, find_isomorphism
+from .isomorphism import ISO_MAX_ORDER, find_isomorphism_rows
 
 TABLE_MAX_K = 6
 # isomorphism witnesses one k > TABLE_MAX_K scan keeps, most recently useful first
@@ -65,17 +70,6 @@ class HypoVerdict:
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness_subset": list(self.witness) if self.witness else None}
-
-
-@dataclass(frozen=True)
-class VerifierResult:
-    """Outcome of a theorem check with the independently computed sides."""
-
-    ok: bool
-    details: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _check_pair(g: Graph, h: Graph, k: int) -> None:
@@ -176,11 +170,6 @@ def _codes(bits: np.ndarray) -> np.ndarray:
     return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
 
 
-def _code(row: np.ndarray) -> int:
-    """Restriction code of one row, any k."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
 def _a_counts(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a0, a1, a2) of each row's restriction, from its degrees: a pair
     {edge, non-edge} shares a vertex x in d(x) * (k - 1 - d(x)) ways."""
@@ -236,8 +225,9 @@ def signature_table(kind: str, k: int) -> np.ndarray:
     return out
 
 
-def _maps(bg: np.ndarray, bh: np.ndarray, idx: np.ndarray, utc: bool) -> np.ndarray:
-    """Per row: witness idx maps g's restriction (or, if utc, its complement) onto h's."""
+def _maps(bg: np.ndarray, bh: np.ndarray, idx: np.ndarray | slice, utc: bool) -> np.ndarray:
+    """Per row: witness idx maps g's restriction (or, if utc, its complement)
+    onto h's; the identity is slice(None), which gathers nothing."""
     same = bh[:, idx] == bg
     hit = same.all(axis=1)
     if utc:
@@ -245,21 +235,39 @@ def _maps(bg: np.ndarray, bh: np.ndarray, idx: np.ndarray, utc: bool) -> np.ndar
     return hit
 
 
+@cache
+def _local_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For restrictions of order k: the (C(k,2), k) matrix that maps a row
+    of restriction bits to the k adjacency rows (pair {i, j} of rank
+    i + C(j,2) adds 1 << j to row i and 1 << i to row j), both ends of
+    each pair in rank order, and the (k, k) table of local pair ranks."""
+    j, i = np.tril_indices(k, -1)
+    pairs = np.arange(len(i))
+    rows = np.zeros((len(i), k), dtype=np.int64)
+    rows[pairs, i] = np.int64(1) << j
+    rows[pairs, j] = np.int64(1) << i
+    v = np.arange(k)
+    lo, hi = np.minimum.outer(v, v), np.maximum.outer(v, v)
+    return rows, i, j, lo + hi * (hi - 1) // 2
+
+
 def _pair_iso(k: int, rg: np.ndarray, rh: np.ndarray, utc: bool) -> np.ndarray | None:
     """An isomorphism w from the restriction in row rg (or, if utc, its
     complement) onto the one in row rh, as the pair-index array
     idx[rank(i,j)] = rank(w[i], w[j]), rank(i,j) = i + C(j,2) for i < j;
-    None if there is none."""
-    a, b = Graph.from_code(k, _code(rg)), Graph.from_code(k, _code(rh))
-    w = find_isomorphism(a, b)
-    if w is None and utc:
-        w = find_isomorphism(complement(a), b)
+    None if there is none.  Only a direction whose edge count matches rh's
+    is searched, the graph itself first."""
+    rows, i, j, ranks = _local_pairs(k)
+    ga, ha = (np.array((rg, rh)) @ rows).tolist()
+    eg, eh = sum(map(int.bit_count, ga)) // 2, sum(map(int.bit_count, ha)) // 2
+    w = find_isomorphism_rows(ga, ha) if eg == eh else None
+    if w is None and utc and eg + eh == len(rg):
+        full = (1 << k) - 1
+        w = find_isomorphism_rows([full ^ row ^ 1 << v for v, row in enumerate(ga)], ha)
     if w is None:
         return None
-    j, i = np.tril_indices(k, -1)
-    wi, wj = np.take(w, i), np.take(w, j)
-    lo, hi = np.minimum(wi, wj), np.maximum(wi, wj)
-    return lo + hi * (hi - 1) // 2
+    w = np.array(w)
+    return ranks[w[i], w[j]]
 
 
 def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
@@ -279,7 +287,7 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
         # rows before the first edge failure are settled by the identity,
         # then by the stored witnesses, then searched in row order
         end = int(bad.argmax()) if bad.any() else len(bad)
-        rows = np.flatnonzero(~_maps(bg[:end], bh[:end], np.arange(kk), utc))
+        rows = np.flatnonzero(~_maps(bg[:end], bh[:end], slice(None), utc))
         hits, misses = [], []
         for idx in witnesses:
             hit = _maps(bg[rows], bh[rows], idx, utc)

@@ -1,11 +1,16 @@
 """Exact graph isomorphism at desk scale.
 
-Two lanes share one backtracking engine.  Both start from a joint color
+One backtracking engine, `find_isomorphism_rows`, searches on adjacency
+rows: a sequence of ints whose row v has bit u set iff uv is an edge.
+`find_isomorphism` checks two `Graph`s and passes their `adj`; the
+restriction search of `hypomorphy` builds rows straight from restriction
+bits and builds no `Graph`.  The engine starts from a joint color
 refinement of the two graphs (a vertex's next color is its color and its
-neighbor count in each color class).  For n <= 8 the search runs in
-plain vertex order with candidates ascending, so the first witness found
-is the lexicographically least permutation.  For 9 <= n <= 32 it orders
-the search by color-class size; the witness is deterministic but not
+neighbor count in each color class; unpinned, the first colors are the
+degrees).  For n <= 8 the search runs in plain vertex order with
+candidates ascending, so the first witness found is the
+lexicographically least permutation.  For 9 <= n <= 32 it orders the
+search by color-class size; the witness is deterministic but not
 necessarily lex-least.
 
 A witness is a tuple p with h.has_edge(p[i], p[j]) == g.has_edge(i, j)
@@ -14,68 +19,67 @@ for all pairs, i.e. h = p(g).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .codes import CANON_MAX_ORDER, canonical_code, canonical_utc_code
 from .errors import OrderMismatch, OrderTooLarge
-from .graphs import Graph, bits_of, complement
+from .graphs import Graph, complement
 
 ISO_MAX_ORDER = 32
 
 
 def _refine_pair(
-    g: Graph, h: Graph, fixed: dict[int, int] | None
+    gadj: Sequence[int], hadj: Sequence[int], fixed: dict[int, int] | None
 ) -> tuple[list[int], list[int]] | None:
-    """Joint stable coloring of both vertex sets; None when the color
-    multisets ever disagree (then no isomorphism respects `fixed`).  A
-    signature is a color and the neighbor count in each color class."""
-    n = g.n
-    gcol = [0] * n
-    hcol = [0] * n
+    """Joint stable coloring of both vertex sets, given by their adjacency
+    rows; None when the color multisets ever disagree (then no
+    isomorphism respects `fixed`).  A signature is a color and the
+    neighbor count in each color class, numbered by first appearance over
+    g's vertices and then h's.  The first colors are the degrees, with
+    each pinned pair in classes of its own, still split by degree; every
+    stable coloring splits by degree, so this reaches the stable coloring
+    of one class plus the pins.  Colors then determine degrees, so the
+    count in the last class (the degree minus the others) is left out."""
+    gkey = [row.bit_count() for row in gadj]
+    hkey = [row.bit_count() for row in hadj]
     if fixed:
         for seed, (u, w) in enumerate(sorted(fixed.items()), start=1):
-            gcol[u] = seed
-            hcol[w] = seed
-    ncolors = 0
+            gkey[u] = (seed, gkey[u])
+            hkey[w] = (seed, hkey[w])
+    ids: dict = {}
+    gcol = [ids.setdefault(key, len(ids)) for key in gkey]
+    hcol = [ids.setdefault(key, len(ids)) for key in hkey]
+    ncolors = len(ids)
     while True:
-        sig_ids: dict[tuple, int] = {}
-        newg = [0] * n
-        newh = [0] * n
-        for col, new, graph in ((gcol, newg, g), (hcol, newh, h)):
-            class_masks = [0] * (max(col, default=-1) + 1)
-            for v, c in enumerate(col):
-                class_masks[c] |= 1 << v
-            for v, row in enumerate(graph.adj):
-                sig = (col[v], *[(row & m).bit_count() for m in class_masks])
-                new[v] = sig_ids.setdefault(sig, len(sig_ids))
-        if Counter(newg) != Counter(newh):
+        if sorted(gcol) != sorted(hcol):
             return None
-        gcol, hcol = newg, newh
-        if len(sig_ids) == ncolors:
+        ids = {}
+        cols = []
+        for col, adj in ((gcol, gadj), (hcol, hadj)):
+            masks = [0] * ncolors
+            for v, c in enumerate(col):
+                masks[c] |= 1 << v
+            # one list of neighbor counts per class; zip pairs them up per vertex
+            counts = [[(row & m).bit_count() for row in adj] for m in masks[:-1]]
+            cols.append([ids.setdefault(sig, len(ids)) for sig in zip(col, *counts)])
+        gcol, hcol = cols
+        if len(ids) == ncolors:  # no class split, so the colors are unchanged
             return gcol, hcol
-        ncolors = len(sig_ids)
+        ncolors = len(ids)
 
 
-def find_isomorphism(
-    g: Graph, h: Graph, fixed: dict[int, int] | None = None
+def find_isomorphism_rows(
+    gadj: Sequence[int], hadj: Sequence[int], fixed: dict[int, int] | None = None
 ) -> tuple[int, ...] | None:
-    """Backtracking isomorphism search; `fixed` pins images up front."""
-    if g.n != h.n:
-        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    n = g.n
-    if n > ISO_MAX_ORDER:
-        raise OrderTooLarge(f"exact isomorphism supports n <= {ISO_MAX_ORDER}")
-    if g.edge_count != h.edge_count:
-        return None
-    if sorted(g.degree(v) for v in range(n)) != sorted(h.degree(v) for v in range(n)):
-        return None
-    refined = _refine_pair(g, h, fixed)
+    """The search engine on adjacency rows of equal length n <= ISO_MAX_ORDER
+    (row v has bit u set iff uv is an edge), unchecked."""
+    refined = _refine_pair(gadj, hadj, fixed)
     if refined is None:
         return None
     gcol, hcol = refined
-
+    n = len(gadj)
     img = [-1] * n
     used = 0
     if fixed:
@@ -84,45 +88,58 @@ def find_isomorphism(
                 return None
             img[u] = w
             used |= 1 << w
-
-    if n <= CANON_MAX_ORDER:
-        order = [v for v in range(n) if img[v] < 0]
-    else:
-        class_size = Counter(gcol)
-        order = sorted(
-            (v for v in range(n) if img[v] < 0), key=lambda v: (class_size[gcol[v]], v)
-        )
-
-    candidates = [
-        [w for w in range(n) if hcol[w] == gcol[v]] if img[v] < 0 else []
-        for v in range(n)
-    ]
+    # the candidate images of each color, ascending
+    by_color: dict[int, list[int]] = {}
+    for w, c in enumerate(hcol):
+        by_color.setdefault(c, []).append(w)
+    order = [v for v in range(n) if img[v] < 0]
+    if n > CANON_MAX_ORDER:  # by class size, the same in g and h; ties keep vertex order
+        order.sort(key=lambda v: len(by_color[gcol[v]]))
+    # per depth: the candidates, and the neighbors of the vertex placed
+    # there that are mapped before it, as a mask
+    candidates = [by_color[gcol[v]] for v in order]
+    mapped = sum(1 << u for u in range(n) if img[u] >= 0)
+    back = []
+    for v in order:
+        back.append(gadj[v] & mapped)
+        mapped |= 1 << v
 
     def dfs(depth: int) -> bool:
         nonlocal used
         if depth == len(order):
             return True
-        v = order[depth]
         mapped_imgmask = 0
-        for u in bits_of(g.adj[v]):
-            if img[u] >= 0:
-                mapped_imgmask |= 1 << img[u]
-        for w in candidates[v]:
-            if used >> w & 1:
-                continue
-            if h.adj[w] & used != mapped_imgmask:
+        m = back[depth]
+        while m:
+            low = m & -m
+            mapped_imgmask |= 1 << img[low.bit_length() - 1]
+            m ^= low
+        v = order[depth]
+        for w in candidates[depth]:
+            if used >> w & 1 or hadj[w] & used != mapped_imgmask:
                 continue
             img[v] = w
             used |= 1 << w
             if dfs(depth + 1):
                 return True
-            img[v] = -1
             used ^= 1 << w
+        img[v] = -1
         return False
 
     if dfs(0):
         return tuple(img)
     return None
+
+
+def find_isomorphism(
+    g: Graph, h: Graph, fixed: dict[int, int] | None = None
+) -> tuple[int, ...] | None:
+    """Backtracking isomorphism search; `fixed` pins images up front."""
+    if g.n != h.n:
+        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
+    if g.n > ISO_MAX_ORDER:
+        raise OrderTooLarge(f"exact isomorphism supports n <= {ISO_MAX_ORDER}")
+    return find_isomorphism_rows(g.adj, h.adj, fixed)
 
 
 class IsoUtcKind(Enum):

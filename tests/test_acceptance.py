@@ -11,10 +11,9 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from itertools import combinations
 from math import comb
 
-from recomp.atlas import enumerate_graphs, s_membership, sweep_theorem
+from recomp.atlas import s_membership, sweep_theorem
 from recomp.cli import main as cli_main
 from recomp.graph6 import decode, encode
 from recomp.graphs import (

@@ -15,7 +15,6 @@ from recomp import codes
 from recomp.atlas import (
     THEOREM_IDS,
     VIOLATION_LIST_CAP,
-    AtlasRecord,
     enumerate_graphs,
     lookup_jsonl,
     membership_with_resume,
@@ -27,7 +26,13 @@ from recomp.codes import CATALOG_COUNTS
 from recomp.errors import DomainError, HypothesisNotMet, OrderTooLarge, VerificationError
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph, complement
-from recomp.hypomorphy import THEOREM_DOMAINS, equal_up_to_complementation, k_hypomorphic_utc, signature_table
+from recomp.hypomorphy import (
+    THEOREM_DOMAINS,
+    check_domain,
+    equal_up_to_complementation,
+    k_hypomorphic_utc,
+    signature_table,
+)
 from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_to_complementation
 
 from graph_reference import clawfree_both, signature_labels
@@ -268,6 +273,68 @@ def test_sweep_counts_pinned():
                 got[theorem, v, k] = (rep.hypothesis_count, rep.pairs_examined)
                 assert rep.violation_count == 0 and rep.violations == ()
     assert got == SWEEP_COUNTS
+
+
+# theorem -> (v, k) in its domain and the claims (A, B, iff) expected there.
+# Atoms: ("parity", k) equal restriction parities, ("edges", k) equal edge
+# counts up to complementation, ("h3", k) equal 3-homogeneous counts, and at
+# k = 3 equal 3-homogeneous sets, ("utc", k) k-hypomorphy up to
+# complementation, ("equal", v) equality up to complementation.
+THEOREM_CLAIMS = {
+    # 4 <= k <= v-2, k = 0 (mod 4): equal parities at k iff equal utc
+    "k0mod4": (6, 4, [((("parity", 4),), (("equal", 6),), True)]),
+    # 5 <= k <= v-2, k = 1 (mod 4): equal parities at k and the same
+    # 3-homogeneous sets iff equal utc
+    "k1mod4": (7, 5, [((("parity", 5), ("h3", 3)), (("equal", 7),), True)]),
+    # v >= 6, 4 <= k <= threshold(v), the principal theorem: (i) k-hypomorphic
+    # utc, (ii) equal edge counts utc and equal h3 counts at k, (iii) equal
+    # edge counts utc at every k' with 3 <= k' <= k, and (iv) equal utc are
+    # equivalent; each claim is (i) against one of the others
+    "principal": (
+        8,
+        5,
+        [
+            ((("utc", 5),), (("edges", 5), ("h3", 5)), True),
+            ((("utc", 5),), (("edges", 3), ("edges", 4), ("edges", 5)), True),
+            ((("utc", 5),), (("equal", 8),), True),
+        ],
+    ),
+    # boolean sum of a pair with the same 3-homogeneous sets: claw-free, and
+    # so is its complement; a conclusion on g xor g', not a join of atoms
+    "clawfree": (5, None, None),
+    # k-hypomorphic utc implies t-hypomorphic utc for 1 <= t <= min(k, v-k)
+    "down": (7, 3, [((("utc", 3),), (("utc", 1), ("utc", 2), ("utc", 3)), False)]),
+    # equal edge counts utc and equal h3 counts at k imply both at every l
+    # with k <= l <= v; equal edge counts utc at k and at one k' with
+    # 3 <= k' < k imply equal h3 counts at k
+    "corkk1": (
+        6,
+        4,
+        [
+            (
+                (("edges", 4), ("h3", 4)),
+                (("edges", 4), ("edges", 5), ("edges", 6), ("h3", 4), ("h3", 5), ("h3", 6)),
+                False,
+            ),
+            ((("edges", 4), ("edges", 3)), (("edges", 4), ("h3", 4)), False),
+        ],
+    ),
+    # 3 <= k <= v-3: equal h3 counts at k imply equal h3 counts at v-k
+    "kaplus": (7, 3, [((("h3", 3),), (("h3", 4),), False)]),
+}
+
+
+def test_theorem_claims_pinned():
+    # the claims a sweep decides, spelled out once per theorem; a dropped
+    # atom or an iff turned one-way changes no sweep verdict in the domain
+    assert set(THEOREM_IDS) == set(THEOREM_CLAIMS)
+    for theorem, (v, k, want) in THEOREM_CLAIMS.items():
+        claims = atlas.THEOREMS[theorem]
+        if want is None:
+            assert claims is None
+            continue
+        check_domain(theorem, v, k)
+        assert claims(v, k) == want, theorem
 
 
 def test_violation_listing_with_narrowed_conclusion(monkeypatch):

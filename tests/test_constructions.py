@@ -10,7 +10,7 @@ from recomp.errors import (
     VerificationError,
 )
 from recomp.graph6 import decode
-from recomp.graphs import Graph, complement, invariants, is_regular
+from recomp.graphs import Graph, complement, is_regular
 from recomp.hypomorphy import (
     equal_up_to_complementation,
     equality_threshold,
@@ -27,7 +27,6 @@ from recomp.isomorphism import (
     isomorphic_up_to_complementation,
 )
 from recomp.constructions import (
-    ClassGResult,
     FiniteField,
     circulant,
     claw,

@@ -1,4 +1,5 @@
-"""Source hygiene checks over the `recomp` package, read with `ast`."""
+"""Source hygiene checks over the `recomp` package, its tests and its
+demos, read with `ast`."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,11 @@ import pytest
 
 import recomp
 
-MODULES = sorted(p for p in Path(recomp.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).parents[1]
+PACKAGE = Path(recomp.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -22,17 +27,19 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS + DEMOS,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
+)
 def test_every_import_is_used(path):
-    """Every name a module imports is read somewhere in it (the package's
-    `__init__.py`, which imports to re-export, is left out)."""
+    """Every name a module, test file or demo imports is read somewhere in
+    it (the package's `__init__.py`, which imports to re-export, is left
+    out)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported and never used: {unused}"
-
-
-DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
 def test_every_verifier_has_a_caller():

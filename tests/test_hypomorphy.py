@@ -704,7 +704,7 @@ def test_search_lane_reuses_witnesses(monkeypatch):
         cg, ch = induced(g, s).code, induced(h, s).code
         candidates += ch not in (cg, full ^ cg)
     searches, searched = [], []
-    real_find, real_pair_iso = hypomorphy.find_isomorphism, hypomorphy._pair_iso
+    real_find, real_pair_iso = hypomorphy.find_isomorphism_rows, hypomorphy._pair_iso
 
     def find(a, b):
         searches.append((a, b))
@@ -715,7 +715,7 @@ def test_search_lane_reuses_witnesses(monkeypatch):
         searched.append((rg.tolist(), rh.tolist(), idx))
         return idx
 
-    monkeypatch.setattr(hypomorphy, "find_isomorphism", find)
+    monkeypatch.setattr(hypomorphy, "find_isomorphism_rows", find)
     monkeypatch.setattr(hypomorphy, "_pair_iso", pair_iso)
     assert k_hypomorphic_utc(g, h, k).holds
     assert 0 < len(searches) < candidates
@@ -724,6 +724,99 @@ def test_search_lane_reuses_witnesses(monkeypatch):
     for (_, _, idx), (rg, rh, _) in zip(searched, searched[1:]):
         mapped = [rh[x] for x in idx.tolist()]
         assert mapped != rg and mapped != [1 - bit for bit in rg]
+
+
+def _scan_row(a: Graph) -> np.ndarray:
+    """The restriction bits of a graph of order k as a scan row holds them:
+    bit r is the pair of colex rank r."""
+    return np.array([a.code >> r & 1 for r in range(comb(a.n, 2))], dtype=np.uint8)
+
+
+def _swap_edges(g: Graph, rng, swaps: int) -> Graph:
+    """g after `swaps` degree-preserving swaps ab, cd -> ad, cb."""
+    edges = set(g.edges())
+    for _ in range(swaps):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {tuple(sorted(e)) for e in ((a, d), (c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges = edges - {(a, b), (c, d)} | new
+    return Graph.from_edges(g.n, edges)
+
+
+def _row_engine_cases(rng):
+    """Graph pairs of orders 7..12 with a label: random graphs, relabeled
+    and complemented copies, cycles, circulants, restrictions of Paley(9),
+    Paley(13) and the threshold pair, and pairs with equal degree
+    sequences."""
+    from recomp.constructions import circulant, paley_graph, threshold_pair
+
+    pair = threshold_pair(9, 4)
+    for k in range(7, 13):
+        perm = rng.sample(range(k), k)
+        g = Graph.random(k, rng, rng.choice((0.3, 0.5, 0.7)))
+        yield "random", g, Graph.random(k, rng)
+        yield "relabeled", g, relabel(g, perm)
+        yield "complement", g, relabel(complement(g), perm)
+        yield "equal degrees", g, _swap_edges(g, rng, 3)
+        cycle = Graph.cycle(k)
+        triangle = [(i, (i + 1) % 3) for i in range(3)]
+        rest = [(3 + i, 3 + (i + 1) % (k - 3)) for i in range(k - 3)]
+        yield "equal degrees", cycle, Graph.from_edges(k, triangle + rest)
+        yield "relabeled", cycle, relabel(cycle, perm)
+        for jumps in ((1, 2), (1, 3), (2, 3)):
+            yield "equal degrees", circulant(k, (1, 2)), relabel(circulant(k, jumps), perm)
+        for q in (9, 13):
+            if k <= q:
+                s = sorted(rng.sample(range(q), k))
+                p = induced(paley_graph(q), s)
+                yield "paley", p, relabel(p, perm)
+                yield "paley", p, complement(p)
+                yield "paley", p, induced(paley_graph(q), sorted(rng.sample(range(q), k)))
+        for _ in range(4):
+            s = sorted(rng.sample(range(13), k))
+            yield "threshold", induced(pair.g, s), induced(pair.g_prime, s)
+
+
+def test_row_engine_matches_graph_search_and_networkx(rng):
+    # _pair_iso builds adjacency rows from restriction bits and searches
+    # them; it must find the witness find_isomorphism finds on the Graphs
+    # (the graph itself first, then its complement), return None exactly
+    # when networkx finds no isomorphism, and map rg onto rh (or, utc, onto
+    # its complement)
+    nx = pytest.importorskip("networkx")
+    from recomp.graphs import pair_rank
+    from recomp.hypomorphy import _pair_iso
+
+    def to_nx(a: Graph):
+        out = nx.Graph()
+        out.add_nodes_from(range(a.n))
+        out.add_edges_from(a.edges())
+        return out
+
+    outcomes = set()
+    for label, g, h in _row_engine_cases(rng):
+        for a, b in ((g, h), (h, g)):
+            k, ra, rb = a.n, _scan_row(a), _scan_row(b)
+            pairs = [(i, j) for j in range(k) for i in range(j)]
+            for utc in (False, True):
+                idx = _pair_iso(k, ra, rb, utc)
+                iso = nx.is_isomorphic(to_nx(a), to_nx(b))
+                iso |= utc and nx.is_isomorphic(nx.complement(to_nx(a)), to_nx(b))
+                assert (idx is not None) == iso, (label, a.adj, b.adj, utc)
+                w = find_isomorphism(a, b)
+                if w is None and utc:
+                    w = find_isomorphism(complement(a), b)
+                want = None if w is None else [pair_rank(w[i], w[j]) for i, j in pairs]
+                assert (None if idx is None else idx.tolist()) == want
+                if idx is not None:
+                    same = rb[idx] == ra
+                    assert same.all() or (utc and not same.any())
+                outcomes.add((label, utc, iso))
+    # every family met both outcomes where it can
+    for label in ("random", "equal degrees", "paley", "threshold"):
+        assert (label, False, False) in outcomes, label
+    for label in ("relabeled", "complement", "equal degrees", "paley", "threshold"):
+        assert (label, True, True) in outcomes, label
 
 
 def _chunk_edges(k: int, total: int) -> set[int]:
@@ -760,7 +853,7 @@ def test_ladder_witness_on_chunk_edges(rng):
 def test_subset_table_rows_are_colex_combinations(rng):
     # the cached prefix rows for k are the same whatever order asked first
     from recomp.graphs import MAX_ORDER, pair_rank
-    from recomp.hypomorphy import _code, _max_rows, _restriction_bits, _subset_rows
+    from recomp.hypomorphy import _max_rows, _restriction_bits, _subset_rows
     from recomp.incidence import colex_vertices
 
     for n in (10, 4, 7, 9, 10):
@@ -778,7 +871,7 @@ def test_subset_table_rows_are_colex_combinations(rng):
     seen, codes = [], []
     for vertices, (bits,) in _restriction_bits(k, g):
         seen += map(tuple, vertices.tolist())
-        codes += [_code(row) for row in bits]
+        codes += [sum(int(b) << r for r, b in enumerate(row)) for row in bits]
     assert seen == colex_order(n, k)
     assert codes == [induced(g, s).code for s in seen]
     for k in range(1, MAX_ORDER + 1):

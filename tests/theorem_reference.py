@@ -17,11 +17,10 @@ from math import ceil, comb
 import numpy as np
 
 from recomp import codes as codetables
-from recomp.constructions import class_g_member
+from recomp.constructions import VerifierResult, class_g_member
 from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
 from recomp.graphs import Graph, boolean_sum, complement, invariants, is_claw_free
 from recomp.hypomorphy import (
-    VerifierResult,
     _a_counts,
     _edges,
     _restriction_bits,
