@@ -12,7 +12,8 @@ also checks them.  `enumerate_graphs` (n <= 8) wraps those codes in
 Graphs for callers that want them.
 
 Each theorem, and each membership cell (S, R) at k < v, is a list of
-claims "A implies B" or "A iff B" (`THEOREMS`).  A and B join atoms,
+claims "A implies B" or "A iff B" (`THEOREMS`; a theorem's domain of
+(v, k) sits beside it in `THEOREM_DOMAINS`).  A and B join atoms,
 each a partition of all 2^C(v,2) codes that respects relabeling: g' is
 in g's class iff it agrees with g on a per-k-subset signature (the
 ladder's row functions tabulated by `hypomorphy.signature_table`; equal
@@ -71,7 +72,7 @@ from . import codes as codetables
 from .errors import DomainError, OrderTooLarge
 from .graph6 import encode
 from .graphs import Graph
-from .hypomorphy import check_domain, signature_table
+from .hypomorphy import equality_threshold, signature_table
 from .incidence import colex_subsets
 
 SWEEP_MAX_V = 6  # order 7 needs long_running=True
@@ -390,6 +391,26 @@ THEOREMS: dict[str, Callable[[int, int], list] | None] = {
     "kaplus": lambda v, k: [((("h3", k),), (("h3", v - k),), False)],
 }
 THEOREM_IDS = tuple(THEOREMS)
+
+# theorem -> its domain: (predicate on (v, k), its statement)
+THEOREM_DOMAINS: dict[str, tuple[Callable[[int, int], bool], str]] = {
+    "k0mod4": (lambda v, k: 4 <= k <= v - 2 and k % 4 == 0, "4 <= k <= v-2, k = 0 (mod 4)"),
+    "k1mod4": (lambda v, k: 5 <= k <= v - 2 and k % 4 == 1, "5 <= k <= v-2, k = 1 (mod 4)"),
+    "principal": (
+        lambda v, k: v >= 6 and 4 <= k <= equality_threshold(v),
+        "v >= 6, 4 <= k <= threshold(v)",
+    ),
+    "down": (lambda v, k: 2 <= k <= v - 1, "2 <= k <= v-1"),
+    "corkk1": (lambda v, k: 4 <= k <= v, "4 <= k <= v"),
+    "kaplus": (lambda v, k: 3 <= k <= v - 3, "3 <= k <= v-3"),
+}
+
+
+def check_domain(theorem: str, v: int, k: int | None) -> None:
+    """Raise DomainError unless k is given and (v, k) is in the domain."""
+    holds, statement = THEOREM_DOMAINS[theorem]
+    if k is None or not holds(v, k):
+        raise DomainError(f"{theorem} needs {statement}; got k={k}, v={v}")
 
 
 def _has_claw(v: int, codes: np.ndarray) -> np.ndarray:

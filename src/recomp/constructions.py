@@ -26,7 +26,7 @@ from .errors import (
     OrderTooLarge,
     VerificationError,
 )
-from .graphs import Graph, complement, induced
+from .graphs import Graph, complement_rows, induced
 from .hypomorphy import (
     equal_up_to_complementation,
     k_hypomorphic,
@@ -38,6 +38,7 @@ from .hypomorphy import (
 from .isomorphism import (
     IsoUtcKind,
     find_isomorphism,
+    find_isomorphism_rows,
     is_self_complementary,
     is_vertex_transitive,
     isomorphic_up_to_complementation,
@@ -71,14 +72,14 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 class FiniteField:
     """GF(p^e) for e <= 2, elements indexed 0..q-1 as a + b*p for the
-    polynomial a + b*x.  Quadratic extensions use x^2 + c with c the
-    least residue making -c a non-square mod p, so the table is fixed
+    polynomial a + b*x.  Quadratic extensions (p odd) use x^2 + c with c
+    the least residue making -c a non-square mod p, so the table is fixed
     and outputs are reproducible."""
 
     def __init__(self, q: int):
         p, e = _factor_prime_power(q)
-        if e > 2:
-            raise DomainError(f"only GF(p) and GF(p^2) are supported, got q={q}")
+        if e > 2 or q == 4:  # over GF(2) every x^2 + c has a root
+            raise DomainError(f"only GF(p) and GF(p^2), p odd, are supported, got q={q}")
         self.q = q
         self.p = p
         self.e = e
@@ -131,18 +132,24 @@ def claw() -> Graph:
     return star_graph(4)
 
 
-def paley_graph(q: int) -> Graph:
-    """Vertices GF(q), edges the pairs whose difference is a nonzero
-    square; q a prime power with q = 1 (mod 4)."""
+def _paley_field(q: int) -> FiniteField:
+    """GF(q), for a Paley graph of order q: q a prime power with
+    q = 1 (mod 4), up to PALEY_MAX_Q."""
     try:
-        p, e = _factor_prime_power(q)
+        _factor_prime_power(q)
     except DomainError:
         raise NotPrimePowerOneMod4(f"{q} is not a prime power")
     if q % 4 != 1:
         raise NotPrimePowerOneMod4(f"{q} is not 1 (mod 4)")
     if q > PALEY_MAX_Q:
         raise DomainError(f"Paley construction capped at q <= {PALEY_MAX_Q}")
-    f = FiniteField(q)
+    return FiniteField(q)
+
+
+def paley_graph(q: int) -> Graph:
+    """Vertices GF(q), edges the pairs whose difference is a nonzero
+    square; q a prime power with q = 1 (mod 4)."""
+    f = _paley_field(q)
     edges = [(x, y) for x, y in combinations(range(q), 2) if f.sub(x, y) in f.squares]
     return Graph.from_edges(q, edges)
 
@@ -150,7 +157,7 @@ def paley_graph(q: int) -> Graph:
 def paley_certifier(q: int) -> Callable[[int], tuple[int, ...]]:
     """Per-vertex complementing isomorphisms of the Paley graph:
     the certificate for x is y -> s*(y - x) + x, s a fixed non-square."""
-    f = FiniteField(q)
+    f = _paley_field(q)
     s = f.least_nonsquare()
 
     def certify(x: int) -> tuple[int, ...]:
@@ -448,8 +455,8 @@ def class_g_member(
     witnesses = {}
     for x in range(g.n):
         keep = [y for y in range(g.n) if y != x]
-        hx = induced(g, keep)
-        w = find_isomorphism(hx, complement(hx))
+        rows = induced(g, keep).adj
+        w = find_isomorphism_rows(rows, complement_rows(rows))
         if w is None:
             return ClassGResult(False, None, None, x)
         witnesses[x] = w

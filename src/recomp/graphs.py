@@ -279,8 +279,7 @@ class Graph:
     @staticmethod
     def complete(n: int) -> "Graph":
         _layout(n)
-        full = (1 << n) - 1
-        return Graph(n, tuple(full ^ (1 << i) for i in range(n)))
+        return Graph(n, complement_rows((0,) * n))
 
     @staticmethod
     def cycle(n: int) -> "Graph":
@@ -317,9 +316,14 @@ class InvariantBundle:
     h3: int
 
 
+def complement_rows(adj: Sequence[int]) -> tuple[int, ...]:
+    """The complement's adjacency rows: row i xored with every vertex but i."""
+    full = (1 << len(adj)) - 1
+    return tuple(full ^ row ^ 1 << i for i, row in enumerate(adj))
+
+
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full ^ row ^ (1 << i) for i, row in enumerate(g.adj)))
+    return Graph(g.n, complement_rows(g.adj))
 
 
 def boolean_sum(g: Graph, h: Graph) -> Graph:

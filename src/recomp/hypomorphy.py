@@ -23,18 +23,19 @@ place as longer prefixes are asked for.  Each condition compares one row functio
 row: parity, edge count up to complementation, h3, a0, or for k <= 6 a
 canonical-code table entry.  `signature_table` applies the same
 function to every code of one order, for the atlas sieve.  Larger
-restrictions compare edge counts, then try the few isomorphism
-witnesses the scan found most recently useful on whole chunks: w, kept
-as the pair-index array idx[rank(i,j)] = rank(w[i], w[j]), settles a
-row when h's bits gathered by idx equal g's (or, up to complementation,
-differ in every column).  Each row left gets a backtracking search, in
-row order, whose witness is then tried on the rest of the chunk.  The
-search is `isomorphism.find_isomorphism_rows` on the two restrictions'
-adjacency rows, made from the row's bits by one product with a table
-per k (and the complement's by one xor per row); no `Graph` is built,
-and up to complementation only a direction whose edge count matches is
-searched.  h3 and a0 counts come from the restriction degrees by
-Goodman's identity.
+restrictions compare edge counts, then settle the rows before the first
+edge failure by isomorphism witnesses: w, kept as the pair-index array
+idx[rank(i,j)] = rank(w[i], w[j]), settles a row when h's bits gathered
+by idx equal g's (or, up to complementation, differ in every
+column).  One loop tries the identity, the few witnesses found most
+recently, newest first, then searches the first row left and tries its
+witness on the rest, until no row is left.  A search runs
+`isomorphism.find_isomorphism_rows` on adjacency rows made from the
+row's bits by one product with a table per k, then, up to
+complementation, on the complement's (`graphs.complement_rows`); no
+`Graph` is built, and the engine's degree round rejects a direction
+whose edge count differs.  h3 and a0 counts come from the restriction
+degrees by Goodman's identity.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ import numpy as np
 
 from . import codes as codetables
 from .errors import DomainError, KTooLarge, OrderMismatch
-from .graphs import Graph, complement
+from .graphs import Graph, complement_rows
 from .incidence import colex_vertices
 from .isomorphism import ISO_MAX_ORDER, find_isomorphism_rows
 
 TABLE_MAX_K = 6
-# isomorphism witnesses one k > TABLE_MAX_K scan keeps, most recently useful first
+# isomorphism witnesses one k > TABLE_MAX_K scan keeps, most recently found first
 _WITNESSES = 4
 
 
@@ -255,15 +256,12 @@ def _pair_iso(k: int, rg: np.ndarray, rh: np.ndarray, utc: bool) -> np.ndarray |
     """An isomorphism w from the restriction in row rg (or, if utc, its
     complement) onto the one in row rh, as the pair-index array
     idx[rank(i,j)] = rank(w[i], w[j]), rank(i,j) = i + C(j,2) for i < j;
-    None if there is none.  Only a direction whose edge count matches rh's
-    is searched, the graph itself first."""
+    None if there is none.  The graph itself is searched first."""
     rows, i, j, ranks = _local_pairs(k)
     ga, ha = (np.array((rg, rh)) @ rows).tolist()
-    eg, eh = sum(map(int.bit_count, ga)) // 2, sum(map(int.bit_count, ha)) // 2
-    w = find_isomorphism_rows(ga, ha) if eg == eh else None
-    if w is None and utc and eg + eh == len(rg):
-        full = (1 << k) - 1
-        w = find_isomorphism_rows([full ^ row ^ 1 << v for v, row in enumerate(ga)], ha)
+    w = find_isomorphism_rows(ga, ha)
+    if w is None and utc:
+        w = find_isomorphism_rows(complement_rows(ga), ha)
     if w is None:
         return None
     w = np.array(w)
@@ -284,24 +282,19 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
         bad = eh != eg
         if utc:
             bad &= eh != kk - eg
-        # rows before the first edge failure are settled by the identity,
-        # then by the stored witnesses, then searched in row order
-        end = int(bad.argmax()) if bad.any() else len(bad)
-        rows = np.flatnonzero(~_maps(bg[:end], bh[:end], slice(None), utc))
-        hits, misses = [], []
-        for idx in witnesses:
-            hit = _maps(bg[rows], bh[rows], idx, utc)
-            (hits if hit.any() else misses).append(idx)
-            rows = rows[~hit]
-        witnesses[:] = hits + misses
+        # the rows before the first edge failure, settled one witness at a time
+        rows = np.arange(int(bad.argmax()) if bad.any() else len(bad))
+        untried = [slice(None), *witnesses]
         while len(rows):
-            idx = _pair_iso(k, bg[rows[0]], bh[rows[0]], utc)
-            if idx is None:
-                bad[rows[0]] = True
-                break
-            witnesses.insert(0, idx)
-            del witnesses[_WITNESSES:]
-            rows = rows[1:][~_maps(bg[rows[1:]], bh[rows[1:]], idx, utc)]
+            if untried:
+                idx = untried.pop(0)
+            else:
+                idx = _pair_iso(k, bg[rows[0]], bh[rows[0]], utc)
+                if idx is None:
+                    bad[rows[0]] = True
+                    break
+                witnesses[:] = [idx, *witnesses[: _WITNESSES - 1]]
+            rows = rows[~_maps(bg[rows], bh[rows], idx, utc)]
         return bad
 
     return _first_mismatch(g, h, k, fails)
@@ -364,7 +357,7 @@ def equal_up_to_complementation(g: Graph, h: Graph) -> bool:
     """h equals g or the complement of g, as labeled edge sets."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return h.adj == g.adj or h.adj == complement(g).adj
+    return h.adj == g.adj or h.adj == complement_rows(g.adj)
 
 
 def equality_threshold(v: int) -> int:
@@ -374,25 +367,3 @@ def equality_threshold(v: int) -> int:
         raise DomainError(f"threshold defined for v >= 4, got {v}")
     l = v // 4
     return 4 * l if v % 4 in (2, 3) else 4 * l - 3
-
-
-# Domains of the theorems swept by `atlas.sweep_theorem`, read there:
-# theorem -> (predicate on (v, k), its statement).
-THEOREM_DOMAINS: dict[str, tuple[Callable[[int, int], bool], str]] = {
-    "k0mod4": (lambda v, k: 4 <= k <= v - 2 and k % 4 == 0, "4 <= k <= v-2, k = 0 (mod 4)"),
-    "k1mod4": (lambda v, k: 5 <= k <= v - 2 and k % 4 == 1, "5 <= k <= v-2, k = 1 (mod 4)"),
-    "principal": (
-        lambda v, k: v >= 6 and 4 <= k <= equality_threshold(v),
-        "v >= 6, 4 <= k <= threshold(v)",
-    ),
-    "down": (lambda v, k: 2 <= k <= v - 1, "2 <= k <= v-1"),
-    "corkk1": (lambda v, k: 4 <= k <= v, "4 <= k <= v"),
-    "kaplus": (lambda v, k: 3 <= k <= v - 3, "3 <= k <= v-3"),
-}
-
-
-def check_domain(theorem: str, v: int, k: int | None) -> None:
-    """Raise DomainError unless k is given and (v, k) is in the domain."""
-    holds, statement = THEOREM_DOMAINS[theorem]
-    if k is None or not holds(v, k):
-        raise DomainError(f"{theorem} needs {statement}; got k={k}, v={v}")

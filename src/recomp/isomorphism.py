@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .codes import CANON_MAX_ORDER, canonical_code, canonical_utc_code
 from .errors import OrderMismatch, OrderTooLarge
-from .graphs import Graph, complement
+from .graphs import Graph, complement, complement_rows
 
 ISO_MAX_ORDER = 32
 
@@ -162,7 +162,7 @@ class UtcVerdict:
 def isomorphic_up_to_complementation(g: Graph, h: Graph) -> UtcVerdict:
     """Check h against both g and complement(g), returning witnesses."""
     w_iso = find_isomorphism(g, h)
-    w_comp = find_isomorphism(complement(g), h)
+    w_comp = find_isomorphism_rows(complement_rows(g.adj), h.adj)
     if w_iso and w_comp:
         kind = IsoUtcKind.BOTH
     elif w_iso:

@@ -13,8 +13,10 @@ import pytest
 from recomp import atlas
 from recomp import codes
 from recomp.atlas import (
+    THEOREM_DOMAINS,
     THEOREM_IDS,
     VIOLATION_LIST_CAP,
+    check_domain,
     enumerate_graphs,
     lookup_jsonl,
     membership_with_resume,
@@ -27,8 +29,6 @@ from recomp.errors import DomainError, HypothesisNotMet, OrderTooLarge, Verifica
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph, complement
 from recomp.hypomorphy import (
-    THEOREM_DOMAINS,
-    check_domain,
     equal_up_to_complementation,
     k_hypomorphic_utc,
     signature_table,

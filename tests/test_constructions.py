@@ -76,6 +76,8 @@ def test_field_fixed_irreducibles():
         FiniteField(27)  # cube, unsupported extension degree
     with pytest.raises(DomainError):
         FiniteField(12)
+    with pytest.raises(DomainError):
+        FiniteField(4)  # no x^2 + c is irreducible over GF(2)
 
 
 # -- Paley graphs -------------------------------------------------------------
@@ -94,11 +96,14 @@ def test_paley_9():
 
 
 def test_paley_invalid_q():
-    for bad in (7, 8, 12, 21):
-        with pytest.raises(NotPrimePowerOneMod4):
-            paley_graph(bad)
-    with pytest.raises(DomainError):
-        paley_graph(73)
+    # the certifier checks q as the graph does: no certificate for a Paley
+    # graph that does not exist
+    for make in (paley_graph, paley_certifier):
+        for bad in (2, 4, 7, 8, 12, 21):
+            with pytest.raises(NotPrimePowerOneMod4):
+                make(bad)
+        with pytest.raises(DomainError):
+            make(73)
 
 
 @pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29])

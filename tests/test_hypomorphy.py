@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from recomp.atlas import sweep_theorem
+from recomp.atlas import THEOREM_DOMAINS, sweep_theorem
 from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
 from recomp.graphs import (
     Graph,
@@ -15,7 +15,6 @@ from recomp.graphs import (
 )
 from recomp.hypomorphy import (
     SIGNATURES,
-    THEOREM_DOMAINS,
     equal_up_to_complementation,
     equality_threshold,
     k_hypomorphic,
@@ -726,6 +725,32 @@ def test_search_lane_reuses_witnesses(monkeypatch):
         assert mapped != rg and mapped != [1 - bit for bit in rg]
 
 
+def test_search_lane_never_maps_an_empty_row_set(monkeypatch, rng):
+    # a k > TABLE_MAX_K scan stops trying witnesses on a chunk once no row
+    # is left, so every witness it tries meets at least one row
+    from recomp import hypomorphy
+    from recomp.constructions import threshold_pair
+
+    sizes = []
+    real_maps = hypomorphy._maps
+
+    def maps(bg, bh, idx, utc):
+        sizes.append(len(bg))
+        return real_maps(bg, bh, idx, utc)
+
+    monkeypatch.setattr(hypomorphy, "_maps", maps)
+    pair = threshold_pair(9, 4)
+    scans = [(pair.g, pair.g_prime, 10)]
+    for n in range(9, 14):
+        g = Graph.random(n, rng)
+        for h in (Graph.random(n, rng), _flip(g, *rng.sample(range(n), 2))):
+            scans += [(g, h, k) for k in range(7, n)]
+    for g, h, k in scans:
+        for rung in (k_hypomorphic, k_hypomorphic_utc):
+            rung(g, h, k)
+    assert sizes and min(sizes) > 0
+
+
 def _scan_row(a: Graph) -> np.ndarray:
     """The restriction bits of a graph of order k as a scan row holds them:
     bit r is the pair of colex rank r."""
@@ -746,8 +771,8 @@ def _swap_edges(g: Graph, rng, swaps: int) -> Graph:
 def _row_engine_cases(rng):
     """Graph pairs of orders 7..12 with a label: random graphs, relabeled
     and complemented copies, cycles, circulants, restrictions of Paley(9),
-    Paley(13) and the threshold pair, and pairs with equal degree
-    sequences."""
+    Paley(13) and the threshold pair, pairs with equal degree sequences,
+    one-pair flips, and complements after degree-preserving swaps."""
     from recomp.constructions import circulant, paley_graph, threshold_pair
 
     pair = threshold_pair(9, 4)
@@ -775,6 +800,10 @@ def _row_engine_cases(rng):
         for _ in range(4):
             s = sorted(rng.sample(range(13), k))
             yield "threshold", induced(pair.g, s), induced(pair.g_prime, s)
+        # edge counts that match neither direction, and ones that match
+        # only the complement's
+        yield "edges differ", g, _flip(g, *rng.sample(range(k), 2))
+        yield "complement edges", g, _swap_edges(relabel(complement(g), perm), rng, 3)
 
 
 def test_row_engine_matches_graph_search_and_networkx(rng):
@@ -793,10 +822,12 @@ def test_row_engine_matches_graph_search_and_networkx(rng):
         out.add_edges_from(a.edges())
         return out
 
-    outcomes = set()
+    outcomes, by_edges = set(), set()
     for label, g, h in _row_engine_cases(rng):
         for a, b in ((g, h), (h, g)):
             k, ra, rb = a.n, _scan_row(a), _scan_row(b)
+            ea, eb = a.edge_count, b.edge_count
+            edges = "same" if ea == eb else "complement" if ea + eb == comb(k, 2) else "neither"
             pairs = [(i, j) for j in range(k) for i in range(j)]
             for utc in (False, True):
                 idx = _pair_iso(k, ra, rb, utc)
@@ -812,11 +843,21 @@ def test_row_engine_matches_graph_search_and_networkx(rng):
                     same = rb[idx] == ra
                     assert same.all() or (utc and not same.any())
                 outcomes.add((label, utc, iso))
+                by_edges.add((edges, utc, iso))
     # every family met both outcomes where it can
     for label in ("random", "equal degrees", "paley", "threshold"):
         assert (label, False, False) in outcomes, label
     for label in ("relabeled", "complement", "equal degrees", "paley", "threshold"):
         assert (label, True, True) in outcomes, label
+    # pairs whose edge counts match in neither direction, or only the
+    # complement's, reach the engine too, and meet each outcome there
+    for case in (
+        ("neither", True, False),
+        ("complement", False, False),
+        ("complement", True, True),
+        ("complement", True, False),
+    ):
+        assert case in by_edges, case
 
 
 def _chunk_edges(k: int, total: int) -> set[int]:

@@ -17,6 +17,7 @@ from math import ceil, comb
 import numpy as np
 
 from recomp import codes as codetables
+from recomp.atlas import check_domain
 from recomp.constructions import VerifierResult, class_g_member
 from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
 from recomp.graphs import Graph, boolean_sum, complement, invariants, is_claw_free
@@ -24,7 +25,6 @@ from recomp.hypomorphy import (
     _a_counts,
     _edges,
     _restriction_bits,
-    check_domain,
     equal_up_to_complementation,
     k_hypomorphic,
     k_hypomorphic_utc,
