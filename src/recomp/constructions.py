@@ -115,7 +115,10 @@ class FiniteField:
         return lo + hi * self.p
 
     def least_nonsquare(self) -> int:
-        return next(z for z in range(1, self.q) if z not in self.squares)
+        z = next((z for z in range(1, self.q) if z not in self.squares), None)
+        if z is None:  # GF(2): its one nonzero element is a square
+            raise DomainError(f"GF({self.q}) has no non-square")
+        return z
 
 
 # -- single-graph constructions ------------------------------------------

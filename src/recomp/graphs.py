@@ -18,8 +18,11 @@ the rows, to name the first faulty one.  `shift_rounds` moves bit fields
 by their own distances in log2 rounds of masked shifts: `from_code`
 spreads row j's field from offset C(j, 2) to j*w, which gives the lower
 triangle L and the rows L | transpose(L), and `code` gathers it back.
-The packing of each order, the transpose rounds of each width and the
-vertex bits of each order are `functools.cache` functions.  The order
+`induced` compresses each chosen row to the subset's bits a byte at a
+time, through a 256-entry table per mask byte.  The packing of each
+order, the transpose rounds of each width, the vertex bits of each order
+and the compress table of each mask byte are `functools.cache`
+functions.  The order
 check runs outside the cache, on every call, and every constructor runs
 it before it allocates anything.
 
@@ -333,32 +336,48 @@ def boolean_sum(g: Graph, h: Graph) -> Graph:
     return Graph(g.n, tuple(a ^ b for a, b in zip(g.adj, h.adj)))
 
 
+@cache
+def _byte_extract(mask: int) -> tuple[int, ...]:
+    """Entry x: the bits of byte x at the set bits of the byte mask, packed
+    low in order.  Built on first use, per mask byte, by doubling: the
+    entries of x with bit b set are those of x without it, plus the place
+    bit b lands at if the mask keeps it."""
+    out = [0]
+    for b in range(8):
+        land = 1 << (mask & (1 << b) - 1).bit_count() if mask >> b & 1 else 0
+        out += [e | land for e in out]
+    return tuple(out)
+
+
 def induced(g: Graph, vertices: Iterable[int] | int) -> Graph:
     """Restriction to a vertex subset, relabeled 0..|K|-1 in increasing
-    order of original labels."""
+    order of original labels.  Row v of the restriction is g's row of the
+    v-th subset vertex compressed to the subset's bits, a byte at a time."""
     if isinstance(vertices, int):
         if vertices < 0:
             raise DomainError(f"subset mask must be non-negative, got {vertices}")
         sub = list(bits_of(vertices))
     else:
-        sub = sorted(set(vertices))
+        sub = sorted(set(map(operator.index, vertices)))  # numpy ints become ints
     if not sub:
         raise EmptySubset("induced subgraph needs at least one vertex")
     if sub[-1] >= g.n or sub[0] < 0:
         raise DomainError("subset contains a vertex outside the graph")
-    return Graph.from_code(len(sub), restriction_code(g, sub))
-
-
-def restriction_code(g: Graph, subset: Sequence[int]) -> int:
-    """Code of the restriction of one graph to a sorted vertex subset."""
-    c = 0
-    d = 0
-    for b in range(1, len(subset)):
-        jb = subset[b]
-        for a in range(b):
-            c |= (g.adj[subset[a]] >> jb & 1) << d
-            d += 1
-    return c
+    mask = 0
+    for v in sub:
+        mask |= 1 << v
+    lanes, width = [], 0  # per byte of the mask: its shift, table and place in the row
+    for shift in range(0, sub[-1] + 1, 8):
+        if byte := mask >> shift & 255:
+            lanes.append((shift, _byte_extract(byte), width))
+            width += byte.bit_count()
+    rows = []
+    for v in sub:
+        row, out = g.adj[v], 0
+        for shift, table, at in lanes:
+            out |= table[row >> shift & 255] << at
+        rows.append(out)
+    return Graph(len(sub), tuple(rows))
 
 
 def triangle_count(g: Graph) -> int:

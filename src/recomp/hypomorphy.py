@@ -9,27 +9,39 @@ equal 3-homogeneous data).
 
 Subset lanes: every per-subset condition is one scan over the k-subsets
 in colexicographic order, stopping at the first subset that fails, so
-witnesses are deterministic.  The scan reads chunks of subsets that
-grow geometrically from a few rows, so an early exit pays only for a
-short prefix.  A chunk holds, per graph, one row of restriction bits
-per subset: the graph's code bits gathered at the global colex pair
-ranks i + C(j,2) of the subset's local pairs.  Colex order of k-subsets
-does not depend on the vertex count, so one prefix table per k of the
-subsets and those ranks, grown on demand within a fixed byte budget,
-serves every graph.  Unlike the package's other tables, each a
-`functools.cache` function keyed by its order, a prefix table grows in
-place as longer prefixes are asked for.  Each condition compares one row function of
-`SIGNATURES`, which maps a chunk of restriction bits to a value per
-row: parity, edge count up to complementation, h3, a0, or for k <= 6 a
-canonical-code table entry.  `signature_table` applies the same
-function to every code of one order, for the atlas sieve.  Larger
-restrictions compare edge counts, then settle the rows before the first
-edge failure by isomorphism witnesses: w, kept as the pair-index array
+witnesses are deterministic.  Every rung at one k reads the same stream
+of the pair: a bounded `lru_cache` of `_Stream` objects keyed by (g, h,
+k).  A stream yields chunks of subsets that grow eightfold from a few
+rows, so an early exit pays only for a short prefix, and a longer scan
+pays the per-chunk numpy overhead only a few times.  A chunk holds the
+subsets' vertex rows, both graphs' restriction bits, gathered at once
+from their code bits at the global colex pair ranks i + C(j,2) of each
+subset's local pairs, and both graphs' edge counts, counted at once.
+These arrays are read-only.  The chunks made so far are kept within a
+fixed byte budget, grown in place like the subset tables below, and the
+next rung reads them again; past the budget they are made per pass.
+Colex order of k-subsets does not depend on the vertex count, so one
+prefix table per k of the subsets and those ranks, grown on demand
+within the same budget, serves every pair.  Unlike the package's other
+tables, each a `functools.cache` function keyed by its order, a prefix
+table grows in place as longer prefixes are asked for.  Parity and edge
+counts up to complementation compare the cached counts; every other
+condition compares one row function of `SIGNATURES`, which maps
+restriction bits to a value per row: h3, a0, or for k <= 6 a
+canonical-code table entry.  `signature_table` applies the same function
+to every code of one order, for the atlas sieve.  Larger restrictions
+compare edge counts, then settle the rows before the first edge failure
+by isomorphism witnesses: w, kept as the pair-index array
 idx[rank(i,j)] = rank(w[i], w[j]), settles a row when h's bits gathered
-by idx equal g's (or, up to complementation, differ in every
-column).  One loop tries the identity, the few witnesses found most
-recently, newest first, then searches the first row left and tries its
-witness on the rest, until no row is left.  A search runs
+by idx equal g's (or, up to complementation, differ in every column).
+One loop tries the identity, the few witnesses found most recently,
+newest first, then searches the first row left and tries its witness on
+the rest, until no row is left.  The witnesses live on the stream, so
+the rung up to complementation starts from the ones the plain rung
+found, and a chunk marks the rows the plain rung proved isomorphic,
+which settles them for the other rung without a search.  A row fails
+only when its search finds no isomorphism, so verdicts and witnesses do
+not depend on what the cache holds.  A search runs
 `isomorphism.find_isomorphism_rows` on adjacency rows made from the
 row's bits by one product with a table per k, then, up to
 complementation, on the complement's (`graphs.complement_rows`); no
@@ -40,11 +52,12 @@ degrees by Goodman's identity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -73,18 +86,27 @@ class HypoVerdict:
         return {"holds": self.holds, "witness_subset": list(self.witness) if self.witness else None}
 
 
-def _check_pair(g: Graph, h: Graph, k: int) -> None:
+def _check_pair(g: Graph, h: Graph, k: int) -> int:
+    """k as an int, once the pair and k are checked; a float k is a
+    TypeError, as it would hit the stream cached for the equal int."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
     if not 1 <= k <= g.n:
         raise DomainError(f"need 1 <= k <= {g.n}, got k={k}")
+    return operator.index(k)
 
 
 # -- subset lanes ----------------------------------------------------------
 
-# Byte cap on each cached prefix table and on the subset rows of one chunk.
+# Byte cap on each cached prefix table, on one chunk and on the chunks one
+# stream keeps.
 _BUDGET_BYTES = 1 << 20
 _FIRST_CHUNK = 8
+# chunk rows grow by this factor up to the budget: per-chunk numpy overhead
+# outweighs a longer prefix once every rung reads the same chunks
+_GROWTH = 8
+# streams kept, most recently used first: a ladder walk reads one at a time
+_STREAMS = 8
 
 _subset_tables: dict[int, np.ndarray] = {}
 
@@ -118,57 +140,100 @@ def _subset_rows(k: int, start: int, stop: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _codebits(g: Graph) -> np.ndarray:
-    """Entry r is bit r of g.code: 1 iff the pair of colex rank r is an
-    edge.  Cached for the few graphs a ladder walk asks about, and bounded,
-    since graphs are unbounded keys; read-only."""
-    raw = g.code.to_bytes((comb(g.n, 2) + 7) // 8, "little")
+def _pair_bits(g: Graph, h: Graph) -> np.ndarray:
+    """Row 0 holds the bits of g.code, row 1 those of h.code: entry r is 1
+    iff the pair of colex rank r is an edge.  Cached for the few pairs a
+    ladder walk asks about, and bounded, since graphs are unbounded keys;
+    read-only."""
+    size = (comb(g.n, 2) + 7) // 8
+    raw = b"".join(x.code.to_bytes(size, "little") for x in (g, h))
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    bits = bits.reshape(2, 8 * size)
     bits.flags.writeable = False
     return bits
 
 
-def _restriction_bits(
-    k: int, *graphs: Graph
-) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """The colex k-subsets of the common vertex set in chunks: yields the
-    chunk's (rows, k) vertex array and, per graph, a (rows, C(k,2)) uint8
-    array whose row r holds the bits of the restriction code for the
-    subset in vertex row r.  Chunks grow geometrically from a few rows, so
-    an early exit pays only for a short prefix, and stay within the
-    budget."""
-    codebits = [_codebits(g) for g in graphs]
-    total, most = comb(graphs[0].n, k), _max_rows(k)
-    start, size = 0, _FIRST_CHUNK
-    while start < total:
-        stop = min(total, start + size)
-        rows = _subset_rows(k, start, stop)
-        yield rows[:, :k], [bits[rows[:, k:]] for bits in codebits]
-        start, size = stop, min(2 * size, most)
+class _Chunk(NamedTuple):
+    """Consecutive colex k-subsets of a stream: their (rows, k) vertices,
+    both graphs' (2, rows, C(k,2)) restriction bits (row r of graph x holds
+    the bits of x's restriction code on the subset in vertex row r) and
+    their (2, rows) edge counts, all read-only; `iso` marks the rows whose
+    restrictions a search-lane scan proved isomorphic."""
+
+    vertices: np.ndarray
+    bits: np.ndarray
+    edges: np.ndarray
+    iso: np.ndarray
 
 
-def _first_mismatch(
-    g: Graph, h: Graph, k: int, fails: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> HypoVerdict:
-    """Scan the k-subsets in colex order; `fails` maps a chunk of the two
-    graphs' restriction bits to one bool per row, and the subset of the
-    first True row is the witness."""
-    _check_pair(g, h, k)
-    for vertices, (bg, bh) in _restriction_bits(k, g, h):
-        bad = fails(bg, bh)
-        if bad.any():
-            return HypoVerdict(False, tuple(vertices[bad.argmax()].tolist()))
+class _Stream:
+    """The colex k-subsets of one pair's common vertex set, in chunks that
+    grow by `_GROWTH` from `_FIRST_CHUNK` rows up to the budget, so an early
+    exit pays only for a short prefix.  The chunks made so far are kept
+    while they fit the budget, and every rung at this k reads them again;
+    past it they are made per pass.  `witnesses` are the isomorphisms the
+    search lane found most recently, newest first, for both of its rungs."""
+
+    def __init__(self, g: Graph, h: Graph, k: int):
+        self.k, self.total = k, comb(g.n, k)
+        self.pair_bits = _pair_bits(g, h)
+        self.chunks: list[_Chunk] = []
+        self.kept = 0  # bytes held by self.chunks
+        self.witnesses: list[np.ndarray] = []
+
+    def __iter__(self) -> Iterator[_Chunk]:
+        i = start = 0
+        size, most = _FIRST_CHUNK, _max_rows(self.k)
+        while start < self.total:
+            stop = min(self.total, start + size)
+            if i < len(self.chunks):
+                yield self.chunks[i]
+            else:
+                chunk = self._chunk(start, stop)
+                nbytes = sum(a.nbytes for a in chunk)
+                if i == len(self.chunks) and self.kept + nbytes <= _BUDGET_BYTES:
+                    self.chunks.append(chunk)
+                    self.kept += nbytes
+                yield chunk
+            i, start, size = i + 1, stop, min(_GROWTH * size, most)
+
+    def _chunk(self, start: int, stop: int) -> _Chunk:
+        rows = _subset_rows(self.k, start, stop)
+        bits = np.take(self.pair_bits, rows[:, self.k :], axis=1)  # one gather for both graphs
+        vertices = rows[:, : self.k].astype(np.uint8)  # a copy: the table may grow
+        edges = _edges(bits)
+        for a in (vertices, bits, edges):
+            a.flags.writeable = False
+        return _Chunk(vertices, bits, edges, np.zeros(stop - start, dtype=bool))
+
+
+@lru_cache(maxsize=_STREAMS)
+def _stream(g: Graph, h: Graph, k: int) -> _Stream:
+    """The pair's stream at k, shared by every rung; bounded, since graphs
+    are unbounded keys."""
+    return _Stream(g, h, k)
+
+
+def _first_mismatch(stream: _Stream, fails: Callable[[_Chunk], np.ndarray]) -> HypoVerdict:
+    """Scan the stream in colex order; `fails` maps a chunk to one bool per
+    row, and the subset of the first True row is the witness."""
+    for chunk in stream:
+        bad = fails(chunk)
+        first = int(bad.argmax())
+        if bad[first]:
+            return HypoVerdict(False, tuple(chunk.vertices[first].tolist()))
     return HypoVerdict(True)
 
 
 def _edges(bits: np.ndarray) -> np.ndarray:
-    """Edge count of each row's restriction."""
-    return bits.sum(axis=1, dtype=np.int64)
+    """Edge count of each row's restriction (a product, which numpy runs
+    faster than a sum along the short last axis)."""
+    return bits @ np.ones(bits.shape[-1], dtype=np.int64)
 
 
 def _codes(bits: np.ndarray) -> np.ndarray:
     """Restriction code of each row, for C(k,2) <= 62."""
-    return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
+    return bits @ (np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64))
 
 
 def _a_counts(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,8 +243,8 @@ def _a_counts(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     inc = np.zeros((len(i), k), dtype=np.int64)  # local pair -> its two ends
     inc[np.arange(len(i)), i] = inc[np.arange(len(i)), j] = 1
     deg = bits @ inc
-    e = deg.sum(axis=1) // 2
-    a1 = (deg * (k - 1 - deg)).sum(axis=1)
+    e = deg.sum(axis=-1) // 2
+    a1 = (deg * (k - 1 - deg)).sum(axis=-1)
     a2 = e * (comb(k, 2) - e)
     return a2 - a1, a1, a2
 
@@ -191,15 +256,26 @@ def _h3(bits: np.ndarray, k: int) -> np.ndarray:
     return comb(k, 3) - _a_counts(bits, k)[1] // 2
 
 
+# Signatures of the edge count alone, as functions (e, k) of the counts.
+# Up to complementation, parity is a signature only when C(k,2) is even;
+# when it is odd, complementing flips the parity, so every pair agrees.
+_EDGE_SIGNATURES: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
+    "parity": lambda e, k: e % 2,
+    "parity_utc": lambda e, k: e % 2 * (1 - comb(k, 2) % 2),
+    "edges": lambda e, k: np.minimum(e, comb(k, 2) - e),
+}
+
+
+def _of_edges(f: Callable[[np.ndarray, int], np.ndarray]) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The row function of an edge-count signature."""
+    return lambda bits, k: f(_edges(bits), k)
+
+
 # Per-subset signatures: row functions (bits, k) -> one value per row of
-# restriction bits, equal for two restrictions iff they agree on the
-# signature.  Up to complementation, parity is a signature only when
-# C(k,2) is even; when it is odd, complementing flips the parity, so
-# every pair agrees.
+# restriction bits (the last axis), equal for two restrictions iff they
+# agree on the signature.
 SIGNATURES: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    "parity": lambda bits, k: _edges(bits) % 2,
-    "parity_utc": lambda bits, k: _edges(bits) % 2 * (1 - comb(k, 2) % 2),
-    "edges": lambda bits, k: np.minimum(e := _edges(bits), comb(k, 2) - e),
+    **{kind: _of_edges(f) for kind, f in _EDGE_SIGNATURES.items()},
     "h3": _h3,
     "a0": lambda bits, k: _a_counts(bits, k)[0],
     "iso": lambda bits, k: codetables.canonical_table(k)[_codes(bits)],
@@ -208,9 +284,16 @@ SIGNATURES: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
 
 
 def _same_signature(kind: str, g: Graph, h: Graph, k: int) -> HypoVerdict:
-    """The two graphs agree on the `kind` signature of every k-subset."""
-    sig = SIGNATURES[kind]
-    return _first_mismatch(g, h, k, lambda bg, bh: sig(bg, k) != sig(bh, k))
+    """The two graphs agree on the `kind` signature of every k-subset: an
+    edge-count signature reads the stream's counts, any other the bits."""
+    k = _check_pair(g, h, k)
+    if kind in _EDGE_SIGNATURES:
+        count_sig = _EDGE_SIGNATURES[kind]
+        values = lambda chunk: count_sig(chunk.edges, k)
+    else:
+        sig = SIGNATURES[kind]
+        values = lambda chunk: sig(chunk.bits, k)
+    return _first_mismatch(_stream(g, h, k), lambda chunk: operator.ne(*values(chunk)))
 
 
 def signature_table(kind: str, k: int) -> np.ndarray:
@@ -269,21 +352,25 @@ def _pair_iso(k: int, rg: np.ndarray, rh: np.ndarray, utc: bool) -> np.ndarray |
 
 
 def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
-    _check_pair(g, h, k)  # before the k cap and the lane set-up
+    k = _check_pair(g, h, k)  # before the k cap and the lane set-up
     if k > ISO_MAX_ORDER:
         raise KTooLarge(f"restriction isomorphism supports k <= {ISO_MAX_ORDER}")
     if k <= TABLE_MAX_K:
         return _same_signature("utc" if utc else "iso", g, h, k)
     kk = comb(k, 2)
-    witnesses: list[np.ndarray] = []
+    stream = _stream(g, h, k)
+    witnesses = stream.witnesses
 
-    def fails(bg: np.ndarray, bh: np.ndarray) -> np.ndarray:
-        eg, eh = _edges(bg), _edges(bh)
+    def fails(chunk: _Chunk) -> np.ndarray:
+        eg, eh = chunk.edges
         bad = eh != eg
         if utc:
             bad &= eh != kk - eg
-        # the rows before the first edge failure, settled one witness at a time
-        rows = np.arange(int(bad.argmax()) if bad.any() else len(bad))
+        # the rows before the first edge failure not yet proved isomorphic,
+        # settled one witness at a time
+        first = int(bad.argmax())
+        rows = np.flatnonzero(~chunk.iso[: first if bad[first] else len(bad)])
+        bg, bh = chunk.bits
         untried = [slice(None), *witnesses]
         while len(rows):
             if untried:
@@ -294,10 +381,13 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
                     bad[rows[0]] = True
                     break
                 witnesses[:] = [idx, *witnesses[: _WITNESSES - 1]]
-            rows = rows[~_maps(bg[rows], bh[rows], idx, utc)]
+            hit = _maps(bg[rows], bh[rows], idx, utc)
+            if not utc:
+                chunk.iso[rows[hit]] = True
+            rows = rows[~hit]
         return bad
 
-    return _first_mismatch(g, h, k, fails)
+    return _first_mismatch(stream, fails)
 
 
 def k_hypomorphic(g: Graph, h: Graph, k: int) -> HypoVerdict:

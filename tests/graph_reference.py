@@ -2,8 +2,10 @@
 masks, kept as independent checks on the numpy subset lanes; the
 3-homogeneous triple sets that the h3 rung no longer builds; the
 full-space signature labels and claw-free table that the sweeps' sieve
-replaced; and the group-by-group graph6 codec and row-by-row `Graph`
-packing that the whole-word paths replaced, kept as their oracles."""
+replaced; the group-by-group graph6 codec and row-by-row `Graph`
+packing that the whole-word paths replaced; and the pair-by-pair
+restriction code that `graphs.induced` no longer builds, kept as their
+oracles."""
 
 from __future__ import annotations
 
@@ -27,6 +29,19 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def restriction_code(g: Graph, subset: Sequence[int]) -> int:
+    """Code of the restriction of one graph to a sorted vertex subset, one
+    local pair at a time in colex order."""
+    c = 0
+    d = 0
+    for b in range(1, len(subset)):
+        jb = subset[b]
+        for a in range(b):
+            c |= (g.adj[subset[a]] >> jb & 1) << d
+            d += 1
+    return c
 
 
 def subgraph_edge_count(g: Graph, mask: int) -> int:

@@ -80,6 +80,16 @@ def test_field_fixed_irreducibles():
         FiniteField(4)  # no x^2 + c is irreducible over GF(2)
 
 
+def test_field_least_nonsquare_domain():
+    # GF(2) has no non-square: a domain error, not a bare StopIteration
+    with pytest.raises(DomainError, match="no non-square"):
+        FiniteField(2).least_nonsquare()
+    for q in (3, 5, 7, 9, 13, 25):
+        f = FiniteField(q)
+        z = f.least_nonsquare()
+        assert z not in f.squares and all(y in f.squares for y in range(1, z))
+
+
 # -- Paley graphs -------------------------------------------------------------
 
 

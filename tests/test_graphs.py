@@ -23,6 +23,7 @@ from graph_reference import (
     homogeneous_triples,
     intersection,
     mask_of,
+    restriction_code,
     rowwise_code,
     rowwise_fault,
     rowwise_rows,
@@ -375,6 +376,27 @@ def test_induced_preserves_label_order(rng):
     h = induced(g, sub)
     for a, b in combinations(range(4), 2):
         assert h.has_edge(a, b) == g.has_edge(sub[a], sub[b])
+
+
+def test_induced_matches_restriction_code(rng):
+    # the byte-compressed rows against the pair-by-pair restriction code,
+    # for subsets given as tuples, masks and numpy ints, at orders that
+    # span one to eight bytes of each row
+    for n in (1, 2, 7, 8, 9, 13, 16, 17, 31, 40, 63, 64):
+        g = Graph.random(n, rng, rng.choice((0.2, 0.5, 0.9)))
+        for k in {1, min(2, n), max(1, n // 2), max(1, n - 1), n}:
+            sub = tuple(sorted(rng.sample(range(n), k)))
+            want = Graph.from_code(k, restriction_code(g, sub))
+            assert induced(g, sub) == want
+            assert induced(g, mask_of(sub)) == want
+            assert induced(g, np.array(sub[::-1])) == want
+    # every compress table, entry by entry
+    from recomp.graphs import _byte_extract
+
+    for mask in range(256):
+        kept = [b for b in range(8) if mask >> b & 1]
+        want = [sum((x >> b & 1) << i for i, b in enumerate(kept)) for x in range(256)]
+        assert list(_byte_extract(mask)) == want
 
 
 def test_subgraph_edge_count_matches_induced(rng):

@@ -687,7 +687,17 @@ def test_search_lane_matches_brute_force(rng):
                 _assert_ladder_matches(a, b, k, rungs)
 
 
-def test_search_lane_reuses_witnesses(monkeypatch):
+@pytest.fixture
+def cold_streams():
+    """An empty stream cache, so a test counts every search of its scans."""
+    from recomp.hypomorphy import _stream
+
+    _stream.cache_clear()
+    yield
+    _stream.cache_clear()
+
+
+def test_search_lane_reuses_witnesses(monkeypatch, cold_streams):
     # at n = 13, k = 10 the threshold pair is k-hypomorphic up to
     # complementation, so every candidate row (its restrictions neither
     # equal nor complementary as labeled graphs) must be settled; stored
@@ -725,7 +735,7 @@ def test_search_lane_reuses_witnesses(monkeypatch):
         assert mapped != rg and mapped != [1 - bit for bit in rg]
 
 
-def test_search_lane_never_maps_an_empty_row_set(monkeypatch, rng):
+def test_search_lane_never_maps_an_empty_row_set(monkeypatch, rng, cold_streams):
     # a k > TABLE_MAX_K scan stops trying witnesses on a chunk once no row
     # is left, so every witness it tries meets at least one row
     from recomp import hypomorphy
@@ -862,11 +872,11 @@ def test_row_engine_matches_graph_search_and_networkx(rng):
 
 def _chunk_edges(k: int, total: int) -> set[int]:
     """Ranks of the first and the last row of every chunk after the first."""
-    from recomp.hypomorphy import _FIRST_CHUNK, _max_rows
+    from recomp.hypomorphy import _FIRST_CHUNK, _GROWTH, _max_rows
 
     edges, start, size = set(), 0, _FIRST_CHUNK
     while start < total:
-        start, size = start + size, min(2 * size, _max_rows(k))
+        start, size = start + size, min(_GROWTH * size, _max_rows(k))
         edges |= {start - 1, start}
     return {r for r in edges if 0 < r < total}
 
@@ -894,7 +904,7 @@ def test_ladder_witness_on_chunk_edges(rng):
 def test_subset_table_rows_are_colex_combinations(rng):
     # the cached prefix rows for k are the same whatever order asked first
     from recomp.graphs import MAX_ORDER, pair_rank
-    from recomp.hypomorphy import _max_rows, _restriction_bits, _subset_rows
+    from recomp.hypomorphy import _max_rows, _stream, _subset_rows
     from recomp.incidence import colex_vertices
 
     for n in (10, 4, 7, 9, 10):
@@ -910,9 +920,9 @@ def test_subset_table_rows_are_colex_combinations(rng):
     assert comb(n, k) > _max_rows(k)
     g = Graph.random(n, rng)
     seen, codes = [], []
-    for vertices, (bits,) in _restriction_bits(k, g):
-        seen += map(tuple, vertices.tolist())
-        codes += [sum(int(b) << r for r, b in enumerate(row)) for row in bits]
+    for chunk in _stream(g, g, k):
+        seen += map(tuple, chunk.vertices.tolist())
+        codes += [sum(int(b) << r for r, b in enumerate(row)) for row in chunk.bits[0]]
     assert seen == colex_order(n, k)
     assert codes == [induced(g, s).code for s in seen]
     for k in range(1, MAX_ORDER + 1):
@@ -924,7 +934,7 @@ def test_subset_table_rows_are_colex_combinations(rng):
 def test_scan_is_lazy_and_bounded_at_order_48(rng):
     import time
 
-    from recomp.hypomorphy import _BUDGET_BYTES, _subset_tables
+    from recomp.hypomorphy import _BUDGET_BYTES, _stream, _subset_tables
 
     n, k = 48, 8
     g, h = Graph.random(n, rng), Graph.random(n, rng)
@@ -936,6 +946,104 @@ def test_scan_is_lazy_and_bounded_at_order_48(rng):
     assert got.witness == _first_failures(induced(g, head), induced(h, head), k)[k_hypomorphic_utc]
     # the flip of {0, 20} first shows on {0, ..., 6, 20}, rank C(20, 8),
     # past the cached prefix
-    assert same_parity(g, _flip(g, 0, 20), k).witness == (*range(7), 20)
+    flipped = _flip(g, 0, 20)
+    assert same_parity(g, flipped, k).witness == (*range(7), 20)
     assert _subset_tables[k].nbytes <= _BUDGET_BYTES
     assert all(table.nbytes <= _BUDGET_BYTES for table in _subset_tables.values())
+    # each stream keeps a prefix of its chunks within the budget, read-only
+    for stream in (_stream(g, h, k), _stream(g, flipped, k)):
+        assert 0 < sum(a.nbytes for chunk in stream.chunks for a in chunk) <= _BUDGET_BYTES
+        for chunk in stream.chunks:
+            assert not any(a.flags.writeable for a in (chunk.vertices, chunk.bits, chunk.edges))
+    # the flipped pair's scan reached rank C(20, 8), past what its stream keeps
+    assert sum(len(chunk.iso) for chunk in _stream(g, flipped, k).chunks) < comb(20, 8)
+
+
+def _stream_cases(rng):
+    """Seeded random, flip, complement and threshold pairs at n = 8..13,
+    with a table-lane and a search-lane k each, and a pair to interleave."""
+    from recomp.constructions import threshold_pair
+
+    made = {8: (5, 3), 9: (5, 4), 11: (9, 2), 12: (9, 3), 13: (9, 4)}
+    for n in range(8, 14):
+        g = Graph.random(n, rng)
+        pairs = [(g, Graph.random(n, rng)), (g, _flip(g, *rng.sample(range(n), 2)))]
+        pairs.append((g, complement(g)))
+        if n in made:
+            pair, perm = threshold_pair(*made[n], verify=False), rng.sample(range(n), n)
+            pairs.append((relabel(pair.g, perm), relabel(pair.g_prime, perm)))
+        other = (Graph.random(n, rng), Graph.random(n, rng))
+        for a, b in pairs:
+            for k in (rng.randint(3, 6), rng.randint(7, n - 1)):
+                yield a, b, k, other
+
+
+def test_stream_shared_by_every_rung(rng, cold_streams):
+    # every rung reads the pair's cached stream at k: its verdicts must not
+    # depend on what the cache holds or on the order of the calls, and must
+    # match the brute-force scan
+    from recomp.hypomorphy import _stream
+
+    rungs = list(_RUNG_FAILS)
+    for g, h, k, (g2, h2) in _stream_cases(rng):
+        want = [(w is None, w) for w in _first_failures(g, h, k).values()]
+
+        def verdicts(order=rungs):
+            got = {rung: rung(g, h, k) for rung in order}
+            return [(got[rung].holds, got[rung].witness) for rung in rungs]
+
+        _stream.cache_clear()
+        assert verdicts() == want, (g.adj, h.adj, k)  # cold
+        assert verdicts() == want  # warm
+        _stream.cache_clear()
+        assert verdicts(rungs[::-1]) == want  # hypo_utc before hypo
+        _stream.cache_clear()
+        mixed = []
+        for rung in rungs:
+            rung(g2, h2, k)
+            got = rung(g, h, k)
+            mixed.append((got.holds, got.witness))
+        assert mixed == want  # interleaved with a second pair
+        _stream.cache_clear()
+        assert verdicts() == want  # after clearing the cache
+
+
+def test_utc_rung_searches_no_row_the_hypo_rung_settled(monkeypatch, cold_streams):
+    # every row the hypo rung proved isomorphic stays settled for the utc
+    # rung, which searches only rows left open.  At k = 10 the threshold
+    # pair fails hypomorphy but holds up to complementation; under this
+    # relabeling the hypo rung settles 45 rows, some by searches, before it
+    # fails.  The cycle-swap pairs are k-hypomorphic at k = n - 1; under
+    # these relabelings the hypo rung needs more witnesses than a stream
+    # keeps, so the witnesses alone would leave a settled row to search
+    from recomp import hypomorphy
+    from recomp.constructions import cycle_swap_pair, threshold_pair
+
+    made = [
+        (threshold_pair(9, 4), (12, 9, 1, 7, 4, 0, 11, 10, 8, 3, 2, 5, 6), 10),
+        (cycle_swap_pair(10), (3, 8, 2, 7, 4, 9, 0, 6, 5, 1), 9),
+        (cycle_swap_pair(11), (2, 9, 1, 4, 0, 3, 5, 7, 10, 8, 6), 10),
+    ]
+    cases = [(relabel(p.g, perm), relabel(p.g_prime, perm), k) for p, perm, k in made]
+    settled, searched = set(), []
+    real_maps, real_pair_iso = hypomorphy._maps, hypomorphy._pair_iso
+
+    def maps(bg, bh, idx, utc):
+        hit = real_maps(bg, bh, idx, utc)
+        if not utc:
+            settled.update((a.tobytes(), b.tobytes()) for a, b in zip(bg[hit], bh[hit]))
+        return hit
+
+    def pair_iso(k, rg, rh, utc):
+        searched.append((rg.tobytes(), rh.tobytes()))
+        return real_pair_iso(k, rg, rh, utc)
+
+    monkeypatch.setattr(hypomorphy, "_maps", maps)
+    monkeypatch.setattr(hypomorphy, "_pair_iso", pair_iso)
+    for g, h, k in cases:
+        settled.clear()
+        del searched[:]
+        k_hypomorphic(g, h, k)
+        first = len(searched)
+        assert k_hypomorphic_utc(g, h, k).holds
+        assert first and settled and not set(searched[first:]) & settled, (g.n, k)

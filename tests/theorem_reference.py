@@ -24,7 +24,7 @@ from recomp.graphs import Graph, boolean_sum, complement, invariants, is_claw_fr
 from recomp.hypomorphy import (
     _a_counts,
     _edges,
-    _restriction_bits,
+    _stream,
     equal_up_to_complementation,
     k_hypomorphic,
     k_hypomorphic_utc,
@@ -36,6 +36,12 @@ from recomp.hypomorphy import (
     same_parity_utc,
     signature_table,
 )
+
+
+def _restriction_bits(g: Graph, k: int):
+    """g's restriction bits, chunk by chunk in colex order: g's half of the
+    stream of the pair (g, g)."""
+    return (chunk.bits[0] for chunk in _stream(g, g, k))
 
 
 def verify_mixed_pair_identities(g: Graph, k: int) -> VerifierResult:
@@ -61,7 +67,7 @@ def verify_mixed_pair_identities(g: Graph, k: int) -> VerifierResult:
     # one pass: a2(G|K) = e(G|K) * e_bar(G|K) is the product summed in b)
     sums = {0: 0, 1: 0}
     prod_sum = 0
-    for _, (bits,) in _restriction_bits(k, g):
+    for bits in _restriction_bits(g, k):
         a0, a1, a2 = _a_counts(bits, k)
         sums[0] += int(a0.sum())
         sums[1] += int(a1.sum())
@@ -171,7 +177,7 @@ def verify_dense_subset_equality(g: Graph, h: Graph, k: int) -> VerifierResult:
     kk, need = comb(k, 2), ceil(ell)  # edge counts are ints
     dense = any(
         bool((np.maximum(e, kk - e) >= need).any())
-        for e in (_edges(bits) for _, (bits,) in _restriction_bits(k, g))
+        for e in map(_edges, _restriction_bits(g, k))
     )
     if not dense:
         raise HypothesisNotMet(f"no k-subset reaches {ell} edges in g or its complement")
