@@ -13,37 +13,35 @@ witnesses are deterministic.  Every rung at one k reads the same stream
 of the pair: a bounded `lru_cache` of `_Stream` objects keyed by (g, h,
 k).  A stream yields chunks of subsets that grow eightfold from a few
 rows, so an early exit pays only for a short prefix, and a longer scan
-pays the per-chunk numpy overhead only a few times.  A chunk holds the
-subsets' vertex rows, both graphs' restriction bits, gathered at once
+pays the per-chunk numpy overhead only a few times; even one rung on a
+new stream runs faster than with doubling chunks.  A chunk holds the
+subsets' vertex rows and both graphs' restriction bits, gathered at once
 from their code bits at the global colex pair ranks i + C(j,2) of each
-subset's local pairs, and both graphs' edge counts, counted at once.
-These arrays are read-only.  The chunks made so far are kept within a
-fixed byte budget, grown in place like the subset tables below, and the
-next rung reads them again; past the budget they are made per pass.
-Colex order of k-subsets does not depend on the vertex count, so one
-prefix table per k of the subsets and those ranks, grown on demand
-within the same budget, serves every pair.  Unlike the package's other
-tables, each a `functools.cache` function keyed by its order, a prefix
-table grows in place as longer prefixes are asked for.  Parity and edge
-counts up to complementation compare the cached counts; every other
-condition compares one row function of `SIGNATURES`, which maps
-restriction bits to a value per row: h3, a0, or for k <= 6 a
-canonical-code table entry.  `signature_table` applies the same function
-to every code of one order, for the atlas sieve.  Larger restrictions
-compare edge counts, then settle the rows before the first edge failure
-by isomorphism witnesses: w, kept as the pair-index array
+subset's local pairs; both arrays are read-only.  The chunks made so far
+are kept within a fixed byte budget, grown in place like the subset
+tables below, and the next rung reads them again; past the budget they
+are made per pass.  Colex order of k-subsets does not depend on the
+vertex count, so one prefix table per k of the subsets and those ranks,
+grown on demand within the same budget, serves every pair.  Unlike the
+package's other tables, each a `functools.cache` function keyed by its
+order, a prefix table grows in place as longer prefixes are asked for.
+Each condition compares one row function of `SIGNATURES`, applied to
+both graphs' bits in one call, which maps restriction bits to a value
+per row: parity, edge count up to complementation, h3, a0, or for
+k <= 6 a canonical-code table entry.  `signature_table` applies the
+same function to every code of one order, for the atlas sieve.  Larger
+restrictions compare edge counts, then settle the rows before the first
+edge failure by isomorphism witnesses: w, kept as the pair-index array
 idx[rank(i,j)] = rank(w[i], w[j]), settles a row when h's bits gathered
 by idx equal g's (or, up to complementation, differ in every column).
 One loop tries the identity, the few witnesses found most recently,
 newest first, then searches the first row left and tries its witness on
 the rest, until no row is left.  The witnesses live on the stream, so
 the rung up to complementation starts from the ones the plain rung
-found, and a chunk marks the rows the plain rung proved isomorphic,
-which settles them for the other rung without a search.  A row fails
-only when its search finds no isomorphism, so verdicts and witnesses do
-not depend on what the cache holds.  A search runs
-`isomorphism.find_isomorphism_rows` on adjacency rows made from the
-row's bits by one product with a table per k, then, up to
+found.  A row fails only when its search finds no isomorphism, so
+verdicts and witnesses do not depend on what the cache holds.  A search
+runs `isomorphism.find_isomorphism_rows` on adjacency rows made from
+the row's bits by one product with a table per k, then, up to
 complementation, on the complement's (`graphs.complement_rows`); no
 `Graph` is built, and the engine's degree round rejects a direction
 whose edge count differs.  h3 and a0 counts come from the restriction
@@ -57,6 +55,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
+from threading import Lock
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -103,7 +102,7 @@ def _check_pair(g: Graph, h: Graph, k: int) -> int:
 _BUDGET_BYTES = 1 << 20
 _FIRST_CHUNK = 8
 # chunk rows grow by this factor up to the budget: per-chunk numpy overhead
-# outweighs a longer prefix once every rung reads the same chunks
+# outweighs a longer prefix, even for one rung on a new stream
 _GROWTH = 8
 # streams kept, most recently used first: a ladder walk reads one at a time
 _STREAMS = 8
@@ -154,16 +153,13 @@ def _pair_bits(g: Graph, h: Graph) -> np.ndarray:
 
 
 class _Chunk(NamedTuple):
-    """Consecutive colex k-subsets of a stream: their (rows, k) vertices,
+    """Consecutive colex k-subsets of a stream: their (rows, k) vertices and
     both graphs' (2, rows, C(k,2)) restriction bits (row r of graph x holds
-    the bits of x's restriction code on the subset in vertex row r) and
-    their (2, rows) edge counts, all read-only; `iso` marks the rows whose
-    restrictions a search-lane scan proved isomorphic."""
+    the bits of x's restriction code on the subset in vertex row r), both
+    read-only."""
 
     vertices: np.ndarray
     bits: np.ndarray
-    edges: np.ndarray
-    iso: np.ndarray
 
 
 class _Stream:
@@ -171,8 +167,10 @@ class _Stream:
     grow by `_GROWTH` from `_FIRST_CHUNK` rows up to the budget, so an early
     exit pays only for a short prefix.  The chunks made so far are kept
     while they fit the budget, and every rung at this k reads them again;
-    past it they are made per pass.  `witnesses` are the isomorphisms the
-    search lane found most recently, newest first, for both of its rungs."""
+    past it they are made per pass; a lock keeps concurrent scans from
+    keeping a chunk twice or out of place.  `witnesses` are the
+    isomorphisms the search lane found most recently, newest first, for
+    both of its rungs; any witness is checked before it settles a row."""
 
     def __init__(self, g: Graph, h: Graph, k: int):
         self.k, self.total = k, comb(g.n, k)
@@ -180,6 +178,7 @@ class _Stream:
         self.chunks: list[_Chunk] = []
         self.kept = 0  # bytes held by self.chunks
         self.witnesses: list[np.ndarray] = []
+        self.lock = Lock()
 
     def __iter__(self) -> Iterator[_Chunk]:
         i = start = 0
@@ -191,9 +190,10 @@ class _Stream:
             else:
                 chunk = self._chunk(start, stop)
                 nbytes = sum(a.nbytes for a in chunk)
-                if i == len(self.chunks) and self.kept + nbytes <= _BUDGET_BYTES:
-                    self.chunks.append(chunk)
-                    self.kept += nbytes
+                with self.lock:
+                    if i == len(self.chunks) and self.kept + nbytes <= _BUDGET_BYTES:
+                        self.chunks.append(chunk)
+                        self.kept += nbytes
                 yield chunk
             i, start, size = i + 1, stop, min(_GROWTH * size, most)
 
@@ -201,10 +201,9 @@ class _Stream:
         rows = _subset_rows(self.k, start, stop)
         bits = np.take(self.pair_bits, rows[:, self.k :], axis=1)  # one gather for both graphs
         vertices = rows[:, : self.k].astype(np.uint8)  # a copy: the table may grow
-        edges = _edges(bits)
-        for a in (vertices, bits, edges):
+        for a in (vertices, bits):
             a.flags.writeable = False
-        return _Chunk(vertices, bits, edges, np.zeros(stop - start, dtype=bool))
+        return _Chunk(vertices, bits)
 
 
 @lru_cache(maxsize=_STREAMS)
@@ -256,26 +255,15 @@ def _h3(bits: np.ndarray, k: int) -> np.ndarray:
     return comb(k, 3) - _a_counts(bits, k)[1] // 2
 
 
-# Signatures of the edge count alone, as functions (e, k) of the counts.
-# Up to complementation, parity is a signature only when C(k,2) is even;
-# when it is odd, complementing flips the parity, so every pair agrees.
-_EDGE_SIGNATURES: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    "parity": lambda e, k: e % 2,
-    "parity_utc": lambda e, k: e % 2 * (1 - comb(k, 2) % 2),
-    "edges": lambda e, k: np.minimum(e, comb(k, 2) - e),
-}
-
-
-def _of_edges(f: Callable[[np.ndarray, int], np.ndarray]) -> Callable[[np.ndarray, int], np.ndarray]:
-    """The row function of an edge-count signature."""
-    return lambda bits, k: f(_edges(bits), k)
-
-
 # Per-subset signatures: row functions (bits, k) -> one value per row of
 # restriction bits (the last axis), equal for two restrictions iff they
-# agree on the signature.
+# agree on the signature.  Up to complementation, parity is a signature
+# only when C(k,2) is even; when it is odd, complementing flips the
+# parity, so every pair agrees.
 SIGNATURES: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    **{kind: _of_edges(f) for kind, f in _EDGE_SIGNATURES.items()},
+    "parity": lambda bits, k: _edges(bits) % 2,
+    "parity_utc": lambda bits, k: _edges(bits) % 2 * (1 - comb(k, 2) % 2),
+    "edges": lambda bits, k: np.minimum(e := _edges(bits), comb(k, 2) - e),
     "h3": _h3,
     "a0": lambda bits, k: _a_counts(bits, k)[0],
     "iso": lambda bits, k: codetables.canonical_table(k)[_codes(bits)],
@@ -284,16 +272,11 @@ SIGNATURES: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
 
 
 def _same_signature(kind: str, g: Graph, h: Graph, k: int) -> HypoVerdict:
-    """The two graphs agree on the `kind` signature of every k-subset: an
-    edge-count signature reads the stream's counts, any other the bits."""
+    """The two graphs agree on the `kind` signature of every k-subset,
+    computed for both graphs' bits in one call."""
     k = _check_pair(g, h, k)
-    if kind in _EDGE_SIGNATURES:
-        count_sig = _EDGE_SIGNATURES[kind]
-        values = lambda chunk: count_sig(chunk.edges, k)
-    else:
-        sig = SIGNATURES[kind]
-        values = lambda chunk: sig(chunk.bits, k)
-    return _first_mismatch(_stream(g, h, k), lambda chunk: operator.ne(*values(chunk)))
+    sig = SIGNATURES[kind]
+    return _first_mismatch(_stream(g, h, k), lambda chunk: operator.ne(*sig(chunk.bits, k)))
 
 
 def signature_table(kind: str, k: int) -> np.ndarray:
@@ -362,15 +345,14 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
     witnesses = stream.witnesses
 
     def fails(chunk: _Chunk) -> np.ndarray:
-        eg, eh = chunk.edges
+        bg, bh = chunk.bits
+        eg, eh = _edges(chunk.bits)
         bad = eh != eg
         if utc:
             bad &= eh != kk - eg
-        # the rows before the first edge failure not yet proved isomorphic,
-        # settled one witness at a time
+        # the rows before the first edge failure, settled one witness at a time
         first = int(bad.argmax())
-        rows = np.flatnonzero(~chunk.iso[: first if bad[first] else len(bad)])
-        bg, bh = chunk.bits
+        rows = np.arange(first if bad[first] else len(bad))
         untried = [slice(None), *witnesses]
         while len(rows):
             if untried:
@@ -381,10 +363,7 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
                     bad[rows[0]] = True
                     break
                 witnesses[:] = [idx, *witnesses[: _WITNESSES - 1]]
-            hit = _maps(bg[rows], bh[rows], idx, utc)
-            if not utc:
-                chunk.iso[rows[hit]] = True
-            rows = rows[~hit]
+            rows = rows[~_maps(bg[rows], bh[rows], idx, utc)]
         return bad
 
     return _first_mismatch(stream, fails)
