@@ -25,10 +25,6 @@ class DomainError(RecompError):
     """Arguments fall outside an operation's stated precondition."""
 
 
-class HypothesisNotMet(RecompError):
-    """A conditional verifier was called on a pair violating its hypothesis."""
-
-
 class NonPrimeModulus(RecompError):
     """Modular matrices require a prime modulus."""
 

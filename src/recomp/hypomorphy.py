@@ -14,17 +14,17 @@ of the pair: a bounded `lru_cache` of `_Stream` objects keyed by (g, h,
 k).  A stream yields chunks of subsets that grow eightfold from a few
 rows, so an early exit pays only for a short prefix, and a longer scan
 pays the per-chunk numpy overhead only a few times; even one rung on a
-new stream runs faster than with doubling chunks.  A chunk holds the
-subsets' vertex rows and both graphs' restriction bits, gathered at once
-from their code bits at the global colex pair ranks i + C(j,2) of each
-subset's local pairs; both arrays are read-only.  The chunks made so far
-are kept within a fixed byte budget, grown in place like the subset
-tables below, and the next rung reads them again; past the budget they
-are made per pass.  Colex order of k-subsets does not depend on the
-vertex count, so one prefix table per k of the subsets and those ranks,
-grown on demand within the same budget, serves every pair.  Unlike the
-package's other tables, each a `functools.cache` function keyed by its
-order, a prefix table grows in place as longer prefixes are asked for.
+new stream runs faster than with doubling chunks.  Colex order of
+k-subsets does not depend on the vertex count, so one prefix table per k
+of the subsets' vertices and the global colex pair ranks i + C(j,2) of
+their local pairs, grown on demand within a fixed byte budget, serves
+every pair.  Unlike the package's other tables, each a `functools.cache`
+function keyed by its order, a prefix table grows in place as longer
+prefixes are asked for.  A chunk holds both graphs' restriction bits
+only, gathered at once from their code bits at those ranks, read-only;
+the witness subset is read back from the table by its rank.  A stream
+keeps a chunk where the table holds the chunk's rows, and the next rung
+reads it again; past the table, chunks are made per pass.
 Each condition compares one row function of `SIGNATURES`, applied to
 both graphs' bits in one call, which maps restriction bits to a value
 per row: parity, edge count up to complementation, h3, a0, or for
@@ -56,7 +56,7 @@ from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 from threading import Lock
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -97,8 +97,8 @@ def _check_pair(g: Graph, h: Graph, k: int) -> int:
 
 # -- subset lanes ----------------------------------------------------------
 
-# Byte cap on each cached prefix table, on one chunk and on the chunks one
-# stream keeps.
+# Byte cap on each cached prefix table; a chunk's rows, and so the chunks one
+# stream keeps, stay within the table's.
 _BUDGET_BYTES = 1 << 20
 _FIRST_CHUNK = 8
 # chunk rows grow by this factor up to the budget: per-chunk numpy overhead
@@ -112,7 +112,7 @@ _subset_tables: dict[int, np.ndarray] = {}
 
 def _max_rows(k: int) -> int:
     """Rows of `_subset_rows(k, ...)` that fit the budget."""
-    return max(_FIRST_CHUNK, _BUDGET_BYTES // (np.dtype(np.intp).itemsize * (k + comb(k, 2))))
+    return _BUDGET_BYTES // (np.dtype(np.intp).itemsize * (k + comb(k, 2)))
 
 
 def _rows_of(vertices: np.ndarray) -> np.ndarray:
@@ -138,72 +138,50 @@ def _subset_rows(k: int, start: int, stop: int) -> np.ndarray:
     return table[start:stop]
 
 
-@lru_cache(maxsize=8)
-def _pair_bits(g: Graph, h: Graph) -> np.ndarray:
-    """Row 0 holds the bits of g.code, row 1 those of h.code: entry r is 1
-    iff the pair of colex rank r is an edge.  Cached for the few pairs a
-    ladder walk asks about, and bounded, since graphs are unbounded keys;
-    read-only."""
-    size = (comb(g.n, 2) + 7) // 8
-    raw = b"".join(x.code.to_bytes(size, "little") for x in (g, h))
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    bits = bits.reshape(2, 8 * size)
-    bits.flags.writeable = False
-    return bits
-
-
-class _Chunk(NamedTuple):
-    """Consecutive colex k-subsets of a stream: their (rows, k) vertices and
-    both graphs' (2, rows, C(k,2)) restriction bits (row r of graph x holds
-    the bits of x's restriction code on the subset in vertex row r), both
-    read-only."""
-
-    vertices: np.ndarray
-    bits: np.ndarray
-
-
 class _Stream:
-    """The colex k-subsets of one pair's common vertex set, in chunks that
-    grow by `_GROWTH` from `_FIRST_CHUNK` rows up to the budget, so an early
-    exit pays only for a short prefix.  The chunks made so far are kept
-    while they fit the budget, and every rung at this k reads them again;
-    past it they are made per pass; a lock keeps concurrent scans from
-    keeping a chunk twice or out of place.  `witnesses` are the
-    isomorphisms the search lane found most recently, newest first, for
-    both of its rungs; any witness is checked before it settles a row."""
+    """The colex k-subsets of one pair's common vertex set, as read-only
+    chunks of both graphs' (2, rows, C(k,2)) restriction bits: row r of
+    graph x holds the bits of x's restriction code on the subset of rank
+    start + r.  Chunks grow by `_GROWTH` from `_FIRST_CHUNK` rows up to
+    `_max_rows`, so an early exit pays only for a short prefix.  A chunk
+    is kept iff the subset table holds its rows, and every rung at this k
+    reads it again; a row of bits (2*C(k,2) bytes) is smaller than a table
+    row, so the kept chunks fit the budget.  Past the table, chunks are
+    made per pass; a lock keeps concurrent scans from keeping a chunk
+    twice or out of place.  `witnesses` are the isomorphisms the search
+    lane found most recently, newest first, for both of its rungs; any
+    witness is checked before it settles a row."""
 
     def __init__(self, g: Graph, h: Graph, k: int):
         self.k, self.total = k, comb(g.n, k)
-        self.pair_bits = _pair_bits(g, h)
-        self.chunks: list[_Chunk] = []
-        self.kept = 0  # bytes held by self.chunks
+        # row 0 holds the bits of g.code, row 1 those of h.code: entry r is
+        # 1 iff the pair of colex rank r is an edge
+        size = (comb(g.n, 2) + 7) // 8
+        raw = b"".join(x.code.to_bytes(size, "little") for x in (g, h))
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        self.pair_bits = bits.reshape(2, 8 * size)
+        self.chunks: list[np.ndarray] = []
         self.witnesses: list[np.ndarray] = []
         self.lock = Lock()
 
-    def __iter__(self) -> Iterator[_Chunk]:
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(rank of the chunk's first subset, its bits), in colex order."""
         i = start = 0
         size, most = _FIRST_CHUNK, _max_rows(self.k)
         while start < self.total:
             stop = min(self.total, start + size)
             if i < len(self.chunks):
-                yield self.chunks[i]
+                bits = self.chunks[i]
             else:
-                chunk = self._chunk(start, stop)
-                nbytes = sum(a.nbytes for a in chunk)
-                with self.lock:
-                    if i == len(self.chunks) and self.kept + nbytes <= _BUDGET_BYTES:
-                        self.chunks.append(chunk)
-                        self.kept += nbytes
-                yield chunk
+                ranks = _subset_rows(self.k, start, stop)[:, self.k :]
+                bits = np.take(self.pair_bits, ranks, axis=1)  # one gather for both graphs
+                bits.flags.writeable = False
+                if stop <= most:
+                    with self.lock:
+                        if i == len(self.chunks):
+                            self.chunks.append(bits)
+            yield start, bits
             i, start, size = i + 1, stop, min(_GROWTH * size, most)
-
-    def _chunk(self, start: int, stop: int) -> _Chunk:
-        rows = _subset_rows(self.k, start, stop)
-        bits = np.take(self.pair_bits, rows[:, self.k :], axis=1)  # one gather for both graphs
-        vertices = rows[:, : self.k].astype(np.uint8)  # a copy: the table may grow
-        for a in (vertices, bits):
-            a.flags.writeable = False
-        return _Chunk(vertices, bits)
 
 
 @lru_cache(maxsize=_STREAMS)
@@ -213,14 +191,16 @@ def _stream(g: Graph, h: Graph, k: int) -> _Stream:
     return _Stream(g, h, k)
 
 
-def _first_mismatch(stream: _Stream, fails: Callable[[_Chunk], np.ndarray]) -> HypoVerdict:
-    """Scan the stream in colex order; `fails` maps a chunk to one bool per
-    row, and the subset of the first True row is the witness."""
-    for chunk in stream:
-        bad = fails(chunk)
+def _first_mismatch(stream: _Stream, fails: Callable[[np.ndarray], np.ndarray]) -> HypoVerdict:
+    """Scan the stream in colex order; `fails` maps a chunk's bits to one
+    bool per row, and the subset of the first True row is the witness."""
+    for start, bits in stream:
+        bad = fails(bits)
         first = int(bad.argmax())
         if bad[first]:
-            return HypoVerdict(False, tuple(chunk.vertices[first].tolist()))
+            rank = start + first
+            vertices = _subset_rows(stream.k, rank, rank + 1)[0, : stream.k]
+            return HypoVerdict(False, tuple(vertices.tolist()))
     return HypoVerdict(True)
 
 
@@ -276,7 +256,7 @@ def _same_signature(kind: str, g: Graph, h: Graph, k: int) -> HypoVerdict:
     computed for both graphs' bits in one call."""
     k = _check_pair(g, h, k)
     sig = SIGNATURES[kind]
-    return _first_mismatch(_stream(g, h, k), lambda chunk: operator.ne(*sig(chunk.bits, k)))
+    return _first_mismatch(_stream(g, h, k), lambda bits: operator.ne(*sig(bits, k)))
 
 
 def signature_table(kind: str, k: int) -> np.ndarray:
@@ -344,9 +324,9 @@ def _hypomorphic(g: Graph, h: Graph, k: int, utc: bool) -> HypoVerdict:
     stream = _stream(g, h, k)
     witnesses = stream.witnesses
 
-    def fails(chunk: _Chunk) -> np.ndarray:
-        bg, bh = chunk.bits
-        eg, eh = _edges(chunk.bits)
+    def fails(bits: np.ndarray) -> np.ndarray:
+        bg, bh = bits
+        eg, eh = _edges(bits)
         bad = eh != eg
         if utc:
             bad &= eh != kk - eg

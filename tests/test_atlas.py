@@ -25,7 +25,7 @@ from recomp.atlas import (
     sweep_theorem,
 )
 from recomp.codes import CATALOG_COUNTS
-from recomp.errors import DomainError, HypothesisNotMet, OrderTooLarge, VerificationError
+from recomp.errors import DomainError, OrderTooLarge, VerificationError
 from recomp.graph6 import decode, encode
 from recomp.graphs import Graph, complement
 from recomp.hypomorphy import (
@@ -37,6 +37,7 @@ from recomp.isomorphism import canonical_form, find_isomorphism, isomorphic_up_t
 
 from graph_reference import clawfree_both, signature_labels
 from theorem_reference import (
+    HypothesisNotMet,
     verify_boolean_sum_clawfree,
     verify_complementary_size_transfer,
     verify_downward_hypomorphy,

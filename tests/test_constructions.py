@@ -4,7 +4,6 @@ import pytest
 
 from recomp.errors import (
     DomainError,
-    HypothesisNotMet,
     NotPrimePowerOneMod4,
     OrderTooLarge,
     VerificationError,
@@ -46,7 +45,7 @@ from recomp.constructions import (
     verify_class_g_characterization,
 )
 
-from theorem_reference import verify_equal_or_class_g
+from theorem_reference import HypothesisNotMet, verify_equal_or_class_g
 
 
 # -- finite fields ------------------------------------------------------------

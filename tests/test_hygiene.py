@@ -62,3 +62,17 @@ def test_every_verifier_has_a_caller():
     }
     uncalled = sorted(f"{module}:{name}" for module, name in defined if name not in called)
     assert not uncalled, f"verifiers with no caller in src/ or demos/: {uncalled}"
+
+
+def test_every_error_is_raised():
+    """Every exception class of `recomp.errors` is raised somewhere in
+    `src/`: an error that only tests raise belongs with them."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert not defined - raised, f"errors never raised in src/: {sorted(defined - raised)}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from recomp.atlas import THEOREM_DOMAINS, sweep_theorem
-from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
+from recomp.errors import DomainError, KTooLarge, OrderMismatch
 from recomp.graphs import (
     Graph,
     complement,
@@ -30,6 +30,7 @@ from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_co
 
 from graph_reference import homogeneous_triples, mask_of, subgraph_edge_count
 from theorem_reference import (
+    HypothesisNotMet,
     dense_subset_edge_bound,
     verify_boolean_sum_clawfree,
     verify_complementary_size_transfer,
@@ -870,14 +871,20 @@ def test_row_engine_matches_graph_search_and_networkx(rng):
         assert case in by_edges, case
 
 
-def _chunk_edges(k: int, total: int) -> set[int]:
-    """Ranks of the first and the last row of every chunk after the first."""
+def _chunk_bounds(k: int, total: int) -> list[tuple[int, int]]:
+    """(start, stop) ranks of the chunks of a stream of `total` k-subsets."""
     from recomp.hypomorphy import _FIRST_CHUNK, _GROWTH, _max_rows
 
-    edges, start, size = set(), 0, _FIRST_CHUNK
+    bounds, start, size = [], 0, _FIRST_CHUNK
     while start < total:
+        bounds.append((start, min(total, start + size)))
         start, size = start + size, min(_GROWTH * size, _max_rows(k))
-        edges |= {start - 1, start}
+    return bounds
+
+
+def _chunk_edges(k: int, total: int) -> set[int]:
+    """Ranks of the first and the last row of every chunk after the first."""
+    edges = {r for _, stop in _chunk_bounds(k, total) for r in (stop - 1, stop)}
     return {r for r in edges if 0 < r < total}
 
 
@@ -920,9 +927,10 @@ def test_subset_table_rows_are_colex_combinations(rng):
     assert comb(n, k) > _max_rows(k)
     g = Graph.random(n, rng)
     seen, codes = [], []
-    for chunk in _stream(g, g, k):
-        seen += map(tuple, chunk.vertices.tolist())
-        codes += [sum(int(b) << r for r, b in enumerate(row)) for row in chunk.bits[0]]
+    for start, bits in _stream(g, g, k):
+        assert start == len(seen)
+        seen += map(tuple, _subset_rows(k, start, start + bits.shape[1])[:, :k].tolist())
+        codes += [sum(int(b) << r for r, b in enumerate(row)) for row in bits[0]]
     assert seen == colex_order(n, k)
     assert codes == [induced(g, s).code for s in seen]
     for k in range(1, MAX_ORDER + 1):
@@ -934,7 +942,8 @@ def test_subset_table_rows_are_colex_combinations(rng):
 def test_scan_is_lazy_and_bounded_at_order_48(rng):
     import time
 
-    from recomp.hypomorphy import _BUDGET_BYTES, _stream, _subset_tables
+    from recomp.hypomorphy import _BUDGET_BYTES, _max_rows, _stream, _subset_tables
+    from recomp.incidence import subset_rank
 
     n, k = 48, 8
     g, h = Graph.random(n, rng), Graph.random(n, rng)
@@ -950,13 +959,42 @@ def test_scan_is_lazy_and_bounded_at_order_48(rng):
     assert same_parity(g, flipped, k).witness == (*range(7), 20)
     assert _subset_tables[k].nbytes <= _BUDGET_BYTES
     assert all(table.nbytes <= _BUDGET_BYTES for table in _subset_tables.values())
-    # each stream keeps a prefix of its chunks within the budget, read-only
-    for stream in (_stream(g, h, k), _stream(g, flipped, k)):
-        assert 0 < sum(a.nbytes for chunk in stream.chunks for a in chunk) <= _BUDGET_BYTES
-        for chunk in stream.chunks:
-            assert not any(a.flags.writeable for a in chunk)
+    # each stream keeps exactly the chunks its scan made whose rows the
+    # subset table holds, read-only and within the budget
+    bounds = _chunk_bounds(k, comb(n, k))
+    for pair, witness in (((g, h), got.witness), ((g, flipped), (*range(7), 20))):
+        stream, reached = _stream(*pair, k), subset_rank(witness)
+        kept = [stop - start for start, stop in bounds if start <= reached and stop <= _max_rows(k)]
+        assert [bits.shape[1] for bits in stream.chunks] == kept
+        assert 0 < sum(bits.nbytes for bits in stream.chunks) <= _BUDGET_BYTES
+        assert not any(bits.flags.writeable for bits in stream.chunks)
     # the flipped pair's scan reached rank C(20, 8), past what its stream keeps
-    assert sum(len(chunk.vertices) for chunk in _stream(g, flipped, k).chunks) < comb(20, 8)
+    assert subset_rank((*range(7), 20)) == comb(20, 8) > sum(kept)
+
+
+def test_scan_argument_validation(rng):
+    # a float k must not hit the stream cached for the equal int k, so
+    # `_check_pair` raises TypeError from every rung that takes k; these are
+    # if/raise checks, which python -O keeps
+    g, h = Graph.random(10, rng), Graph.random(10, rng)
+    rungs = (
+        k_hypomorphic,
+        k_hypomorphic_utc,
+        same_edge_counts_utc,
+        same_parity,
+        same_parity_utc,
+        same_h3_counts,
+        same_a0_counts,
+    )
+    for k in (4, 8):
+        for rung in rungs:
+            rung(g, h, k)
+            with pytest.raises(TypeError):
+                rung(g, h, float(k))
+    g, h = Graph.random(40, rng), Graph.random(40, rng)
+    for rung in (k_hypomorphic, k_hypomorphic_utc):
+        with pytest.raises(KTooLarge):
+            rung(g, h, 33)
 
 
 def _stream_cases(rng):

@@ -19,7 +19,7 @@ import numpy as np
 from recomp import codes as codetables
 from recomp.atlas import check_domain
 from recomp.constructions import VerifierResult, class_g_member
-from recomp.errors import DomainError, HypothesisNotMet, OrderMismatch
+from recomp.errors import DomainError, OrderMismatch, RecompError
 from recomp.graphs import Graph, boolean_sum, complement, invariants, is_claw_free
 from recomp.hypomorphy import (
     _a_counts,
@@ -38,10 +38,14 @@ from recomp.hypomorphy import (
 )
 
 
+class HypothesisNotMet(RecompError):
+    """A conditional verifier was called on a pair violating its hypothesis."""
+
+
 def _restriction_bits(g: Graph, k: int):
     """g's restriction bits, chunk by chunk in colex order: g's half of the
     stream of the pair (g, g)."""
-    return (chunk.bits[0] for chunk in _stream(g, g, k))
+    return (bits[0] for _, bits in _stream(g, g, k))
 
 
 def verify_mixed_pair_identities(g: Graph, k: int) -> VerifierResult:
