@@ -11,43 +11,35 @@ codes of `codes.catalog`, the one orbit-marking pass per order, which
 also checks them.  `enumerate_graphs` (n <= 8) wraps those codes in
 Graphs for callers that want them.
 
-Each theorem, and each membership cell (S, R) at k < v, is a list of
-claims "A implies B" or "A iff B" (`THEOREMS`; a theorem's domain of
-(v, k) sits beside it in `THEOREM_DOMAINS`).  A and B join atoms,
-each a partition of all 2^C(v,2) codes that respects relabeling: g' is
-in g's class iff it agrees with g on a per-k-subset signature (the
-ladder's row functions tabulated by `hypomorphy.signature_table`; equal
-3-homogeneous sets are equal h3 counts at k = 3), or iff it is g or its
-complement.  g's class contains g, so a claim holds on the pair space
-iff, for every representative g, its class in A is as large as in the
-join of A and B (and in B, for iff).
+Each theorem is a list of claims "A implies B" or "A iff B" (`THEOREMS`,
+its domain of (v, k) beside it in `THEOREM_DOMAINS`).  A and B join
+atoms, each a relabeling-invariant partition of the codes: g' is in g's
+class iff it agrees with g on a per-k-subset signature (a row function
+of `hypomorphy.SIGNATURES`; equal h3 counts at k = 3 are equal
+3-homogeneous sets), or iff it is g or its complement.  A claim holds
+iff each g's class in A is as large as in the join of A and B (and in
+B, for iff).  `_decide` gets those sizes by sieving the representatives'
+classes: a state holds the codes still in some g's class, with a group
+each.  A column, one k-subset's signature, maps (old group, value) to a
+new group through a table filled from the representatives' keys; a code
+whose key no representative has drops.  Below v the values are read from
+tables over every order-k code, numbered once per process; an atom of
+size v has one column, the code itself, computed on the alive codes
+only.  `_normal` drops repeated atoms, atoms past v and constant ones,
+and puts "equal" first and atoms of size v last.  The empty join is one
+class of every code, "equal" starts from each g and its complement, and
+any other first atom grows the sieve a vertex at a time (`_grow`): the
+codes gain vertex j's neighbourhoods just before the columns whose
+largest vertex is j, so a code dies before its extensions exist.  A
+class is a sorted array of its group's codes (`_class_codes`).
 
-`_decide` gets those sizes by sieving the representatives' classes.  A
-sieve state holds the codes still in some representative's class, a
-group per such code and a group per representative.  Each column, one
-k-subset's signature, maps (old group, value) to a new group through a
-dense table filled from the representatives' own keys; a code whose key
-no representative has drops.  The signature values are numbered from 0
-once per process, in tables that every order shares.  A class size
-is a bincount of the final groups.  A join continues from its longest
-prefix already sieved in the call, with repeated atoms dropped and
-constant columns skipped; the atom "equal" starts from each g and its
-complement.  Any other first atom grows the sieve one vertex at a time
-(`_grow`): in colex order the columns whose largest vertex is j read only
-the pairs inside {0..j}, so the codes gain vertex j's neighbourhoods just
-before those columns apply, and a code dies before any of its extensions
-exist.  A constant atom, or one with k >= v, starts from all 2^C(v,2)
-codes, and atoms of size v go last in a join (`_normal`).  A failing
-representative's hypothesis and violations are read off the same states
-as sorted arrays of its group's codes (`_class_codes`), joined by one
-sort (`_union`); a cell's witness is the smallest violation of the
-first one.  At k == v the hypothesis class is g's iso-utc class, whose
-size the catalog pass records (`codes.catalog`).  The claw-free sweep
-reads each g's class of the atom ("h3", 3) off the same sieve and tests
-the boolean sum of g with each member, and its complement, for a claw;
-g stands for its n!/|Aut g| relabelings, an orbit size the catalog pass
-also records.  Order 7 multiplies the space by 64 and is gated behind
-`long_running`; sweeps run in one process.
+An S or R cell reads only the hypothesis class: g's class of ("utc",
+k), or at k == v its iso-utc class, whose size the catalog records.  S
+fails where the class holds more than g and its complement, R where it
+holds a code outside their orbits.  The claw-free sweep tests the
+boolean sum of g with each member of its ("h3", 3) class for a claw; g
+stands for its n!/|Aut g| relabelings.  Order 7 is gated behind
+`long_running`.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -98,24 +90,19 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
 # -- per-subset signature classes ---------------------------------------------
 
-def _dense_table(v: int, kind: str, size: int) -> np.ndarray:
-    """The `kind` signature of every order-`size` code, numbered 0, 1, ...
-    in increasing order of value; utc on the whole vertex set is the
-    canonical utc table itself."""
-    return _numbering(kind, size, kind == "utc" and size == v)
-
-
 @cache
-def _numbering(kind: str, size: int, direct: bool) -> np.ndarray:
-    """`_dense_table` without the order, which only chooses `direct`, so
-    every order reads the same table.  Values are numbered as `np.unique`
-    would number them, by the rank of each value among those present (the
-    values are small and non-negative: counts, or codes below
-    2^C(size, 2))."""
-    table = codetables.canonical_utc_table(size) if direct else signature_table(kind, size)
-    present = np.zeros(int(table.max()) + 1, dtype=bool)
-    present[table] = True
-    return (np.cumsum(present, dtype=np.int32) - 1)[table]
+def _numbering(kind: str, size: int) -> np.ndarray:
+    """The `kind` signature of every order-`size` code, numbered (`_ranks`)."""
+    return _ranks(signature_table(kind, size))
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each value numbered by its rank among the values present, as
+    `np.unique` would number them (the values are small and non-negative:
+    counts, or codes of a small order)."""
+    present = np.zeros(int(values.max()) + 1, dtype=bool)
+    present[values] = True
+    return (np.cumsum(present, dtype=np.int32) - 1)[values]
 
 
 def _equal_partners(v: int, codes: np.ndarray) -> np.ndarray:
@@ -126,22 +113,27 @@ def _equal_partners(v: int, codes: np.ndarray) -> np.ndarray:
 def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int], columns=None) -> tuple:
     """Sieve `state` by the columns of one atom, a per-subset signature:
     every k-subset in colex order, or the k-subsets `columns`.  A state is
-    (alive codes, or None for all; group per alive code; group per
-    representative): the alive codes are those in some representative's
-    class, and share its group."""
+    (alive codes, ascending, or None for all; group per alive code; group
+    per representative): the alive codes are those in some
+    representative's class, and share its group.  An atom of size v has
+    one column, the code itself, numbered on the alive codes only."""
     alive, groups, rep_groups = state
-    dense = _dense_table(v, *atom)
+    kind, k = atom
+    if k == v:
+        dense, columns = _ranks(signature_table(kind, v, alive)), [None]
+        at = reps if alive is None else np.searchsorted(alive, reps)  # each g is alive
+    else:
+        dense = _numbering(kind, k)
     width = int(dense.max()) + 1
-    if width == 1:  # a constant signature separates nothing
-        return state
-    for s in colex_subsets(v, atom[1]) if columns is None else columns:
-        keys = rep_groups * width + dense[codetables.restriction_codes(v, s, reps)]
+    for s in colex_subsets(v, k) if columns is None else columns:
+        rep_column = dense[at] if s is None else dense[codetables.restriction_codes(v, s, reps)]
+        keys = rep_groups * width + rep_column
         # (old group, value) -> new group: the index of one representative
         # with that key, whichever the scatter keeps
         table = np.full((int(rep_groups.max()) + 1) * width, -1, dtype=np.int32)
         table[keys] = np.arange(len(reps), dtype=np.int32)
         rep_groups = table[keys]
-        column = dense[codetables.restriction_codes(v, s, alive)]
+        column = dense if s is None else dense[codetables.restriction_codes(v, s, alive)]
         new = table[groups * width + column]
         keep = new >= 0
         if keep.all():
@@ -153,14 +145,11 @@ def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int], colum
 
 
 def _grow(v: int, reps: np.ndarray, atom: tuple[str, int]) -> tuple:
-    """Sieve state of the join of one atom of size k, grown from every code
-    on k - 1 vertices: at each vertex j, the 2^j neighbourhoods of j as top
-    bits (the codes stay ascending), then the columns whose largest vertex
-    is j.  A constant atom, or one with k >= v, starts from every code."""
+    """Sieve state of the join of one atom of size k, 2 <= k <= v, grown
+    from every code on k - 1 vertices: at each vertex j, the 2^j
+    neighbourhoods of j as top bits (the codes stay ascending), then the
+    columns whose largest vertex is j."""
     k = atom[1]
-    if k >= v or not _dense_table(v, *atom).any():
-        state = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
-        return _refine(v, reps, state, atom)
     alive = codetables.all_codes(k - 1)
     state = alive, np.zeros(len(alive), np.int32), np.zeros(len(reps), np.int32)
     for j, columns in groupby(colex_subsets(v, k), key=lambda s: s[-1]):
@@ -173,12 +162,14 @@ def _grow(v: int, reps: np.ndarray, atom: tuple[str, int]) -> tuple:
 
 
 def _join_state(v: int, reps: np.ndarray, join: tuple, states: dict) -> tuple:
-    """Sieve state of a join of atoms, continued from its longest prefix
-    in `states`; the atom ("equal", v), always first, starts the sieve
-    from each representative and its partner, and any other first atom
-    grows it (`_grow`)."""
+    """Sieve state of a join of atoms (`_normal`), continued from its
+    longest prefix in `states`.  The empty join is one class of every code,
+    the atom ("equal", v), always first, starts from each representative
+    and its partner, and any other first atom grows the sieve (`_grow`)."""
     if join not in states:
-        if join == (("equal", v),):
+        if not join:
+            states[join] = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
+        elif join == (("equal", v),):
             partners = _equal_partners(v, reps)
             rep_groups = np.unique(np.minimum(reps, partners), return_inverse=True)[1]
             alive, first = np.unique(np.concatenate([reps, partners]), return_index=True)
@@ -198,9 +189,11 @@ def _class_codes(state: tuple, i: int) -> np.ndarray:
 
 
 def _normal(v: int, atoms: tuple) -> tuple:
-    """The join of `atoms` as a state key: repeats dropped, "equal" first
-    and atoms of size v last, so a smaller atom grows the sieve."""
-    return tuple(sorted(dict.fromkeys(atoms), key=lambda a: (a[0] != "equal", a[1] >= v)))
+    """The join of `atoms` as a state key: repeats, atoms past v and
+    constant atoms dropped; "equal" first and atoms of size v last, so a
+    smaller atom grows the sieve."""
+    kept = [a for a in dict.fromkeys(atoms) if a[1] == v or a[1] < v and _numbering(*a).any()]
+    return tuple(sorted(kept, key=lambda a: (a[0] != "equal", a[1] == v)))
 
 
 def _union(arrays: list) -> np.ndarray:
@@ -291,28 +284,32 @@ def _check_sweep_order(v: int, long_running: bool) -> None:
 
 
 def _membership(relation: str, v: int, k: int) -> AtlasRecord:
+    """One S or R cell from each g's hypothesis class alone.  R's orbits
+    come from one `relabelings` call, as relabeling commutes with
+    complementing; it holds at k == v by definition.  The first failing
+    g, in index order, gives its smallest outside code as the witness."""
     start = time.perf_counter()
-    rep_codes, utc_sizes, _ = codetables.catalog(v)
+    reps, utc_sizes, _ = codetables.catalog(v)
     full = codetables.full_code(v)
     if k == v:
-        # the hypothesis class is g's iso-utc class: R holds, and S holds
-        # iff the class is {g, complement}
-        examined = int(utc_sizes.sum())
-        pair_sizes = 1 + (rep_codes != full ^ rep_codes)  # |{g, complement}|
-        failing = np.flatnonzero((utc_sizes != pair_sizes) & (relation == "S"))
+        sizes, examined = utc_sizes, int(utc_sizes.sum())
     else:
-        conclusion = ("equal", v) if relation == "S" else ("utc", v)
-        _, failing, reread = _decide(v, [((("utc", k),), (conclusion,), False)])
-        examined = len(rep_codes) << comb(v, 2)
+        state = _join_state(v, reps, _normal(v, (("utc", k),)), {})
+        _, groups, rep_groups = state
+        sizes, examined = np.bincount(groups)[rep_groups], len(reps) << comb(v, 2)
+    more = sizes > 1 + (reps != full ^ reps)  # the class holds more than {g, complement}
     witness = None
-    if len(failing):
-        g = int(rep_codes[failing[0]])
-        if k == v:
-            members = _union([codetables.relabelings(v, g), codetables.relabelings(v, full ^ g)])
-            bad = np.setdiff1d(members, [g, full ^ g])
-        else:
-            bad = reread(failing[0])[1]
-        witness = (encode(Graph.from_code(v, g)), encode(Graph.from_code(v, int(bad[0]))))
+    for i in [] if relation == "R" and k == v else np.flatnonzero(more).tolist():
+        g = int(reps[i])
+        orbit = codetables.relabelings(v, g)
+        members = _union([orbit, full ^ orbit]) if k == v else _class_codes(state, i)
+        # a member is in the conclusion's class iff min(c, complement) is
+        inside = np.sort(np.minimum(orbit, full ^ orbit)) if relation == "R" else [min(g, full ^ g)]
+        least = np.minimum(members, full ^ members)
+        bad = members[np.take(inside, np.searchsorted(inside, least), mode="clip") != least]
+        if len(bad):
+            witness = (encode(Graph.from_code(v, g)), encode(Graph.from_code(v, int(bad[0]))))
+            break
     return AtlasRecord(
         relation=relation,
         v=v,
@@ -432,7 +429,7 @@ def _clawfree(v: int) -> tuple[list[tuple[int, int]], int, int]:
     each representative g is paired with its class, read off the sieve,
     for n!/|Aut g| labeled pairs, and a failing pair is listed relabeled."""
     reps, _, orbit_sizes = codetables.catalog(v)
-    state = _join_state(v, reps, (("h3", 3),), {})
+    state = _join_state(v, reps, _normal(v, (("h3", 3),)), {})
     classes = [_class_codes(state, i) for i in range(len(reps))]
     owner = np.repeat(np.arange(len(reps)), [len(c) for c in classes])
     members = np.concatenate(classes)

@@ -28,8 +28,8 @@ reads it again; past the table, chunks are made per pass.
 Each condition compares one row function of `SIGNATURES`, applied to
 both graphs' bits in one call, which maps restriction bits to a value
 per row: parity, edge count up to complementation, h3, a0, or for
-k <= 6 a canonical-code table entry.  `signature_table` applies the
-same function to every code of one order, for the atlas sieve.  Larger
+k <= 6 a canonical-code table entry.  `signature_table` applies it to
+given codes of one order, or to all, for the atlas sieve.  Larger
 restrictions compare edge counts, then settle the rows before the first
 edge failure by isomorphism witnesses: w, kept as the pair-index array
 idx[rank(i,j)] = rank(w[i], w[j]), settles a row when h's bits gathered
@@ -259,11 +259,12 @@ def _same_signature(kind: str, g: Graph, h: Graph, k: int) -> HypoVerdict:
     return _first_mismatch(_stream(g, h, k), lambda bits: operator.ne(*sig(bits, k)))
 
 
-def signature_table(kind: str, k: int) -> np.ndarray:
-    """The `kind` signature of every labeled graph of order k, indexed by
-    code: the row function applied to the bits of all 2^C(k,2) codes, in
-    chunks of `_max_rows(k)` rows so its int64 temporaries stay small."""
-    sig, codes, step = SIGNATURES[kind], codetables.all_codes(k), _max_rows(k)
+def signature_table(kind: str, k: int, codes: np.ndarray | None = None) -> np.ndarray:
+    """The `kind` signature of each order-k code of `codes`, or of every
+    code: the row function on their bits, in chunks of `_max_rows(k)`
+    rows so its int64 temporaries stay small."""
+    sig, step = SIGNATURES[kind], _max_rows(k)
+    codes = codetables.all_codes(k) if codes is None else codes
     shifts = np.arange(comb(k, 2), dtype=np.int64)
     out = np.empty(len(codes), dtype=np.int64)
     for start in range(0, len(codes), step):

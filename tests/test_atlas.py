@@ -653,6 +653,76 @@ def test_order7_rows():
                 assert not isomorphic_up_to_complementation(g, h)
 
 
+def test_order7_records_read_no_whole_space_table(monkeypatch):
+    """S and R at (7, k), k = 3..6, and corkk1 at (7, 4..6) read no table
+    over all 2^21 order-7 codes: the canonical tables of order 7 raise
+    here, and so does a signature table asked for every order-7 code.  R
+    reads orbits, and a size-7 column only the alive codes."""
+
+    def refused(name: str):
+        real = getattr(codes, name)
+
+        def table(n):
+            if n == 7:
+                raise AssertionError(f"{name}(7) read")
+            return real(n)
+
+        return table
+
+    for name in ("canonical_table", "canonical_utc_table"):
+        monkeypatch.setattr(codes, name, refused(name))
+    real = atlas.signature_table
+
+    def table(kind: str, k: int, chosen=None) -> np.ndarray:
+        if k == 7 and chosen is None:
+            raise AssertionError(f"signature_table({kind!r}, 7) over every code")
+        return real(kind, k, chosen)
+
+    monkeypatch.setattr(atlas, "signature_table", table)
+    # tables read with the refusals only, in a cache that ends with the test
+    monkeypatch.setattr(atlas, "_numbering", cache(atlas._numbering.__wrapped__))
+    for k in range(3, 7):
+        for relation, fn in (("S", s_membership), ("R", r_membership)):
+            rec = fn(7, k, long_running=True)
+            assert rec.witness == ORDER7_WITNESSES.get((relation, k)), (relation, k)
+    for k in range(4, 7):
+        rep = sweep_theorem("corkk1", 7, k, long_running=True)
+        assert rep.ok and rep.hypothesis_count == ORDER7_SWEEPS["corkk1", k]
+
+
+# the witness of each order-8 NonMember cell of `test_order8_cells`
+ORDER8_WITNESSES = {
+    ("S", 3): ("GsaC??", "Gsa?C?"),
+    ("S", 6): ("Gtvc??", "Gtv_C?"),
+    ("R", 3): ("GsaC??", "GsaCC?"),
+}
+
+
+@pytest.mark.slow
+def test_order8_cells():
+    """S and R at (8, k), k = 3..6, past the public order gate, which stays
+    at 7.  The paper puts (n, k) in S for 4 <= k <= n - 4, so S(8, 4) is
+    a Member.  Each witness is checked pair by pair."""
+    for relation in "SR":
+        for k in range(3, 7):
+            start = time.perf_counter()
+            rec = atlas._membership(relation, 8, k)
+            wall = time.perf_counter() - start
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"{relation}(8,{k}) {rec.verdict} {wall:.2f} s, peak RSS {rss:.0f} MB")
+            want = ORDER8_WITNESSES.get((relation, k))
+            assert rec.verdict == ("NonMember" if want else "Member"), (relation, k)
+            assert rec.witness == want, (relation, k)
+            assert rec.pairs_examined == CATALOG_COUNTS[8] << comb(8, 2)
+            if want is None:
+                continue
+            g, h = decode(want[0]), decode(want[1])
+            assert k_hypomorphic_utc(g, h, k).holds
+            assert not equal_up_to_complementation(g, h)
+            if relation == "R":
+                assert not isomorphic_up_to_complementation(g, h)
+
+
 # -- mask-scan reference for the theorem sweeps -----------------------------
 
 
@@ -759,11 +829,15 @@ def test_sweeps_match_mask_scan_oracle():
 
 
 def _replace_table(monkeypatch, atom: tuple[str, int], values) -> None:
-    """Make one signature table `values(number of codes)` for the test."""
+    """Make one signature table `values(number of codes)` for the test;
+    asked for chosen codes, it gives their entries, so a size-v column is
+    narrowed too."""
     real = atlas.signature_table
 
-    def table(kind: str, k: int) -> np.ndarray:
-        return values(1 << comb(k, 2)) if (kind, k) == atom else real(kind, k)
+    def table(kind: str, k: int, chosen=None) -> np.ndarray:
+        if (kind, k) != atom:
+            return real(kind, k, chosen)
+        return values(1 << comb(k, 2)) if chosen is None else values(1 << comb(k, 2))[chosen]
 
     monkeypatch.setattr(atlas, "signature_table", table)
     # tables read with the replacement only, in a cache that ends with the test
@@ -791,9 +865,9 @@ def test_failing_union_hypothesis_matches_oracle(monkeypatch):
 
 def test_narrowed_utc_reaches_the_hypothesis_only(monkeypatch):
     """Narrowing utc at size 5 makes the S(6, 5) hypothesis class g alone,
-    so the cell turns Member.  Utc on the whole vertex set, R's
-    conclusion, reads the canonical utc table itself, so narrowing utc
-    at size 6 leaves R(6, 4) a Member."""
+    so the cell turns Member.  R's conclusion reads the orbits of g and
+    its complement, not a utc table, so narrowing utc at size 6 leaves
+    R(6, 4) a Member."""
     assert s_membership(6, 5).verdict == "NonMember"
     _narrow(monkeypatch, ("utc", 5))
     assert s_membership(6, 5).verdict == "Member"
@@ -825,8 +899,8 @@ def test_widened_clawfree_lists_relabeled_violations(monkeypatch):
     assert len(got["violations"]) == VIOLATION_LIST_CAP
 
 
-# every dense table the order <= 7 cells and sweeps read: (kind, size), and
-# utc on the whole vertex set, which reads the canonical utc table itself
+# dense tables (kind, size) of sizes up to 7: those the order <= 7 cells and
+# sweeps read below their order, and the order-8 ones of edges and h3
 DENSE_ATOMS_V7 = [
     *((kind, size) for kind in ("edges", "h3") for size in range(3, 8)),
     ("parity", 4),
@@ -846,12 +920,9 @@ def test_dense_tables_number_like_unique(monkeypatch):
 
     monkeypatch.setattr(atlas, "signature_table", recorded)
     for kind, size in DENSE_ATOMS_V7:
-        got = atlas._dense_table(8, kind, size)  # order 8: no size is the whole vertex set
+        got = atlas._numbering(kind, size)
         assert got.dtype == np.int32
         assert np.array_equal(got, np.unique(tables.pop(), return_inverse=True)[1])
-    for v in range(2, 8):
-        got = atlas._dense_table(v, "utc", v)
-        assert np.array_equal(got, np.unique(codes.canonical_utc_table(v), return_inverse=True)[1])
 
 
 def test_union_matches_union1d():
@@ -876,13 +947,20 @@ SIEVE_KINDS = ("utc", "edges", "h3", "parity", "parity_utc", "a0")
 
 
 def _assert_grown_matches_full_space(v: int, atom: tuple[str, int], sample=None) -> None:
-    """The oracle: the state of every code in one group, refined by every
-    column of `atom`.  `_grow` must give each representative (or each of
-    `sample`) the same class size and the same class codes."""
+    """The oracle: the state of every code in one group, refined below v
+    by every column of `atom`; at size v the atom's one column is each
+    code's signature, numbered by `np.unique`, and past v it has none.
+    The sieve of the atom's join (`_normal`) must give each representative
+    (or each of `sample`) the same class size and the same class codes."""
     reps = codes.catalog(v)[0]
-    start = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
-    full = atlas._refine(v, reps, start, atom)
-    grown = atlas._grow(v, reps, atom)
+    kind, k = atom
+    full = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
+    if k < v:
+        full = atlas._refine(v, reps, full, atom)
+    elif k == v:
+        labels = np.unique(signature_table(kind, v), return_inverse=True)[1]
+        full = None, labels, labels[reps]
+    grown = atlas._join_state(v, reps, atlas._normal(v, (atom,)), {})
     sizes = [np.bincount(groups)[rep_groups] for _, groups, rep_groups in (grown, full)]
     assert np.array_equal(*sizes), (v, atom)
     for i in range(len(reps)) if sample is None else sample:
@@ -891,8 +969,9 @@ def _assert_grown_matches_full_space(v: int, atom: tuple[str, int], sample=None)
 
 def test_grown_sieve_matches_full_space():
     """Every single atom at v <= 6 and every size 1..v+1, and 1..3 at
-    v = 1 for the claw-free sweep's ("h3", 3): constant atoms, atoms of
-    size v and past v included, which start from every code."""
+    v = 1 for the claw-free sweep's ("h3", 3): constant atoms and atoms
+    past v included, which `_normal` drops, and atoms of size v, whose
+    column is read on the alive codes."""
     for v in range(1, 7):
         for kind in SIEVE_KINDS:
             for k in range(1, max(v, 2) + 2):

@@ -64,6 +64,32 @@ def test_every_verifier_has_a_caller():
     assert not uncalled, f"verifiers with no caller in src/ or demos/: {uncalled}"
 
 
+def test_every_private_helper_has_a_caller():
+    """Every module-level `_`-prefixed function or class of the package is
+    referenced in `src/` outside its own definition: a helper that only
+    tests read belongs with the tests, and a leftover one goes."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+    def referenced(node: ast.AST) -> list[str]:
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        ]
+
+    everywhere = [name for tree in trees.values() for name in referenced(tree)]
+    unreferenced = sorted(
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere.count(node.name) == referenced(node).count(node.name)
+    )
+    assert not unreferenced, f"private helpers never referenced in src/: {unreferenced}"
+
+
 def test_every_error_is_raised():
     """Every exception class of `recomp.errors` is raised somewhere in
     `src/`: an error that only tests raise belongs with them."""
