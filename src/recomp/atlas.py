@@ -26,12 +26,13 @@ whose key no representative has drops.  Below v the values are read from
 tables over every order-k code, numbered once per process; an atom of
 size v has one column, the code itself, computed on the alive codes
 only.  `_normal` drops repeated atoms, atoms past v and constant ones,
-and puts "equal" first and atoms of size v last.  The empty join is one
-class of every code, "equal" starts from each g and its complement, and
-any other first atom grows the sieve a vertex at a time (`_grow`): the
-codes gain vertex j's neighbourhoods just before the columns whose
-largest vertex is j, so a code dies before its extensions exist.  A
-class is a sorted array of its group's codes (`_class_codes`).
+and puts "equal" first, parity atoms after the other atoms below v and
+atoms of size v last.  The empty join is one class of every code, "equal"
+starts from each g and its complement, and any other first atom grows
+the sieve a vertex at a time (`_grow`): the codes gain vertex j's
+neighbourhoods just before the columns whose largest vertex is j, so a
+code dies before its extensions exist.  A class is a sorted array of its
+group's codes (`_class_codes`).
 
 An S or R cell reads only the hypothesis class: g's class of ("utc",
 k), or at k == v its iso-utc class, whose size the catalog records.  S
@@ -190,10 +191,11 @@ def _class_codes(state: tuple, i: int) -> np.ndarray:
 
 def _normal(v: int, atoms: tuple) -> tuple:
     """The join of `atoms` as a state key: repeats, atoms past v and
-    constant atoms dropped; "equal" first and atoms of size v last, so a
-    smaller atom grows the sieve."""
+    constant atoms dropped; "equal" first, parity atoms after the other
+    atoms below v and atoms of size v last, so a selective atom grows the
+    sieve (a parity signature keeps many codes alive)."""
     kept = [a for a in dict.fromkeys(atoms) if a[1] == v or a[1] < v and _numbering(*a).any()]
-    return tuple(sorted(kept, key=lambda a: (a[0] != "equal", a[1] == v)))
+    return tuple(sorted(kept, key=lambda a: (a[0] != "equal", a[1] == v, a[0] == "parity")))
 
 
 def _union(arrays: list) -> np.ndarray:

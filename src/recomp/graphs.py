@@ -14,17 +14,20 @@ two >= max(n, 8)) in one `struct` call, and form a w x w bit matrix that
 `_transpose` transposes in log2(w) masked block swaps.  Validation checks
 the packed rows against one mask of the diagonal and the bits beyond the
 order, and checks that they equal their transpose; only a failure walks
-the rows, to name the first faulty one.  `shift_rounds` moves bit fields
-by their own distances in log2 rounds of masked shifts: `from_code`
-spreads row j's field from offset C(j, 2) to j*w, which gives the lower
-triangle L and the rows L | transpose(L), and `code` gathers it back.
-`induced` compresses each chosen row to the subset's bits a byte at a
-time, through a 256-entry table per mask byte.  The packing of each
-order, the transpose rounds of each width, the vertex bits of each order
-and the compress table of each mask byte are `functools.cache`
-functions.  The order
-check runs outside the cache, on every call, and every constructor runs
-it before it allocates anything.
+the rows, to name the first faulty one.  It runs in `Graph(n, adj)`, the
+one entry for rows a caller supplies; rows valid by construction skip it
+through `_built`: those of `from_code` (a range-checked code),
+`from_edges` (after its loop's vertex and loop checks), `empty`,
+`complete`, `complement`, `boolean_sum` and `induced`.  `shift_rounds`
+moves bit fields by their own distances in log2 rounds of masked shifts:
+`from_code` spreads row j's field from offset C(j, 2) to j*w, which
+gives the lower triangle L and the rows L | transpose(L), and `code`
+gathers it back.  `induced` compresses each chosen row to the subset's
+bits a byte at a time, through a 256-entry table per mask byte.  The
+packing of each order, the transpose rounds of each width, the vertex
+bits of each order and the compress table of each mask byte are
+`functools.cache` functions.  The order check runs outside the cache, on
+every call, and every constructor runs it before it allocates anything.
 
 The a0/a1/a2 counts classify unordered {edge, non-edge} pairs: a0 counts
 the vertex-disjoint ones, a1 the ones sharing a vertex, a2 = a0 + a1 all
@@ -262,7 +265,7 @@ class Graph:
                 raise
             message = f"edge ({i}, {j}) has a vertex outside 0..{n - 1} for order {n}"
             raise DomainError(message) from None
-        return Graph(n, tuple(rows))
+        return _built(n, tuple(rows))  # the loop rejected loops and outside vertices
 
     @staticmethod
     def from_code(n: int, code: int) -> "Graph":
@@ -272,17 +275,17 @@ class Graph:
             raise DomainError(f"code {code} is not in [0, 2^{comb(n, 2)}) for order {n}")
         lower = spread(code, layout.rounds)  # row j's field moved from C(j, 2) to j*w
         x = lower | _transpose(lower, layout.w)
-        return Graph(n, struct.unpack(layout.fmt, x.to_bytes(n * layout.w // 8, "little")))
+        return _built(n, struct.unpack(layout.fmt, x.to_bytes(n * layout.w // 8, "little")))
 
     @staticmethod
     def empty(n: int) -> "Graph":
         _layout(n)
-        return Graph(n, (0,) * n)
+        return _built(n, (0,) * n)
 
     @staticmethod
     def complete(n: int) -> "Graph":
         _layout(n)
-        return Graph(n, complement_rows((0,) * n))
+        return _built(n, complement_rows((0,) * n))
 
     @staticmethod
     def cycle(n: int) -> "Graph":
@@ -299,6 +302,15 @@ class Graph:
         _layout(n)  # combinations(range(n), 2) needs n to fit a C ssize_t
         edges = (e for e in combinations(range(n), 2) if rng.random() < p)
         return Graph.from_edges(n, edges)
+
+
+def _built(n: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph of int rows that are valid by construction, made without
+    `__post_init__`: its checks are for rows a caller supplies."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", rows)
+    return g
 
 
 @dataclass(frozen=True)
@@ -326,14 +338,14 @@ def complement_rows(adj: Sequence[int]) -> tuple[int, ...]:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, complement_rows(g.adj))
+    return _built(g.n, complement_rows(g.adj))
 
 
 def boolean_sum(g: Graph, h: Graph) -> Graph:
     """Graph whose edges lie in exactly one of the two edge sets."""
     if g.n != h.n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return Graph(g.n, tuple(a ^ b for a, b in zip(g.adj, h.adj)))
+    return _built(g.n, tuple(a ^ b for a, b in zip(g.adj, h.adj)))
 
 
 @cache
@@ -377,7 +389,7 @@ def induced(g: Graph, vertices: Iterable[int] | int) -> Graph:
         for shift, table, at in lanes:
             out |= table[row >> shift & 255] << at
         rows.append(out)
-    return Graph(len(sub), tuple(rows))
+    return _built(len(sub), tuple(rows))
 
 
 def triangle_count(g: Graph) -> int:

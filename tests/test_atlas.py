@@ -985,3 +985,44 @@ def test_grown_sieve_matches_full_space_order7_sample():
     atoms = [(kind, k) for kind in SIEVE_KINDS for k in range(1, 8)]
     for a in rng.choice(len(atoms), 3, replace=False):
         _assert_grown_matches_full_space(7, atoms[a], rng.choice(reps, 40, replace=False))
+
+
+def test_normal_puts_parity_atoms_after_the_others_below_v():
+    """`_normal`'s key order: "equal" first, then the atoms below v with
+    parity atoms after the others, atoms of size v last; repeats, constant
+    atoms and atoms past v dropped.  k1mod4's antecedent grows its sieve
+    from ("h3", 3), whose classes are small, not from ("parity", 5), and
+    the join has the same partition in either order."""
+    assert atlas._normal(8, (("parity", 5), ("h3", 3), ("equal", 8))) == (
+        ("equal", 8),
+        ("h3", 3),
+        ("parity", 5),
+    )
+    atoms = (
+        ("parity", 6),
+        ("edges", 7),
+        ("utc", 1),
+        ("parity", 3),
+        ("parity_utc", 4),
+        ("parity", 7),
+        ("equal", 7),
+        ("h3", 9),
+        ("utc", 3),
+        ("parity", 6),
+    )
+    assert atlas._normal(7, atoms) == (
+        ("equal", 7),
+        ("parity_utc", 4),
+        ("utc", 3),
+        ("parity", 6),
+        ("parity", 3),
+        ("edges", 7),
+        ("parity", 7),
+    )
+    reps = codes.catalog(7)[0]
+    new = atlas._join_state(7, reps, atlas._normal(7, (("parity", 5), ("h3", 3))), {})
+    old = atlas._join_state(7, reps, (("parity", 5), ("h3", 3)), {})
+    assert new[0] is not None and np.array_equal(new[0], old[0])
+    pairs = np.unique(np.stack([new[1], old[1]]), axis=1)  # a bijection of the groups
+    assert pairs.shape[1] == len(np.unique(new[1])) == len(np.unique(old[1]))
+    assert np.array_equal(np.bincount(new[1])[new[2]], np.bincount(old[1])[old[2]])

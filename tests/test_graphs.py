@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from recomp.errors import DomainError, EmptySubset, OrderMismatch
+from recomp.graph6 import decode, encode
 from recomp.graphs import (
     BipartiteKernelClass,
     Graph,
@@ -293,6 +294,47 @@ def test_validation_matches_rowwise_oracle(n, rng):
         with pytest.raises(DomainError) as ours:
             Graph.from_code(n, code)
         assert str(ours.value) == str(err.value)
+
+
+def rechecked(g):
+    """g, after checking that the public constructor accepts its rows and
+    gives g back, and that they are a tuple of ints."""
+    assert type(g.adj) is tuple and all(type(r) is int for r in g.adj)
+    assert Graph(g.n, g.adj) == g
+    return g
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_validation_built_graphs_pass_the_check(n, rng):
+    """The constructors that build rows valid by construction skip the
+    public check; re-run it on each of their outputs: `from_code`, graph6
+    `decode`, `from_edges` (repeated edges, reversed pairs, numpy
+    vertices), `complement`, `boolean_sum`, `empty`, `complete`, and
+    `induced` (a tuple, an int mask, numpy ints)."""
+    assert rechecked(Graph.empty(n)).edge_count == 0
+    assert rechecked(Graph.complete(n)).edge_count == comb(n, 2)
+    for p in (0, 0.1, 0.5, 0.9, 1):
+        code = random_code(n, p, rng)
+        g = rechecked(Graph.from_code(n, code))
+        assert g.code == code
+        assert rechecked(decode(encode(g))) == g
+        # every other edge only reversed, then repeats of both orientations
+        flipped = [(j, i) if r % 2 else (i, j) for r, (i, j) in enumerate(g.edges())]
+        messy = flipped + flipped[::3] + [(j, i) for i, j in flipped[::4]]
+        rng.shuffle(messy)
+        assert rechecked(Graph.from_edges(n, messy)) == g
+        for dtype in (np.uint8, np.int64, np.uint64):
+            numpy_edges = [(dtype(i), dtype(j)) for i, j in messy]
+            assert rechecked(Graph.from_edges(n, numpy_edges)) == g
+        h = rechecked(Graph.from_code(n, random_code(n, 0.5, rng)))
+        assert rechecked(complement(g)).code == code ^ (1 << comb(n, 2)) - 1
+        assert rechecked(boolean_sum(g, h)).code == code ^ h.code
+        sub = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        want = Graph.from_code(len(sub), restriction_code(g, sub))
+        assert rechecked(induced(g, sub)) == want
+        assert rechecked(induced(g, mask_of(sub))) == want
+        assert rechecked(induced(g, [np.int64(v) for v in sub[::-1]])) == want
+        assert rechecked(induced(g, np.array(sub, dtype=np.uint8))) == want
 
 
 def test_complement_of_empty_is_complete():

@@ -102,3 +102,32 @@ def test_every_error_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
     assert not defined - raised, f"errors never raised in src/: {sorted(defined - raised)}"
+
+
+def test_unchecked_graph_constructor_stays_in_graphs():
+    """`graphs._built` makes a Graph without `Graph.__post_init__`'s
+    checks, for rows valid by construction.  Only `recomp/graphs.py` reads
+    it, and only `_built` calls `__new__` there, so every other module and
+    demo builds a Graph through a checked constructor."""
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")) + DEMOS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("_built", "__new__") and path != PACKAGE / "graphs.py":
+                outside.append(f"{path.name}:{node.lineno} {name}")
+        if path == PACKAGE / "graphs.py":
+            new = [
+                owner.name
+                for owner in tree.body
+                if any(isinstance(n, ast.Attribute) and n.attr == "__new__" for n in ast.walk(owner))
+            ]
+            assert new == ["_built"], f"graphs.py calls __new__ in {new}"
+    assert not outside, f"the unchecked Graph constructor read outside graphs.py: {outside}"
