@@ -49,6 +49,7 @@ no volatile fields), so two runs of the same sweep are byte-identical.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 import warnings
@@ -454,6 +455,7 @@ def sweep_theorem(
     """Run one theorem verifier exhaustively over the order-v pair space."""
     if theorem_id not in THEOREMS:
         raise DomainError(f"theorem id must be one of {THEOREM_IDS}, got {theorem_id!r}")
+    v, k = operator.index(v), None if k is None else operator.index(k)  # numpy ints become ints
     _check_sweep_order(v, long_running)
     claims = THEOREMS[theorem_id]
     if claims:
@@ -564,6 +566,7 @@ def membership_with_resume(
     resume_log: str | None = None,
     long_running: bool = False,
 ) -> AtlasRecord:
+    v, k = operator.index(v), operator.index(k)  # numpy ints become ints
     _check_sweep_order(v, long_running)  # before the log, so it cannot bypass the checks
     if not 1 <= k <= v:
         raise DomainError(f"need 1 <= k <= v, got k={k}, v={v}")

@@ -26,8 +26,10 @@ gathers it back.  `induced` compresses each chosen row to the subset's
 bits a byte at a time, through a 256-entry table per mask byte.  The
 packing of each order, the transpose rounds of each width, the vertex
 bits of each order and the compress table of each mask byte are
-`functools.cache` functions.  The order check runs outside the cache, on
-every call, and every constructor runs it before it allocates anything.
+`functools.cache` functions.  The order check, `_order`, runs outside the
+cache, on every call; every constructor runs it before it allocates
+anything, and stores the int it returns, so `n` is an int for a numpy
+order too.
 
 The a0/a1/a2 counts classify unordered {edge, non-edge} pairs: a0 counts
 the vertex-disjoint ones, a1 the ones sharing a vertex, a2 = a0 + a1 all
@@ -160,14 +162,13 @@ class _Layout:
     rounds: list[tuple[int, int, int]]
 
 
-def _layout(n: int) -> _Layout:
-    """The packing of order n.  Rejects orders outside 1..MAX_ORDER, so
-    masks stay small.  The checks run on every call, outside the cache:
-    cache keys compare by value, so 5.0 would hit an entry cached for
-    np.int64(5)."""
+def _order(n: int) -> int:
+    """n as an int, once it is in 1..MAX_ORDER, so masks stay small.  The
+    checks run on every call, outside any cache: cache keys compare by
+    value, so 5.0 would hit an entry cached for np.int64(5)."""
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must be in 1..{MAX_ORDER}, got {n}")
-    return _packing(operator.index(n))
+    return operator.index(n)
 
 
 @cache
@@ -197,7 +198,8 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        layout = _layout(self.n)
+        object.__setattr__(self, "n", _order(self.n))  # a numpy order becomes an int
+        layout = _packing(self.n)
         if len(self.adj) != self.n:
             raise DomainError("adjacency row count must equal the order")
         adj = tuple(map(operator.index, self.adj))  # numpy ints become ints
@@ -239,7 +241,7 @@ class Graph:
     def code(self) -> int:
         """Upper triangle packed in colex pair order: row j's bits below j,
         gathered from offset j*w to offset C(j, 2)."""
-        layout = _layout(self.n)
+        layout = _packing(self.n)  # every constructor checked the order
         x = int.from_bytes(struct.pack(layout.fmt, *self.adj), "little")
         return gather(x & layout.lower, layout.rounds)
 
@@ -250,7 +252,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        _layout(n)  # the order is checked before anything is allocated
+        n = _order(n)  # checked before anything is allocated
         rows = [0] * n
         bits = _vertex_bits(n)
         i = j = 0  # bound for the handler even if the first edge does not unpack
@@ -269,7 +271,8 @@ class Graph:
 
     @staticmethod
     def from_code(n: int, code: int) -> "Graph":
-        layout = _layout(n)
+        n = _order(n)
+        layout = _packing(n)
         code = operator.index(code)
         if code >> comb(n, 2):
             raise DomainError(f"code {code} is not in [0, 2^{comb(n, 2)}) for order {n}")
@@ -279,12 +282,12 @@ class Graph:
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        _layout(n)
+        n = _order(n)
         return _built(n, (0,) * n)
 
     @staticmethod
     def complete(n: int) -> "Graph":
-        _layout(n)
+        n = _order(n)
         return _built(n, complement_rows((0,) * n))
 
     @staticmethod
@@ -299,7 +302,7 @@ class Graph:
 
     @staticmethod
     def random(n: int, rng: random.Random, p: float = 0.5) -> "Graph":
-        _layout(n)  # combinations(range(n), 2) needs n to fit a C ssize_t
+        _order(n)  # combinations(range(n), 2) needs n to fit a C ssize_t
         edges = (e for e in combinations(range(n), 2) if rng.random() < p)
         return Graph.from_edges(n, edges)
 
@@ -365,12 +368,14 @@ def induced(g: Graph, vertices: Iterable[int] | int) -> Graph:
     """Restriction to a vertex subset, relabeled 0..|K|-1 in increasing
     order of original labels.  Row v of the restriction is g's row of the
     v-th subset vertex compressed to the subset's bits, a byte at a time."""
-    if isinstance(vertices, int):
-        if vertices < 0:
-            raise DomainError(f"subset mask must be non-negative, got {vertices}")
-        sub = list(bits_of(vertices))
-    else:
+    try:
+        mask = operator.index(vertices)  # an int mask, numpy or not
+    except TypeError:
         sub = sorted(set(map(operator.index, vertices)))  # numpy ints become ints
+    else:
+        if mask < 0:
+            raise DomainError(f"subset mask must be non-negative, got {mask}")
+        sub = list(bits_of(mask))
     if not sub:
         raise EmptySubset("induced subgraph needs at least one vertex")
     if sub[-1] >= g.n or sub[0] < 0:

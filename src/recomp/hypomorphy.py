@@ -23,8 +23,9 @@ function keyed by its order, a prefix table grows in place as longer
 prefixes are asked for.  A chunk holds both graphs' restriction bits
 only, gathered at once from their code bits at those ranks, read-only;
 the witness subset is read back from the table by its rank.  A stream
-keeps a chunk where the table holds the chunk's rows, and the next rung
-reads it again; past the table, chunks are made per pass.
+keeps a chunk where the table holds the chunk's rows, keyed by its first
+rank and, like the table, with no lock, and the next rung reads it again;
+past the table, chunks are made per pass.
 Each condition compares one row function of `SIGNATURES`, applied to
 both graphs' bits in one call, which maps restriction bits to a value
 per row: parity, edge count up to complementation, h3, a0, or for
@@ -55,7 +56,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
-from threading import Lock
 from typing import Callable, Iterator
 
 import numpy as np
@@ -81,9 +81,6 @@ class HypoVerdict:
     def __bool__(self) -> bool:
         return self.holds
 
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "witness_subset": list(self.witness) if self.witness else None}
-
 
 def _check_pair(g: Graph, h: Graph, k: int) -> int:
     """k as an int, once the pair and k are checked; a float k is a
@@ -100,9 +97,8 @@ def _check_pair(g: Graph, h: Graph, k: int) -> int:
 # Byte cap on each cached prefix table; a chunk's rows, and so the chunks one
 # stream keeps, stay within the table's.
 _BUDGET_BYTES = 1 << 20
-_FIRST_CHUNK = 8
-# chunk rows grow by this factor up to the budget: per-chunk numpy overhead
-# outweighs a longer prefix, even for one rung on a new stream
+# rows of the first chunk, and the factor chunk rows grow by up to the budget:
+# per-chunk numpy overhead outweighs a longer prefix, even for one new rung
 _GROWTH = 8
 # streams kept, most recently used first: a ladder walk reads one at a time
 _STREAMS = 8
@@ -142,15 +138,16 @@ class _Stream:
     """The colex k-subsets of one pair's common vertex set, as read-only
     chunks of both graphs' (2, rows, C(k,2)) restriction bits: row r of
     graph x holds the bits of x's restriction code on the subset of rank
-    start + r.  Chunks grow by `_GROWTH` from `_FIRST_CHUNK` rows up to
+    start + r.  Chunks grow by `_GROWTH` from `_GROWTH` rows up to
     `_max_rows`, so an early exit pays only for a short prefix.  A chunk
     is kept iff the subset table holds its rows, and every rung at this k
     reads it again; a row of bits (2*C(k,2) bytes) is smaller than a table
     row, so the kept chunks fit the budget.  Past the table, chunks are
-    made per pass; a lock keeps concurrent scans from keeping a chunk
-    twice or out of place.  `witnesses` are the isomorphisms the search
-    lane found most recently, newest first, for both of its rungs; any
-    witness is checked before it settles a row."""
+    made per pass.  `chunks` is keyed by first rank, which fixes a chunk,
+    so concurrent scans need no lock: a race stores equal bits under one
+    key, and each scan yields what the store holds.  `witnesses` are the
+    isomorphisms the search lane found most recently, newest first, for
+    both of its rungs; any witness is checked before it settles a row."""
 
     def __init__(self, g: Graph, h: Graph, k: int):
         self.k, self.total = k, comb(g.n, k)
@@ -160,28 +157,23 @@ class _Stream:
         raw = b"".join(x.code.to_bytes(size, "little") for x in (g, h))
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         self.pair_bits = bits.reshape(2, 8 * size)
-        self.chunks: list[np.ndarray] = []
+        self.chunks: dict[int, np.ndarray] = {}
         self.witnesses: list[np.ndarray] = []
-        self.lock = Lock()
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         """(rank of the chunk's first subset, its bits), in colex order."""
-        i = start = 0
-        size, most = _FIRST_CHUNK, _max_rows(self.k)
+        start, size, most = 0, _GROWTH, _max_rows(self.k)
         while start < self.total:
             stop = min(self.total, start + size)
-            if i < len(self.chunks):
-                bits = self.chunks[i]
-            else:
+            bits = self.chunks.get(start)
+            if bits is None:
                 ranks = _subset_rows(self.k, start, stop)[:, self.k :]
                 bits = np.take(self.pair_bits, ranks, axis=1)  # one gather for both graphs
                 bits.flags.writeable = False
                 if stop <= most:
-                    with self.lock:
-                        if i == len(self.chunks):
-                            self.chunks.append(bits)
+                    bits = self.chunks.setdefault(start, bits)
             yield start, bits
-            i, start, size = i + 1, stop, min(_GROWTH * size, most)
+            start, size = stop, min(_GROWTH * size, most)
 
 
 @lru_cache(maxsize=_STREAMS)

@@ -13,6 +13,7 @@ modular elimination on the materialized matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, KernelTooLarge
-from .graphs import MAX_ORDER, Graph, bits_of, colex_masks
+from .graphs import MAX_ORDER, Graph, bits_of, boolean_sum, colex_masks
 from .linalg import ModMatrix, binomial, is_prime, rank_exact, rank_mod, kernel_basis_mod
 
 BUILD_MAX_V = 16
@@ -34,10 +35,12 @@ _BINOMIALS = np.array(
 
 def subset_rank(s: Iterable[int] | int) -> int:
     """Colex rank of a subset among all subsets of its size."""
-    if isinstance(s, int):
-        elems = [i for i in range(s.bit_length()) if s >> i & 1]
-    else:
+    try:
+        s = operator.index(s)  # an int mask, numpy or not
+    except TypeError:
         elems = sorted(s)
+    else:
+        elems = [i for i in range(s.bit_length()) if s >> i & 1]
     return sum(comb(c, i + 1) for i, c in enumerate(elems))
 
 
@@ -135,24 +138,29 @@ def wilson_rank_expected(t: int, k: int, v: int, p: int) -> int:
 
 def kernel_graphs_mod2(k: int, v: int) -> list[Graph]:
     """All graphs whose edge-indicator vector lies in the kernel of the
-    transpose of W(2, k) over GF(2), sorted by code."""
+    transpose of W(2, k) over GF(2), sorted by code: the Boolean sums of
+    the basis graphs, one per code."""
     if not (2 <= k <= v - 2 and v <= MOD_RANK_MAX_V):
         raise DomainError(f"need 2 <= k <= v-2 and v <= {MOD_RANK_MAX_V}")
     wt = np.ascontiguousarray(build_w(2, k, v).array.T)
     basis = kernel_basis_mod(ModMatrix(wt, 2))
     if len(basis) > KERNEL_DIM_CAP:
         raise KernelTooLarge(f"kernel dimension {len(basis)} exceeds {KERNEL_DIM_CAP}")
-    basis_codes = [sum(bit << c for c, bit in enumerate(vec)) for vec in basis]
-    codes = [0]
-    for b in basis_codes:
-        codes += [c ^ b for c in codes]
-    return [Graph.from_code(v, c) for c in sorted(codes)]
+    span = {0: Graph.empty(v)}
+    for vec in basis:
+        b = sum(bit << c for c, bit in enumerate(vec))
+        g = Graph.from_code(v, b)
+        span |= {c ^ b: boolean_sum(h, g) for c, h in span.items()}
+    return [span[c] for c in sorted(span)]
 
 
 def rank_report(t: int, k: int, v: int, p: int | None = None) -> dict:
     """One verification row of a rank theorem, in its domain
     t <= min(k, v-k): the rank from the closed formula (C(v,t) over Q,
-    Wilson's formula mod p) against the rank of the materialized W(t, k)."""
+    Wilson's formula mod p) against the rank of the materialized W(t, k);
+    every field is a plain int or str, numpy arguments or not."""
+    t, k, v = map(operator.index, (t, k, v))
+    p = None if p is None else operator.index(p)
     if t > min(k, v - k):
         raise DomainError(f"need t <= min(k, v-k), got t={t}, k={k}, v={v}")
     if p is None:

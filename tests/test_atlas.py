@@ -214,6 +214,35 @@ def test_sweep_param_validation():
         sweep_theorem("principal", 6, None)
 
 
+def test_validation_numpy_order_and_k(tmp_path):
+    # numpy v and k give the int-argument record, which serializes; a
+    # float v or k is a TypeError
+    def dumped(record) -> str:
+        return json.dumps(record.to_json(), sort_keys=True)
+
+    log = str(tmp_path / "resume.jsonl")
+    for v, k in ((5, 3), (6, 6), (4, 1)):
+        for dtype in (np.int64, np.uint8):
+            for cell in (s_membership, r_membership):
+                assert dumped(cell(dtype(v), dtype(k))) == dumped(cell(v, k))
+            twice = [membership_with_resume("S", dtype(v), dtype(k), log) for _ in range(2)]
+            assert {dumped(rec) for rec in twice} == {dumped(s_membership(v, k))}
+    for theorem, v, k in (("k0mod4", 6, 4), ("down", 5, 3), ("clawfree", 5, None)):
+        want = dumped(sweep_theorem(theorem, v, k))
+        numpy_k = None if k is None else np.int64(k)
+        assert dumped(sweep_theorem(theorem, np.int64(v), numpy_k)) == want
+    for bad in ((5.0, 3), (5, 3.0), (np.float64(5), 3)):
+        with pytest.raises(TypeError):
+            s_membership(*bad)
+        with pytest.raises(TypeError):
+            r_membership(*bad)
+    for v, k in ((6.0, 4), (6, 4.0)):
+        with pytest.raises(TypeError):
+            sweep_theorem("k0mod4", v, k)
+    with pytest.raises(TypeError):
+        sweep_theorem("clawfree", 5.0)
+
+
 def test_sweep_determinism_and_jobs():
     a = sweep_theorem("k0mod4", 6, 4)
     b = sweep_theorem("k0mod4", 6, 4)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -196,6 +197,32 @@ def test_validation_numpy_integer_rows(n, rng):
         assert Graph.from_code(n, np.int64(code)) == g
 
 
+def test_validation_numpy_order_is_stored_as_int():
+    # every constructor stores its order as an int, so records that carry
+    # it serialize; a numpy order builds the same graph as the int one
+    import json
+
+    from recomp.constructions import paley_graph
+
+    made = [
+        lambda n: Graph(n, (0,) * n),
+        lambda n: Graph.from_code(n, 5),
+        lambda n: Graph.from_edges(n, [(0, 1), (1, 2)]),
+        Graph.empty,
+        Graph.complete,
+        Graph.cycle,
+        Graph.path,
+        lambda n: Graph.random(n, random.Random(7)),
+    ]
+    for make in made:
+        for n in (np.int64(5), np.uint8(5), np.int32(5)):
+            g = make(n)
+            assert type(g.n) is int and json.dumps(g.n) == "5"
+            assert g == make(5)
+    q = paley_graph(np.int64(5))
+    assert type(q.n) is int and q == paley_graph(5)
+
+
 def test_validation_from_code_rejects_codes_out_of_range():
     assert Graph.from_code(4, (1 << 6) - 1) == Graph.complete(4)
     for n, code in ((4, 1 << 6), (4, -1), (1, 1), (64, 1 << comb(64, 2))):
@@ -310,7 +337,7 @@ def test_validation_built_graphs_pass_the_check(n, rng):
     public check; re-run it on each of their outputs: `from_code`, graph6
     `decode`, `from_edges` (repeated edges, reversed pairs, numpy
     vertices), `complement`, `boolean_sum`, `empty`, `complete`, and
-    `induced` (a tuple, an int mask, numpy ints)."""
+    `induced` (a tuple, an int mask, numpy ints, a numpy mask)."""
     assert rechecked(Graph.empty(n)).edge_count == 0
     assert rechecked(Graph.complete(n)).edge_count == comb(n, 2)
     for p in (0, 0.1, 0.5, 0.9, 1):
@@ -333,6 +360,7 @@ def test_validation_built_graphs_pass_the_check(n, rng):
         want = Graph.from_code(len(sub), restriction_code(g, sub))
         assert rechecked(induced(g, sub)) == want
         assert rechecked(induced(g, mask_of(sub))) == want
+        assert rechecked(induced(g, np.uint64(mask_of(sub)))) == want
         assert rechecked(induced(g, [np.int64(v) for v in sub[::-1]])) == want
         assert rechecked(induced(g, np.array(sub, dtype=np.uint8))) == want
 
@@ -396,7 +424,7 @@ def test_induced():
 def test_induced_validation_rejects_negative_mask():
     # a negative int has infinitely many set bits: it must raise, not loop
     c5 = Graph.cycle(5)
-    for mask in (-1, -2, -(1 << 70)):
+    for mask in (-1, -2, -(1 << 70), np.int64(-1)):
         with pytest.raises(DomainError, match="non-negative"):
             induced(c5, mask)
     assert induced(c5, 0b111) == Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -873,9 +873,9 @@ def test_row_engine_matches_graph_search_and_networkx(rng):
 
 def _chunk_bounds(k: int, total: int) -> list[tuple[int, int]]:
     """(start, stop) ranks of the chunks of a stream of `total` k-subsets."""
-    from recomp.hypomorphy import _FIRST_CHUNK, _GROWTH, _max_rows
+    from recomp.hypomorphy import _GROWTH, _max_rows
 
-    bounds, start, size = [], 0, _FIRST_CHUNK
+    bounds, start, size = [], 0, _GROWTH
     while start < total:
         bounds.append((start, min(total, start + size)))
         start, size = start + size, min(_GROWTH * size, _max_rows(k))
@@ -960,16 +960,61 @@ def test_scan_is_lazy_and_bounded_at_order_48(rng):
     assert _subset_tables[k].nbytes <= _BUDGET_BYTES
     assert all(table.nbytes <= _BUDGET_BYTES for table in _subset_tables.values())
     # each stream keeps exactly the chunks its scan made whose rows the
-    # subset table holds, read-only and within the budget
+    # subset table holds, keyed by their first ranks, read-only and within
+    # the budget
     bounds = _chunk_bounds(k, comb(n, k))
     for pair, witness in (((g, h), got.witness), ((g, flipped), (*range(7), 20))):
         stream, reached = _stream(*pair, k), subset_rank(witness)
-        kept = [stop - start for start, stop in bounds if start <= reached and stop <= _max_rows(k)]
-        assert [bits.shape[1] for bits in stream.chunks] == kept
-        assert 0 < sum(bits.nbytes for bits in stream.chunks) <= _BUDGET_BYTES
-        assert not any(bits.flags.writeable for bits in stream.chunks)
+        kept = {start: stop - start for start, stop in bounds if start <= reached and stop <= _max_rows(k)}
+        assert {start: bits.shape[1] for start, bits in stream.chunks.items()} == kept
+        assert 0 < sum(bits.nbytes for bits in stream.chunks.values()) <= _BUDGET_BYTES
+        assert not any(bits.flags.writeable for bits in stream.chunks.values())
     # the flipped pair's scan reached rank C(20, 8), past what its stream keeps
-    assert subset_rank((*range(7), 20)) == comb(20, 8) > sum(kept)
+    assert subset_rank((*range(7), 20)) == comb(20, 8) > sum(kept.values())
+
+
+def test_concurrent_scans_share_kept_chunks(rng):
+    # four threads, switching often, scan one fresh stream of a pair whose
+    # scan runs past the kept chunks: each gets the serial verdicts, and
+    # for each kept start yields the very array the stream's store holds
+    import sys
+    from itertools import islice
+    from threading import Barrier, Thread
+
+    from recomp.hypomorphy import _max_rows, _stream
+
+    n, k = 48, 8
+    g = Graph.random(n, rng)
+    flipped = _flip(g, 0, 20)
+    rungs = (same_parity, same_edge_counts_utc, k_hypomorphic, k_hypomorphic_utc)
+    serial = [rung(g, flipped, k) for rung in rungs]
+    assert serial[0].witness == (*range(7), 20)
+    kept = [start for start, stop in _chunk_bounds(k, comb(n, k)) if stop <= _max_rows(k)]
+    _stream.cache_clear()
+    stream = _stream(g, flipped, k)
+    start_line, results = Barrier(4), []
+
+    def scan() -> None:
+        start_line.wait(timeout=60)
+        yielded = dict(islice(stream, len(kept)))
+        results.append((yielded, [rung(g, flipped, k) for rung in rungs]))
+
+    threads = [Thread(target=scan) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert _stream(g, flipped, k) is stream and len(results) == 4
+    assert sorted(stream.chunks) == kept
+    for yielded, verdicts in results:
+        assert verdicts == serial
+        assert all(yielded[start] is stream.chunks[start] for start in kept)
 
 
 def test_scan_argument_validation(rng):

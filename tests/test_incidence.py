@@ -221,6 +221,29 @@ def test_rank_report_rows():
     assert row_q["field"] == "Q" and row_q["pass"] and row_q["expected_rank"] == 15
 
 
+def test_validation_subset_rank_reads_numpy_masks():
+    # a numpy integer mask is a mask, not an iterable of elements
+    for mask in (0, 0b111, 0b1011, 1 << 40 | 5):
+        want = subset_rank(mask)
+        assert want == subset_rank({i for i in range(64) if mask >> i & 1})
+        for dtype in (np.int64, np.uint64):
+            got = subset_rank(dtype(mask))
+            assert got == want and type(got) is int
+
+
+def test_validation_rank_report_fields_are_ints():
+    # numpy arguments give the int-argument row, with int fields that
+    # json.dumps takes
+    for p in (None, 2, 3):
+        want = rank_report(2, 3, 6, p)
+        for dtype in (np.int64, np.uint8):
+            got = rank_report(dtype(2), dtype(3), dtype(6), None if p is None else dtype(p))
+            assert got == want
+            ints = ("t", "k", "v", "expected_rank", "computed_rank") + ("field",) * (p is not None)
+            assert all(type(got[key]) is int for key in ints)
+        assert type(rank_report(np.int64(2), 3, 6, p)["t"]) is int
+
+
 def test_rank_report_domain():
     """Both rank theorems need t <= min(k, v-k), and raise outside it
     rather than report a failed row; Wilson's formula needs a prime."""
