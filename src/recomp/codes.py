@@ -13,9 +13,7 @@ by `signature_table`.
 
 One primitive applies relabelings: `relabelings(n, code)` returns the
 codes of all n! relabelings of one graph, as a sum of rows of a
-destination-weight matrix built once per order (n <= 8).  The canonical
-code is the minimum of that orbit, and the up-to-complementation variant
-additionally minimizes over the complement's orbit.
+destination-weight matrix built once per order (n <= 8).
 
 One loop marks orbits: `catalog(n)` (n <= 8) augments each order n-1
 representative by a new vertex joined in every way, and each candidate
@@ -98,17 +96,6 @@ def relabelings(n: int, code: int) -> np.ndarray:
     weights = dest_weights(n)
     bits = [s for s in range(len(weights)) if code >> s & 1]
     return weights[bits].sum(axis=0)
-
-
-def canonical_code(n: int, code: int) -> int:
-    """Minimum code over all relabelings of one graph."""
-    return int(relabelings(n, code).min())
-
-
-def canonical_utc_code(n: int, code: int) -> int:
-    """Minimum code over all relabelings of one graph and of its
-    complement; equal codes iff isomorphic up to complementation."""
-    return min(canonical_code(n, code), canonical_code(n, full_code(n) ^ code))
 
 
 def all_codes(n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ own claims raises instead of returning quietly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
@@ -129,10 +130,6 @@ def star_graph(v: int) -> Graph:
     if v < 2:
         raise DomainError(f"star needs v >= 2, got {v}")
     return Graph.from_edges(v, [(0, i) for i in range(1, v)])
-
-
-def claw() -> Graph:
-    return star_graph(4)
 
 
 def _paley_field(q: int) -> FiniteField:
@@ -265,6 +262,7 @@ def clique_pair_counterexample(v: int, verify: bool = True) -> ConstructedPair:
     """Two cliques covering the vertex set; the second graph adds one
     cross edge.  3-hypomorphic up to complementation yet not isomorphic
     up to complementation."""
+    v = operator.index(v)  # a numpy v would reach the provenance
     if v < 4:
         raise DomainError(f"need v >= 4, got {v}")
     p = v // 2
@@ -285,6 +283,7 @@ def cycle_swap_pair(v: int, verify: bool = True) -> ConstructedPair:
     """Two v-cycles, the second obtained by exchanging vertices 0 and 1.
     (v-1)- and v-hypomorphic, yet distinct from the first graph and from
     its complement."""
+    v = operator.index(v)
     if v < 4:
         raise DomainError(f"need v >= 4, got {v}")
     cyc = [(i, i + 1) for i in range(v - 1)] + [(0, v - 1)]
@@ -329,6 +328,7 @@ def k7_counterexample(v: int, verify: bool = True) -> ConstructedPair:
     second adds the edge between the two leftover vertices.  Same edge
     counts up to complementation on every 7-subset, yet the graphs are
     not equal up to complementation."""
+    v = operator.index(v)
     if v < 9:
         raise DomainError(f"need v >= 9, got {v}")
     cliq = [(i, j) for i, j in combinations(range(v - 2), 2)]
@@ -348,6 +348,7 @@ def star_parity_pair(k: int, v: int, verify: bool = True) -> ConstructedPair:
     or the complete graph (k = 2 mod 4).  Restriction parities match up
     to complementation at k, yet the pair is not isomorphic up to
     complementation."""
+    k, v = operator.index(k), operator.index(v)
     if k % 4 == 0:
         raise DomainError("k must not be divisible by 4")
     if v < k + 2:
@@ -374,6 +375,7 @@ def threshold_pair(m: int, r: int, verify: bool = True) -> ConstructedPair:
     pair.  r = 2: two extra vertices, one dominating the class-G part in
     each graph.
     """
+    m, r = operator.index(m), operator.index(r)
     if r not in (2, 3, 4):
         raise DomainError(f"r must be in {{2,3,4}}, got {r}")
     if m + r > 30:
@@ -507,6 +509,7 @@ def verify_class_g_characterization(n: int) -> VerifierResult:
     e(G - x) = C(n-1,2)/2 for all x, hence 4-regularity with 18 edges)."""
     from .atlas import enumerate_graphs
 
+    n = operator.index(n)  # a numpy n would reach the details
     if not 1 <= n <= 9 or n == 2:
         raise DomainError(f"characterization check supports n in 1..9, n != 2, got {n}")
     if n <= 8:
@@ -564,6 +567,7 @@ def search_class_g(n: int, budget: int) -> ClassGSearchReport:
     per-vertex certificates.  An empty result is a coverage statement
     about this candidate space, never a nonexistence proof.
     """
+    n, budget = operator.index(n), operator.index(budget)  # both reach the report
     if n % 4 != 1 or not 5 <= n <= 29:
         raise DomainError(f"need n = 1 (mod 4) with 5 <= n <= 29, got {n}")
     if budget < 0:

@@ -8,24 +8,26 @@ graph packs its upper triangle into one int using that order (the same
 order graph6 uses for its bit stream): row j puts its bits below j at
 offset C(j, 2).
 
-Every conversion works on whole words, with no loop over rows or pairs
-that grows one big int.  The rows pack w bits apart (w the least power of
-two >= max(n, 8)) in one `struct` call, and form a w x w bit matrix that
-`_transpose` transposes in log2(w) masked block swaps.  Validation checks
-the packed rows against one mask of the diagonal and the bits beyond the
-order, and checks that they equal their transpose; only a failure walks
-the rows, to name the first faulty one.  It runs in `Graph(n, adj)`, the
-one entry for rows a caller supplies; rows valid by construction skip it
-through `_built`: those of `from_code` (a range-checked code),
-`from_edges` (after its loop's vertex and loop checks), `empty`,
-`complete`, `complement`, `boolean_sum` and `induced`.  `shift_rounds`
-moves bit fields by their own distances in log2 rounds of masked shifts:
-`from_code` spreads row j's field from offset C(j, 2) to j*w, which
-gives the lower triangle L and the rows L | transpose(L), and `code`
-gathers it back.  `induced` compresses each chosen row to the subset's
-bits a byte at a time, through a 256-entry table per mask byte.  The
-packing of each order, the transpose rounds of each width, the vertex
-bits of each order and the compress table of each mask byte are
+Validation walks the rows in `Graph(n, adj)`, the one entry for rows a
+caller supplies: first each row's bits at or beyond the order and its
+diagonal, then, row by row, the first (i, j) with j in row i but not i
+in row j.  Rows valid by construction skip it through `_built`:
+those of `from_code` (a range-checked code), `from_edges` (after its
+loop's vertex and loop checks), `empty`, `complete`, `complement`,
+`boolean_sum` and `induced`.
+
+The word tricks serve only paths that skip validation.  `from_code` and
+`code` convert between rows and codes on whole words, with no loop over
+rows or pairs that grows one big int.  The rows pack w bits apart (w the
+least power of two >= max(n, 8)) in one `struct` call, and form a w x w
+bit matrix that `_transpose` transposes in log2(w) masked block swaps.
+`shift_rounds` moves bit fields by their own distances in log2 rounds of
+masked shifts: `from_code` spreads row j's field from offset C(j, 2) to
+j*w, which gives the lower triangle L and the rows L | transpose(L), and
+`code` gathers it back.  `induced` compresses each chosen row to the
+subset's bits a byte at a time, through a 256-entry table per mask byte.
+The packing of each order, the transpose rounds of each width, the
+vertex bits of each order and the compress table of each mask byte are
 `functools.cache` functions.  The order check, `_order`, runs outside the
 cache, on every call; every constructor runs it before it allocates
 anything, and stores the int it returns, so `n` is an int for a numpy
@@ -148,16 +150,15 @@ def gather(x: int, rounds: list[tuple[int, int, int]]) -> int:
 
 @dataclass(frozen=True)
 class _Layout:
-    """How the graphs of one order pack: rows w bits apart, w the least
-    power of two >= max(n, 8), row 0 lowest, as the struct format `fmt`
-    writes and reads them; `outside` marks the diagonal and the bits at or
-    beyond the order of every row, `lower` the lower triangle, and
-    `rounds` move row j's lower-triangle field between offset C(j, 2) of
-    the code and offset j*w."""
+    """How the graphs of one order pack for `from_code` and `code`, the
+    word paths that skip validation: rows w bits apart, w the least power
+    of two >= max(n, 8), row 0 lowest, as the struct format `fmt` writes
+    and reads them; `lower` marks the lower triangle, and `rounds` move
+    row j's lower-triangle field between offset C(j, 2) of the code and
+    offset j*w."""
 
     w: int
     fmt: str
-    outside: int
     lower: int
     rounds: list[tuple[int, int, int]]
 
@@ -175,12 +176,10 @@ def _order(n: int) -> int:
 def _packing(n: int) -> _Layout:
     size = 1 << max(0, (n - 1).bit_length() - 3)  # bytes per row
     w = 8 * size
-    beyond = (1 << w) - (1 << n)
-    outside = sum((beyond | 1 << i) << i * w for i in range(n))
     lower = sum((1 << j) - 1 << j * w for j in range(n))
     rounds = shift_rounds((comb(j, 2), j, j * w - comb(j, 2)) for j in range(1, n))
     fmt = f"<{n}{'BHIQ'[size.bit_length() - 1]}"
-    return _Layout(w, fmt, outside, lower, rounds)
+    return _Layout(w, fmt, lower, rounds)
 
 
 @cache
@@ -199,26 +198,20 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _order(self.n))  # a numpy order becomes an int
-        layout = _packing(self.n)
         if len(self.adj) != self.n:
             raise DomainError("adjacency row count must equal the order")
         adj = tuple(map(operator.index, self.adj))  # numpy ints become ints
         object.__setattr__(self, "adj", adj)
-        try:
-            x = int.from_bytes(struct.pack(layout.fmt, *adj), "little")  # the packed rows
-        except struct.error:  # a negative row, or one wider than w bits
-            x = layout.outside
-        if x & layout.outside:  # the first faulty row names the fault
-            full = (1 << self.n) - 1
-            for i, row in enumerate(adj):
-                if row & ~full:
-                    raise DomainError(f"row {i} has bits at or beyond the order")
-                if row >> i & 1:
-                    raise DomainError(f"nonzero diagonal at vertex {i}")
-        lone = x & ~_transpose(x, layout.w)  # (i, j) set, (j, i) clear
-        if lone:
-            i, j = divmod((lone & -lone).bit_length() - 1, layout.w)
-            raise DomainError(f"asymmetric adjacency at {{{i},{j}}}")
+        full = (1 << self.n) - 1
+        for i, row in enumerate(adj):
+            if row & ~full:  # a negative row too
+                raise DomainError(f"row {i} has bits at or beyond the order")
+            if row >> i & 1:
+                raise DomainError(f"nonzero diagonal at vertex {i}")
+        for i, row in enumerate(adj):
+            for j in bits_of(row):
+                if not adj[j] >> i & 1:
+                    raise DomainError(f"asymmetric adjacency at {{{i},{j}}}")
 
     # -- basic accessors -------------------------------------------------
 

@@ -405,6 +405,7 @@ def equal_up_to_complementation(g: Graph, h: Graph) -> bool:
 def equality_threshold(v: int) -> int:
     """Piecewise threshold: 4l for v in {4l+2, 4l+3}, 4l-3 for v in
     {4l, 4l+1}.  Largest k proven to put (v, k) in the equality set."""
+    v = operator.index(v)  # 9.0 would give 5.0, np.int64(9) np.int64(5)
     if v < 4:
         raise DomainError(f"threshold defined for v >= 4, got {v}")
     l = v // 4

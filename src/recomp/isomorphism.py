@@ -15,6 +15,10 @@ necessarily lex-least.
 
 A witness is a tuple p with h.has_edge(p[i], p[j]) == g.has_edge(i, j)
 for all pairs, i.e. h = p(g).
+
+The canonical code of a graph (n <= 8) is the minimum of its orbit,
+`codes.relabelings(n, code)`, and the up-to-complementation variant
+additionally minimizes over the complement's orbit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .codes import CANON_MAX_ORDER, canonical_code, canonical_utc_code
+from .codes import CANON_MAX_ORDER, relabelings
 from .errors import OrderMismatch, OrderTooLarge
 from .graphs import Graph, complement, complement_rows
 
@@ -176,13 +180,13 @@ def isomorphic_up_to_complementation(g: Graph, h: Graph) -> UtcVerdict:
 
 def canonical_form(g: Graph) -> int:
     """Minimum code over all relabelings (n <= 8)."""
-    return canonical_code(g.n, g.code)
+    return int(relabelings(g.n, g.code).min())
 
 
 def canonical_form_utc(g: Graph) -> int:
     """Minimum code over all relabelings of the graph and of its
     complement; equal codes iff isomorphic up to complementation."""
-    return canonical_utc_code(g.n, g.code)
+    return min(canonical_form(g), canonical_form(complement(g)))
 
 
 def is_self_complementary(g: Graph) -> bool:

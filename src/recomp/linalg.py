@@ -29,6 +29,7 @@ rank (Dixon, Numer. Math. 40, 1982).  No floating point is involved.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
 from numbers import Rational
@@ -73,36 +74,12 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-class ExactMatrix:
-    """Dense matrix over the rationals (int or Fraction entries)."""
-
-    def __init__(self, rows: Sequence[Sequence[int | Fraction]]):
-        self.entries = [list(r) for r in rows]
-        if not self.entries or not self.entries[0]:
-            raise DomainError("matrix dimensions must be positive")
-        self.nrows = len(self.entries)
-        self.ncols = len(self.entries[0])
-        if any(len(r) != self.ncols for r in self.entries):
-            raise DomainError("ragged rows")
-        if not all(isinstance(x, (Rational, np.bool_)) for r in self.entries for x in r):
-            raise DomainError("matrix entries must be integers or Fractions")
-
-    def integer_rows(self) -> list[list[int]]:
-        """Rows rescaled to integers (row scaling preserves rank)."""
-        out = []
-        for row in self.entries:
-            denom = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    denom = denom * x.denominator // gcd(denom, x.denominator)
-            out.append([int(x * denom) for x in row])
-        return out
-
-
-def _integer_array(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndarray) -> np.ndarray:
-    """m with its rows rescaled to integers: an int64 array, or an object
-    array of Python ints when an entry does not fit in int64.  An ndarray
-    must be two-dimensional, nonempty, and of integer or object dtype."""
+def _integer_array(m: Sequence[Sequence[int | Fraction]] | np.ndarray) -> np.ndarray:
+    """m with its rows rescaled to integers (row scaling preserves rank):
+    an int64 array, or an object array of Python ints when an entry does
+    not fit in int64.  An ndarray must be two-dimensional, nonempty, and
+    of integer or object dtype; nested rows must be nonempty, of one
+    length, with integer, Fraction or bool entries."""
     if isinstance(m, np.ndarray):
         if m.ndim != 2:
             raise DomainError("matrix must be two-dimensional")
@@ -113,7 +90,18 @@ def _integer_array(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndar
         if m.dtype != object and (m.dtype != np.uint64 or m.max() <= _INT64_MAX):
             return m.astype(np.int64)
         m = m.tolist()
-    return _int_rows((m if isinstance(m, ExactMatrix) else ExactMatrix(m)).integer_rows())
+    rows = [list(r) for r in m]
+    if not rows or not rows[0]:
+        raise DomainError("matrix dimensions must be positive")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DomainError("ragged rows")
+    if not all(isinstance(x, (Rational, np.bool_)) for r in rows for x in r):
+        raise DomainError("matrix entries must be integers or Fractions")
+    scaled = []
+    for row in rows:
+        denom = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+        scaled.append([int(x * denom) for x in row])
+    return _int_rows(scaled)
 
 
 def _int_rows(rows: list[list[int]]) -> np.ndarray:
@@ -259,7 +247,7 @@ def _cert_primes() -> Iterator[int]:
             yield q
 
 
-def rank_exact(m: ExactMatrix | Sequence[Sequence[int | Fraction]] | np.ndarray) -> int:
+def rank_exact(m: Sequence[Sequence[int | Fraction]] | np.ndarray) -> int:
     """Rank over the rationals, exact (no floating point)."""
     a = _integer_array(m)
     if a.shape[0] < a.shape[1]:
@@ -284,6 +272,7 @@ class ModMatrix:
     in the dtype that `_residues` picks for p."""
 
     def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray, p: int):
+        p = operator.index(p)  # a numpy p becomes an int; a float raises
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p

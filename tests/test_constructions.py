@@ -1,5 +1,7 @@
+import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from recomp.errors import (
@@ -28,7 +30,6 @@ from recomp.isomorphism import (
 from recomp.constructions import (
     FiniteField,
     circulant,
-    claw,
     class_g_member,
     clique_pair_counterexample,
     cycle_swap_pair,
@@ -210,7 +211,7 @@ def test_threshold_pair_m9():
 
 
 def test_star_and_claw():
-    assert star_graph(4) == claw()
+    assert star_graph(4) == Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     for v in (2, 5, 9):
         assert star_graph(v).edge_count == v - 1
     from recomp.graphs import is_complete_bipartite
@@ -350,6 +351,34 @@ def test_search_class_g_rejects_negative_budget():
     with pytest.raises(DomainError):
         search_class_g(5, -1)
     assert search_class_g(5, 0).members == ()
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (clique_pair_counterexample, (6,)),
+        (cycle_swap_pair, (6,)),
+        (k7_counterexample, (9,)),
+        (star_parity_pair, (3, 5)),
+        (threshold_pair, (5, 2)),
+        (search_class_g, (5, 100)),
+    ],
+)
+def test_validation_constructions_take_integer_arguments(build, args):
+    plain = json.dumps(build(*args).to_json())
+    assert json.dumps(build(*map(np.int64, args)).to_json()) == plain
+    for i in range(len(args)):
+        floats = list(args)
+        floats[i] = float(args[i])
+        with pytest.raises(TypeError):
+            build(*floats)
+
+
+def test_validation_class_g_characterization_takes_an_integer():
+    plain = json.dumps(verify_class_g_characterization(5).details)
+    assert json.dumps(verify_class_g_characterization(np.int64(5)).details) == plain
+    with pytest.raises(TypeError):
+        verify_class_g_characterization(5.0)
 
 
 def test_search_class_g_order13_contains_paley():

@@ -500,6 +500,14 @@ def test_order4_pair_values():
     assert (bg.e * bg.e_bar, bg.h3) == (bc.e * bc.e_bar, bc.h3)
 
 
+def test_validation_equality_threshold_takes_an_integer():
+    t = equality_threshold(np.int64(9))
+    assert type(t) is int and t == 5
+    for bad in (9.0, 9.5):
+        with pytest.raises(TypeError):
+            equality_threshold(bad)
+
+
 def test_equality_threshold():
     assert equality_threshold(6) == 4
     assert equality_threshold(7) == 4

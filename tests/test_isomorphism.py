@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from recomp import isomorphism
+from recomp.codes import canonical_table, canonical_utc_table
 from recomp.constructions import circulant, paley_graph
 from recomp.errors import OrderMismatch, OrderTooLarge
 from recomp.graphs import Graph, bits_of, complement
@@ -165,6 +166,15 @@ def test_canonical_form_is_min_over_all_perms(rng):
         assert canonical_form(g) == min(codes)
         codes_utc = codes | {apply_perm(complement(g), p).code for p in permutations(range(n))}
         assert canonical_form_utc(g) == min(codes_utc)
+
+
+def test_canonical_forms_match_tables():
+    for n in range(1, 6):
+        table, utc = canonical_table(n), canonical_utc_table(n)
+        for code in range(len(table)):
+            g = Graph.from_code(n, code)
+            assert canonical_form(g) == table[code]
+            assert canonical_form_utc(g) == utc[code]
 
 
 def test_order4_has_6_utc_classes_and_11_iso_classes():

@@ -7,7 +7,6 @@ from recomp import linalg
 from recomp.errors import DomainError, NonPrimeModulus
 from recomp.incidence import build_w
 from recomp.linalg import (
-    ExactMatrix,
     ModMatrix,
     _echelon_gfp,
     _reduce_gfp,
@@ -95,9 +94,9 @@ def test_rank_exact_w23_v6_full_row_rank():
 
 
 def test_rank_exact_fraction_entries():
-    m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
+    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert rank_exact(m) == 2
-    singular = ExactMatrix([[Fraction(1, 2), Fraction(1, 4)], [Fraction(2, 3), Fraction(1, 3)]])
+    singular = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(2, 3), Fraction(1, 3)]]
     assert rank_exact(singular) == 1
 
 
@@ -196,11 +195,35 @@ def test_validation_rejects_bad_arrays(bad):
 
 
 def test_validation_rejects_bad_lists():
-    for bad in ([], [[]], [[1, 2], [3]], [[0.5, 1], [1, 2]], [[1, 2.0]], [[1j, 1]]):
-        with pytest.raises(DomainError):
+    entries = "matrix entries must be integers or Fractions"
+    cases = [
+        ([], "matrix dimensions must be positive"),
+        ([[]], "matrix dimensions must be positive"),
+        ([[1, 2], [3]], "ragged rows"),
+        ([[0.5, 1], [1, 2]], entries),
+        ([[1, 2.0]], entries),
+        ([[1j, 1]], entries),
+    ]
+    for bad, message in cases:
+        with pytest.raises(DomainError) as err:
             rank_exact(bad)
-        with pytest.raises(DomainError):
+        assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
             ModMatrix(bad, 5)
+        assert str(err.value) == message
+
+
+def test_validation_modulus_is_an_int():
+    rows = [[1, 2, 0], [2, 1, 0]]  # rank 1 over GF(3), 2 over the rationals
+    m = ModMatrix(rows, np.int64(3))
+    assert type(m.p) is int and m.p == 3
+    assert rank_mod(m) == rank_mod(ModMatrix(rows, 3)) == 1
+    assert kernel_basis_mod(m) == kernel_basis_mod(ModMatrix(rows, 3))
+    w = build_w(2, 3, 6)
+    assert rank_mod(w.mod(np.int64(3))) == rank_mod(w.mod(3))
+    for bad in (3.0, 3.5):
+        with pytest.raises(TypeError):
+            ModMatrix(rows, bad)
 
 
 def test_rank_exact_integer_dtypes():
