@@ -17,30 +17,35 @@ atoms, each a relabeling-invariant partition of the codes: g' is in g's
 class iff it agrees with g on a per-k-subset signature (a row function
 of `hypomorphy.SIGNATURES`; equal h3 counts at k = 3 are equal
 3-homogeneous sets), or iff it is g or its complement.  A claim holds
-iff each g's class in A is as large as in the join of A and B (and in
-B, for iff).  `_decide` gets those sizes by sieving the representatives'
-classes: a state holds the codes still in some g's class, with a group
-each.  A column, one k-subset's signature, maps (old group, value) to a
-new group through a table filled from the representatives' keys; a code
-whose key no representative has drops.  Below v the values are read from
-tables over every order-k code, numbered once per process; an atom of
-size v has one column, the code itself, computed on the alive codes
-only.  `_normal` drops repeated atoms, atoms past v and constant ones,
-and puts "equal" first, parity atoms after the other atoms below v and
-atoms of size v last.  The empty join is one class of every code, "equal"
-starts from each g and its complement, and any other first atom grows
-the sieve a vertex at a time (`_grow`): the codes gain vertex j's
-neighbourhoods just before the columns whose largest vertex is j, so a
-code dies before its extensions exist.  A class is a sorted array of its
-group's codes (`_class_codes`).
+iff each g's class in A is as large as in the join of A and B (and in B,
+for iff).  `_decide` gets those sizes by sieving the representatives'
+classes.  Every atom gives a code and its complement the same value
+(`_normal` raises DomainError on one that does not), so every class is
+closed under complementing, and a state holds, with a group each, only
+the even codes (bit 0, the pair {0, 1}, clear) still in some g's class:
+a class is those and their complements, twice as many.  A column, one
+k-subset's signature, maps (old group, value) to a new group through a
+table filled from the representatives' keys; a code whose key no
+representative has drops.  Below v the values are read from tables over
+every order-k code, numbered once per process; an atom of size v has one
+column, the code itself, computed on the alive codes only.  `_normal`
+drops repeated atoms, atoms past v and constant ones, and puts "equal"
+first, parity atoms after the other atoms below v and atoms of size v
+last.  The empty join is one class of every code, "equal" starts from
+the even one of each g and its complement, and any other first atom
+grows the sieve a vertex at a time (`_grow`): the even codes gain vertex
+j's neighbourhoods just before the columns whose largest vertex is j, so
+a code dies before its extensions exist.  A class is a sorted array of
+its group's codes and their complements (`_class_codes`).
 
 An S or R cell reads only the hypothesis class: g's class of ("utc",
 k), or at k == v its iso-utc class, whose size the catalog records.  S
 fails where the class holds more than g and its complement, R where it
 holds a code outside their orbits.  The claw-free sweep tests the
-boolean sum of g with each member of its ("h3", 3) class for a claw; g
-stands for its n!/|Aut g| relabelings.  Order 7 is gated behind
-`long_running`.
+boolean sum of g with each even member of its ("h3", 3) class for a
+claw, in the sum and in its complement, the sum with the member's
+complement; g stands for its n!/|Aut g| relabelings.  Order 7 is gated
+behind `long_running`.
 
 Verdicts and sweep reports serialize deterministically (sorted keys,
 no volatile fields), so two runs of the same sweep are byte-identical.
@@ -94,8 +99,13 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
 @cache
 def _numbering(kind: str, size: int) -> np.ndarray:
-    """The `kind` signature of every order-`size` code, numbered (`_ranks`)."""
-    return _ranks(signature_table(kind, size))
+    """The `kind` signature of every order-`size` code, numbered (`_ranks`).
+    Raises DomainError unless each code and its complement share a value
+    (a sieve state holds one code of each complementary pair)."""
+    numbered = _ranks(signature_table(kind, size))
+    if not np.array_equal(numbered, numbered[::-1]):  # [::-1] reads full_code ^ code
+        raise DomainError(f"atom {(kind, size)} is not closed under complementation")
+    return numbered
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -107,23 +117,27 @@ def _ranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(present, dtype=np.int32) - 1)[values]
 
 
-def _equal_partners(v: int, codes: np.ndarray) -> np.ndarray:
-    """Each code's partner in its class of the atom ("equal", v): its complement."""
-    return codetables.full_code(v) ^ codes
+def _even(v: int, codes: np.ndarray) -> np.ndarray:
+    """Each code or its complement, whichever has bit 0 (the pair {0, 1})
+    clear: the one a sieve state holds."""
+    return np.where(codes & 1, codetables.full_code(v) ^ codes, codes)
 
 
 def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int], columns=None) -> tuple:
     """Sieve `state` by the columns of one atom, a per-subset signature:
     every k-subset in colex order, or the k-subsets `columns`.  A state is
-    (alive codes, ascending, or None for all; group per alive code; group
-    per representative): the alive codes are those in some
-    representative's class, and share its group.  An atom of size v has
-    one column, the code itself, numbered on the alive codes only."""
+    (alive codes, ascending, or None for every even code; group per alive
+    code; group per representative): the alive codes are the even codes
+    (bit 0 clear) in some representative's class, and share its group.
+    Every atom is closed under complementation (`_normal`), so a class is
+    its even codes and their complements.  An atom of size v has one
+    column, the code itself, numbered on the alive codes only."""
     alive, groups, rep_groups = state
     kind, k = atom
     if k == v:
-        dense, columns = _ranks(signature_table(kind, v, alive)), [None]
-        at = reps if alive is None else np.searchsorted(alive, reps)  # each g is alive
+        codes = np.arange(0, 1 << comb(v, 2), 2) if alive is None else alive
+        dense, columns = _ranks(signature_table(kind, v, codes)), [None]
+        at = np.searchsorted(codes, _even(v, reps))  # each g's even code is alive
     else:
         dense = _numbering(kind, k)
     width = int(dense.max()) + 1
@@ -135,29 +149,36 @@ def _refine(v: int, reps: np.ndarray, state: tuple, atom: tuple[str, int], colum
         table = np.full((int(rep_groups.max()) + 1) * width, -1, dtype=np.int32)
         table[keys] = np.arange(len(reps), dtype=np.int32)
         rep_groups = table[keys]
-        column = dense if s is None else dense[codetables.restriction_codes(v, s, alive)]
+        if s is None:
+            column = dense
+        elif alive is None:  # the even codes are every other code
+            column = dense[codetables.restriction_codes(v, s)[::2]]
+        else:
+            column = dense[codetables.restriction_codes(v, s, alive)]
         new = table[groups * width + column]
         keep = new >= 0
         if keep.all():
             groups = new
         else:
-            alive = np.flatnonzero(keep) if alive is None else alive[keep]
+            alive = np.flatnonzero(keep) << 1 if alive is None else alive[keep]
             groups = new[keep]
     return alive, groups, rep_groups
 
 
 def _grow(v: int, reps: np.ndarray, atom: tuple[str, int]) -> tuple:
-    """Sieve state of the join of one atom of size k, 2 <= k <= v, grown
-    from every code on k - 1 vertices: at each vertex j, the 2^j
-    neighbourhoods of j as top bits (the codes stay ascending), then the
-    columns whose largest vertex is j."""
+    """Sieve state of the join of one atom of size k, 3 <= k <= v, grown
+    from the even codes on k - 1 vertices: at each vertex j, the 2^j
+    neighbourhoods of j as top bits (the codes stay ascending, and even,
+    as bit 0 is the pair {0, 1}), then the columns whose largest vertex is
+    j.  (`_normal` keeps no atom of size 1 or 2: each is constant or not
+    closed under complementation.)"""
     k = atom[1]
-    alive = codetables.all_codes(k - 1)
+    alive = codetables.all_codes(k - 1)[::2]
     state = alive, np.zeros(len(alive), np.int32), np.zeros(len(reps), np.int32)
     for j, columns in groupby(colex_subsets(v, k), key=lambda s: s[-1]):
         alive, groups, rep_groups = state
         alive = (np.arange(1 << j, dtype=np.int64)[:, None] << comb(j, 2) | alive).ravel()
-        if len(alive) == 1 << comb(v, 2):  # every code alive: read them whole
+        if len(alive) == 1 << comb(v, 2) - 1:  # every even code alive: read them whole
             alive = None
         state = _refine(v, reps, (alive, np.tile(groups, 1 << j), rep_groups), atom, columns)
     return state
@@ -166,16 +187,16 @@ def _grow(v: int, reps: np.ndarray, atom: tuple[str, int]) -> tuple:
 def _join_state(v: int, reps: np.ndarray, join: tuple, states: dict) -> tuple:
     """Sieve state of a join of atoms (`_normal`), continued from its
     longest prefix in `states`.  The empty join is one class of every code,
-    the atom ("equal", v), always first, starts from each representative
-    and its partner, and any other first atom grows the sieve (`_grow`)."""
+    the atom ("equal", v), always first, starts from each representative's
+    even code (g or its complement), and any other first atom grows the
+    sieve (`_grow`)."""
     if join not in states:
         if not join:
-            states[join] = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
+            evens = len(range(0, 1 << comb(v, 2), 2))
+            states[join] = None, np.zeros(evens, np.int32), np.zeros(len(reps), np.int32)
         elif join == (("equal", v),):
-            partners = _equal_partners(v, reps)
-            rep_groups = np.unique(np.minimum(reps, partners), return_inverse=True)[1]
-            alive, first = np.unique(np.concatenate([reps, partners]), return_index=True)
-            states[join] = alive, np.tile(rep_groups, 2)[first].astype(np.int32), rep_groups
+            alive, rep_groups = np.unique(_even(v, reps), return_inverse=True)
+            states[join] = alive, np.arange(len(alive), dtype=np.int32), rep_groups
         elif len(join) == 1:
             states[join] = _grow(v, reps, join[0])
         else:
@@ -183,19 +204,56 @@ def _join_state(v: int, reps: np.ndarray, join: tuple, states: dict) -> tuple:
     return states[join]
 
 
-def _class_codes(state: tuple, i: int) -> np.ndarray:
-    """The codes of representative i's class in a sieve state, ascending."""
+def _half_codes(state: tuple, i: int) -> np.ndarray:
+    """The even codes of representative i's class in a sieve state, ascending."""
     alive, groups, rep_groups = state
     own = groups == rep_groups[i]
-    return np.flatnonzero(own) if alive is None else alive[own]
+    return np.flatnonzero(own) << 1 if alive is None else alive[own]
+
+
+def _class_codes(v: int, state: tuple, i: int) -> np.ndarray:
+    """The codes of representative i's class in a sieve state, ascending:
+    its even codes and their complements."""
+    half = _half_codes(state, i)
+    if v == 1:  # the one code is its own complement
+        return half
+    codes = np.concatenate([half, codetables.full_code(v) ^ half[::-1]])
+    codes.sort(kind="stable")  # merges the two ascending runs
+    return codes
+
+
+def _sizes(v: int, state: tuple) -> np.ndarray:
+    """Size of each representative's class in a sieve state: its even
+    codes, doubled for their complements (at v = 1, the code itself)."""
+    _, groups, rep_groups = state
+    return np.bincount(groups)[rep_groups] << (v > 1)
+
+
+def _closed_at(v: int, kind: str) -> bool:
+    """The `kind` signature of each order-v representative equals that of
+    its complement (a signature is relabeling-invariant, so this covers
+    every order-v code)."""
+    reps = codetables.catalog(v)[0]
+    values = signature_table(kind, v, np.concatenate([reps, codetables.full_code(v) ^ reps]))
+    return np.array_equal(values[: len(reps)], values[len(reps) :])
 
 
 def _normal(v: int, atoms: tuple) -> tuple:
     """The join of `atoms` as a state key: repeats, atoms past v and
     constant atoms dropped; "equal" first, parity atoms after the other
     atoms below v and atoms of size v last, so a selective atom grows the
-    sieve (a parity signature keeps many codes alive)."""
-    kept = [a for a in dict.fromkeys(atoms) if a[1] == v or a[1] < v and _numbering(*a).any()]
+    sieve (a parity signature keeps many codes alive).  Raises DomainError
+    on an atom that complementing a code can change, as a state keeps one
+    code of each complementary pair: one below v by its numbered table
+    (`_numbering`, as is one at v <= 2, whose tables are tiny), one of
+    size v by the representatives' signatures (`_closed_at`)."""
+    kept = []
+    for atom in dict.fromkeys(atoms):
+        kind, k = atom
+        if kind != "equal" and k == v > 2 and not _closed_at(v, kind):
+            raise DomainError(f"atom {atom} is not closed under complementation")
+        if kind == "equal" or k == v > 2 or k <= v and _numbering(kind, k).any():
+            kept.append(atom)
     return tuple(sorted(kept, key=lambda a: (a[0] != "equal", a[1] == v, a[0] == "parity")))
 
 
@@ -224,8 +282,7 @@ def _decide(v: int, claims: list):
 
     def size(atoms: tuple) -> np.ndarray:
         """Size of each representative's class in the join of `atoms`."""
-        _, groups, rep_groups = _join_state(v, reps, _normal(v, atoms), states)
-        return np.bincount(groups)[rep_groups]
+        return _sizes(v, _join_state(v, reps, _normal(v, atoms), states))
 
     held = np.ones(len(reps), dtype=bool)
     for a, b, iff in claims:
@@ -235,7 +292,7 @@ def _decide(v: int, claims: list):
 
     def reread(i: int) -> tuple[int, np.ndarray]:
         def members(atoms: tuple) -> np.ndarray:
-            return _class_codes(_join_state(v, reps, _normal(v, atoms), states), i)
+            return _class_codes(v, _join_state(v, reps, _normal(v, atoms), states), i)
 
         hyp, bad = [], []
         for a, b, iff in claims:
@@ -298,14 +355,13 @@ def _membership(relation: str, v: int, k: int) -> AtlasRecord:
         sizes, examined = utc_sizes, int(utc_sizes.sum())
     else:
         state = _join_state(v, reps, _normal(v, (("utc", k),)), {})
-        _, groups, rep_groups = state
-        sizes, examined = np.bincount(groups)[rep_groups], len(reps) << comb(v, 2)
+        sizes, examined = _sizes(v, state), len(reps) << comb(v, 2)
     more = sizes > 1 + (reps != full ^ reps)  # the class holds more than {g, complement}
     witness = None
     for i in [] if relation == "R" and k == v else np.flatnonzero(more).tolist():
         g = int(reps[i])
         orbit = codetables.relabelings(v, g)
-        members = _union([orbit, full ^ orbit]) if k == v else _class_codes(state, i)
+        members = _union([orbit, full ^ orbit]) if k == v else _class_codes(v, state, i)
         # a member is in the conclusion's class iff min(c, complement) is
         inside = np.sort(np.minimum(orbit, full ^ orbit)) if relation == "R" else [min(g, full ^ g)]
         least = np.minimum(members, full ^ members)
@@ -429,19 +485,22 @@ def _clawfree(v: int) -> tuple[list[tuple[int, int]], int, int]:
     c ^ c' or its complement has a claw: the first VIOLATION_LIST_CAP in
     (c, c') order, their number, and the number of pairs in the classes.
     Relabeling both codes keeps their class and relabels their sum, so
-    each representative g is paired with its class, read off the sieve,
-    for n!/|Aut g| labeled pairs, and a failing pair is listed relabeled."""
+    each representative g is paired with the even codes c of its class,
+    read off the sieve, for n!/|Aut g| labeled pairs each, twice: g ^ c
+    and g ^ (complement of c) are complements, and both are tested.  A
+    failing pair is listed relabeled, with c and with its complement."""
     reps, _, orbit_sizes = codetables.catalog(v)
+    full = codetables.full_code(v)
     state = _join_state(v, reps, _normal(v, (("h3", 3),)), {})
-    classes = [_class_codes(state, i) for i in range(len(reps))]
+    classes = [_half_codes(state, i) for i in range(len(reps))]
     owner = np.repeat(np.arange(len(reps)), [len(c) for c in classes])
     members = np.concatenate(classes)
-    weight = orbit_sizes[owner]
+    weight = orbit_sizes[owner] << (v > 1)  # at v = 1 the one code is its own complement
     bad = _has_claw(v, reps[owner] ^ members)
     found = np.zeros(0, dtype=np.int64)  # the least pairs so far, as c << C(v,2) | c'
     for g, c in zip(reps[owner[bad]].tolist(), members[bad].tolist()):
-        pairs = codetables.relabelings(v, g) << comb(v, 2) | codetables.relabelings(v, c)
-        found = _union([found, pairs])[:VIOLATION_LIST_CAP]
+        firsts, seconds = codetables.relabelings(v, g) << comb(v, 2), codetables.relabelings(v, c)
+        found = _union([found, firsts | seconds, firsts | full ^ seconds])[:VIOLATION_LIST_CAP]
     listed = [divmod(p, 1 << comb(v, 2)) for p in found.tolist()]
     return listed, int(weight[bad].sum()), int(weight.sum())
 

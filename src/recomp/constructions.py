@@ -78,6 +78,7 @@ class FiniteField:
     and outputs are reproducible."""
 
     def __init__(self, q: int):
+        q = operator.index(q)  # a numpy q would make every element a numpy int
         p, e = _factor_prime_power(q)
         if e > 2 or q == 4:  # over GF(2) every x^2 + c has a root
             raise DomainError(f"only GF(p) and GF(p^2), p odd, are supported, got q={q}")
@@ -135,6 +136,7 @@ def star_graph(v: int) -> Graph:
 def _paley_field(q: int) -> FiniteField:
     """GF(q), for a Paley graph of order q: q a prime power with
     q = 1 (mod 4), up to PALEY_MAX_Q."""
+    q = operator.index(q)
     try:
         _factor_prime_power(q)
     except DomainError:
@@ -161,7 +163,7 @@ def paley_certifier(q: int) -> Callable[[int], tuple[int, ...]]:
     s = f.least_nonsquare()
 
     def certify(x: int) -> tuple[int, ...]:
-        return tuple(f.add(f.mul(s, f.sub(y, x)), x) for y in range(q))
+        return tuple(f.add(f.mul(s, f.sub(y, x)), x) for y in range(f.q))
 
     return certify
 

@@ -368,20 +368,21 @@ def test_theorem_claims_pinned():
 
 
 def test_violation_listing_with_narrowed_conclusion(monkeypatch):
-    """Narrowing the conclusion "equal up to complementation" to "equal"
-    makes each representative's complement a violation of k0mod4 and of
-    principal at (6, 4): the hypothesis class of g is {g, complement of g},
-    and no order-6 graph is self-complementary."""
-
-    monkeypatch.setattr(atlas, "_equal_partners", lambda v, c: c)  # each code alone
-    reps = enumerate_graphs(6).representatives
-    listed = [
-        {"g": encode(g), "g_prime": encode(complement(g))} for g in reps[:VIOLATION_LIST_CAP]
-    ]
-    for theorem in ("k0mod4", "principal"):
-        rep = sweep_theorem(theorem, 6, 4)
-        assert rep.violation_count == len(reps) == 156
-        assert list(rep.violations) == listed
+    """Narrowing h3 at size 6 makes the conclusion of corkk1's first claim
+    at (6, 5) g and its complement alone, so every other member of g's
+    hypothesis class is a violation (the other claims hold, and their
+    classes lie in the first one's).  The listing is capped, each entry a
+    code outside {g, complement of g}, and the report equals the scan."""
+    _narrow(monkeypatch, ("h3", 6))
+    rep = sweep_theorem("corkk1", 6, 5)
+    assert (rep.violation_count, rep.hypothesis_count) == (1104, 1416)
+    # no order-6 graph is self-complementary, so each hypothesis class holds 2 + its violations
+    assert rep.violation_count == rep.hypothesis_count - 2 * 156
+    assert len(rep.violations) == VIOLATION_LIST_CAP
+    for entry in rep.violations:
+        g, h = decode(entry["g"]), decode(entry["g_prime"])
+        assert h.code not in (g.code, complement(g).code)
+    assert rep.to_json() == _mask_scan_sweep("corkk1", 6, 5)
 
 
 def test_resume_log(tmp_path):
@@ -561,7 +562,7 @@ def test_sweeps_agree_with_pair_verifiers_order7():
         state = atlas._join_state(7, reps, atlas._normal(7, atoms), {})
         verify, flag = PAIR_VERIFIERS[theorem]
         for i in rng.choice(len(reps), 12, replace=False):
-            members = atlas._class_codes(state, i)
+            members = atlas._class_codes(7, state, i)
             picked = rng.choice(members, min(4, len(members)), replace=False)
             pairs = np.concatenate([picked, picked ^ 1 << rng.integers(comb(7, 2), size=len(picked))])
             at = np.minimum(np.searchsorted(members, pairs), len(members) - 1)
@@ -873,30 +874,38 @@ def _replace_table(monkeypatch, atom: tuple[str, int], values) -> None:
     monkeypatch.setattr(atlas, "_numbering", cache(atlas._numbering.__wrapped__))
 
 
+def _up_to_complement(size: int) -> np.ndarray:
+    """The restriction code up to complementation: each code's table entry
+    is the smaller of it and its complement, a closed table."""
+    codes = np.arange(size)
+    return np.minimum(codes, codes[::-1])
+
+
 def _narrow(monkeypatch, narrowed: tuple[str, int]) -> None:
-    """Make one signature table the restriction code itself, so its atom
-    separates every code (each pair of vertices lies in some subset)."""
-    _replace_table(monkeypatch, narrowed, np.arange)
+    """Make one signature table the restriction code up to complementation,
+    so its atom tells apart codes that differ on some subset other than by
+    complementing it."""
+    _replace_table(monkeypatch, narrowed, _up_to_complement)
 
 
 def test_failing_union_hypothesis_matches_oracle(monkeypatch):
     """With h3 at size 6 narrowed, the first corkk1 antecedent at (6, 6)
-    is g alone, so the claims from edge counts at 6 and at k' = 3, 4 or 5
-    fail wherever their classes hold more than g.  Each failing
+    is g and its complement alone, so the claims from edge counts at 6 and
+    at k' = 3, 4 or 5 fail wherever their classes hold more.  Each failing
     representative's hypothesis is the union of those three classes,
     counted code by code; on 44 of them no one class holds it."""
     _narrow(monkeypatch, ("h3", 6))
     got = sweep_theorem("corkk1", 6, 6).to_json()
-    assert (got["violation_count"], got["hypothesis_count"]) == (8448, 8604)
+    assert (got["violation_count"], got["hypothesis_count"]) == (8292, 8604)
     assert len(got["violations"]) == VIOLATION_LIST_CAP
     assert got == _mask_scan_sweep("corkk1", 6, 6)
 
 
 def test_narrowed_utc_reaches_the_hypothesis_only(monkeypatch):
-    """Narrowing utc at size 5 makes the S(6, 5) hypothesis class g alone,
-    so the cell turns Member.  R's conclusion reads the orbits of g and
-    its complement, not a utc table, so narrowing utc at size 6 leaves
-    R(6, 4) a Member."""
+    """Narrowing utc at size 5 makes the S(6, 5) hypothesis class g and
+    its complement alone, so the cell turns Member.  R's conclusion reads
+    the orbits of g and its complement, not a utc table, so narrowing utc
+    at size 6 leaves R(6, 4) a Member."""
     assert s_membership(6, 5).verdict == "NonMember"
     _narrow(monkeypatch, ("utc", 5))
     assert s_membership(6, 5).verdict == "Member"
@@ -905,13 +914,18 @@ def test_narrowed_utc_reaches_the_hypothesis_only(monkeypatch):
 
 
 def test_iff_claim_fails_on_its_converse(monkeypatch):
-    """With parity at size 4 narrowed, the k0mod4 hypothesis at (6, 4) is
-    g alone: "parity implies equal" holds, and only the converse fails,
-    at each representative's complement."""
-    _narrow(monkeypatch, ("parity", 4))
-    got = sweep_theorem("k0mod4", 6, 4).to_json()
-    assert (got["violation_count"], got["hypothesis_count"]) == (156, 156)
-    assert got == _mask_scan_sweep("k0mod4", 6, 4)
+    """With edge counts at size 4 made constant, the consequents of
+    principal's first two claims at (6, 4) widen to g's h3 class at 4 and
+    its edge-count class at 3, while the hypothesis, g's utc class at 4,
+    stays g and its complement: "utc implies each consequent" holds, and
+    only the converses fail, at codes outside the hypothesis."""
+    _replace_table(monkeypatch, ("edges", 4), lambda size: np.zeros(size, dtype=np.int64))
+    got = sweep_theorem("principal", 6, 4).to_json()
+    assert (got["violation_count"], got["hypothesis_count"]) == (1256, 312)
+    for entry in got["violations"]:
+        g, h = decode(entry["g"]), decode(entry["g_prime"])
+        assert h.code not in (g.code, complement(g).code)
+    assert got == _mask_scan_sweep("principal", 6, 4)
 
 
 def test_widened_clawfree_lists_relabeled_violations(monkeypatch):
@@ -976,31 +990,45 @@ SIEVE_KINDS = ("utc", "edges", "h3", "parity", "parity_utc", "a0")
 
 
 def _assert_grown_matches_full_space(v: int, atom: tuple[str, int], sample=None) -> None:
-    """The oracle: the state of every code in one group, refined below v
-    by every column of `atom`; at size v the atom's one column is each
-    code's signature, numbered by `np.unique`, and past v it has none.
-    The sieve of the atom's join (`_normal`) must give each representative
-    (or each of `sample`) the same class size and the same class codes."""
+    """The oracle: the state of every code, given as an array, in one
+    group, refined below v by every column of `atom`; at size v the atom's
+    one column is each code's signature, numbered by `np.unique`, and past
+    v it has none.  The sieve of the atom's join (`_normal`) holds the even
+    codes only; its class sizes (`_sizes`, the even codes doubled) and
+    its class codes with their complements must equal the oracle's for
+    each representative (or each of `sample`).  An atom that complementing
+    can change (its table is not its own reverse) must raise instead."""
     reps = codes.catalog(v)[0]
     kind, k = atom
-    full = None, np.zeros(1 << comb(v, 2), np.int32), np.zeros(len(reps), np.int32)
+    if k <= v:
+        table = signature_table(kind, k)
+        if not np.array_equal(table, table[::-1]):  # table[::-1][c] = table[complement of c]
+            with pytest.raises(DomainError, match="not closed under complementation"):
+                atlas._normal(v, (atom,))
+            return
+    every = codes.all_codes(v)
+    full = every, np.zeros(len(every), np.int32), np.zeros(len(reps), np.int32)
     if k < v:
         full = atlas._refine(v, reps, full, atom)
     elif k == v:
-        labels = np.unique(signature_table(kind, v), return_inverse=True)[1]
-        full = None, labels, labels[reps]
+        labels = np.unique(table, return_inverse=True)[1]
+        full = every, labels, labels[reps]
     grown = atlas._join_state(v, reps, atlas._normal(v, (atom,)), {})
-    sizes = [np.bincount(groups)[rep_groups] for _, groups, rep_groups in (grown, full)]
-    assert np.array_equal(*sizes), (v, atom)
+    assert grown[0] is None or not (grown[0] & 1).any(), (v, atom)
+    sizes = np.bincount(full[1])[full[2]]
+    assert np.array_equal(atlas._sizes(v, grown), sizes), (v, atom)
     for i in range(len(reps)) if sample is None else sample:
-        assert np.array_equal(atlas._class_codes(grown, i), atlas._class_codes(full, i)), (v, atom, i)
+        alive, groups, rep_groups = full
+        want = alive[groups == rep_groups[i]]
+        assert np.array_equal(atlas._class_codes(v, grown, i), want), (v, atom, i)
 
 
 def test_grown_sieve_matches_full_space():
     """Every single atom at v <= 6 and every size 1..v+1, and 1..3 at
     v = 1 for the claw-free sweep's ("h3", 3): constant atoms and atoms
-    past v included, which `_normal` drops, and atoms of size v, whose
-    column is read on the alive codes."""
+    past v included, which `_normal` drops, atoms of size v, whose
+    column is read on the alive codes, and parity at sizes 2, 3 and 6,
+    where C(k, 2) is odd, which `_normal` refuses."""
     for v in range(1, 7):
         for kind in SIEVE_KINDS:
             for k in range(1, max(v, 2) + 2):
@@ -1028,25 +1056,25 @@ def test_normal_puts_parity_atoms_after_the_others_below_v():
         ("parity", 5),
     )
     atoms = (
-        ("parity", 6),
+        ("parity", 5),
         ("edges", 7),
         ("utc", 1),
-        ("parity", 3),
+        ("parity", 4),
         ("parity_utc", 4),
-        ("parity", 7),
+        ("h3", 7),
         ("equal", 7),
         ("h3", 9),
         ("utc", 3),
-        ("parity", 6),
+        ("parity", 5),
     )
     assert atlas._normal(7, atoms) == (
         ("equal", 7),
         ("parity_utc", 4),
         ("utc", 3),
-        ("parity", 6),
-        ("parity", 3),
+        ("parity", 5),
+        ("parity", 4),
         ("edges", 7),
-        ("parity", 7),
+        ("h3", 7),
     )
     reps = codes.catalog(7)[0]
     new = atlas._join_state(7, reps, atlas._normal(7, (("parity", 5), ("h3", 3))), {})
@@ -1055,3 +1083,21 @@ def test_normal_puts_parity_atoms_after_the_others_below_v():
     pairs = np.unique(np.stack([new[1], old[1]]), axis=1)  # a bijection of the groups
     assert pairs.shape[1] == len(np.unique(new[1])) == len(np.unique(old[1]))
     assert np.array_equal(np.bincount(new[1])[new[2]], np.bincount(old[1])[old[2]])
+
+
+def test_validation_atoms_not_closed_under_complementation_raise(monkeypatch):
+    """A sieve state keeps one code of each complementary pair, so `_normal`
+    refuses an atom that complementing a code can change, where a sieve
+    would otherwise count wrong without a sign: parity where C(k, 2) is
+    odd, below v (its numbered table), at size v (the representatives'
+    signatures) and at v <= 2; and a table replaced by the restriction
+    code itself, below v and at size v, however a sweep reaches it."""
+    for v, k in ((7, 6), (7, 3), (7, 7), (2, 2), (3, 3), (3, 2)):
+        with pytest.raises(DomainError, match=r"\('parity', %d\) is not closed" % k):
+            atlas._normal(v, (("h3", 3), ("parity", k)))
+    _replace_table(monkeypatch, ("parity", 4), np.arange)
+    with pytest.raises(DomainError, match=r"\('parity', 4\) is not closed"):
+        sweep_theorem("k0mod4", 6, 4)
+    _replace_table(monkeypatch, ("h3", 6), np.arange)
+    with pytest.raises(DomainError, match=r"\('h3', 6\) is not closed"):
+        sweep_theorem("corkk1", 6, 6)

@@ -381,6 +381,16 @@ def test_validation_class_g_characterization_takes_an_integer():
         verify_class_g_characterization(5.0)
 
 
+def test_validation_paley_takes_an_integer():
+    """A numpy q gives the certificates of 13 as ints, which dump to the
+    same JSON; a float q raises."""
+    plain = json.dumps(class_g_member(paley_graph(13), paley_certifier(13)).certificates)
+    got = class_g_member(paley_graph(13), paley_certifier(np.int64(13))).certificates
+    assert json.dumps(got) == plain
+    with pytest.raises(TypeError):
+        paley_certifier(13.0)
+
+
 def test_search_class_g_order13_contains_paley():
     rep = search_class_g(13, 1000)
     assert any(find_isomorphism(m, paley_graph(13)) is not None for m in rep.members)

@@ -26,6 +26,7 @@ from recomp.hypomorphy import (
     same_parity,
     same_parity_utc,
 )
+from recomp.incidence import kernel_graphs_mod2
 from recomp.isomorphism import IsoUtcKind, find_isomorphism, isomorphic_up_to_complementation
 
 from graph_reference import homogeneous_triples, mask_of, subgraph_edge_count
@@ -143,6 +144,49 @@ def test_same_parity():
     assert same_parity(g, complement(g), 4).holds  # C(4,2) = 6 is even
     r = same_parity(Graph.empty(4), Graph.from_edges(4, [(0, 1)]), 3)
     assert not r.holds
+
+
+def _parity_family(k: int, v: int) -> set[int]:
+    """Codes of the graphs d for which g and g xor d agree on edge parity
+    on every k-subset, 2 <= k <= v - 2, in closed form by k mod 4: the
+    empty graph (k = 2); it and K_v (k = 0); the cuts, complete bipartite
+    graphs on a split of the vertices, the empty graph among them (k = 3);
+    the cuts and their complements (k = 1)."""
+    full = (1 << comb(v, 2)) - 1
+    if k % 4 == 2:
+        return {0}
+    if k % 4 == 0:
+        return {0, full}
+    pairs = list(combinations(range(v), 2))
+    cuts = {  # the side without vertex 0, as a mask
+        Graph.from_edges(v, [(i, j) for i, j in pairs if (side >> i ^ side >> j) & 1]).code
+        for side in range(0, 1 << v, 2)
+    }
+    return cuts if k % 4 == 3 else cuts | {full ^ c for c in cuts}
+
+
+def test_same_parity_matches_closed_form_family():
+    """`same_parity(g, h, k)` holds iff g xor h is in the family of its
+    k mod 4 (`_parity_family`), for 2 <= k <= v - 2 and v = 6..11; each
+    family equals the GF(2) kernel census `kernel_graphs_mod2(k, v)`.
+    Seeded random pairs (almost all fail), pairs g, g xor d with d a
+    seeded family member (all hold), and those with one pair flipped."""
+    rng = np.random.default_rng(33)
+    outcomes = set()
+    for v in range(6, 12):
+        for k in range(2, v - 1):
+            family = _parity_family(k, v)
+            assert family == {h.code for h in kernel_graphs_mod2(k, v)}, (k, v)
+            members = sorted(family)
+            for _ in range(4):
+                g = int(rng.integers(1 << comb(v, 2)))
+                d = members[rng.integers(len(members))]
+                flip = 1 << int(rng.integers(comb(v, 2)))
+                for h in (int(rng.integers(1 << comb(v, 2))), g ^ d, g ^ d ^ flip):
+                    held = same_parity(Graph.from_code(v, g), Graph.from_code(v, h), k).holds
+                    assert held == ((g ^ h) in family), (k, v, g, h)
+                    outcomes.add(held)
+    assert outcomes == {True, False}
 
 
 def test_same_parity_utc():
