@@ -20,23 +20,24 @@ of `hypomorphy.SIGNATURES`; equal h3 counts at k = 3 are equal
 iff each g's class in A is as large as in the join of A and B (and in B,
 for iff).  `_decide` gets those sizes by sieving the representatives'
 classes.  Every atom gives a code and its complement the same value
-(`_normal` raises DomainError on one that does not), so every class is
-closed under complementing, and a state holds, with a group each, only
-the even codes (bit 0, the pair {0, 1}, clear) still in some g's class:
-a class is those and their complements, twice as many.  A column, one
-k-subset's signature, maps (old group, value) to a new group through a
-table filled from the representatives' keys; a code whose key no
-representative has drops.  Below v the values are read from tables over
-every order-k code, numbered once per process; an atom of size v has one
-column, the code itself, computed on the alive codes only.  `_normal`
-drops repeated atoms, atoms past v and constant ones, and puts "equal"
-first, parity atoms after the other atoms below v and atoms of size v
-last.  The empty join is one class of every code, "equal" starts from
-the even one of each g and its complement, and any other first atom
-grows the sieve a vertex at a time (`_grow`): the even codes gain vertex
-j's neighbourhoods just before the columns whose largest vertex is j, so
-a code dies before its extensions exist.  A class is a sorted array of
-its group's codes and their complements (`_class_codes`).
+(`_varies` checks each atom once, on the representatives and their
+complements, and raises DomainError otherwise), so every class is closed
+under complementing, and a state holds, with a group each, only the even
+codes (bit 0, the pair {0, 1}, clear) still in some g's class: a class
+is those and their complements, twice as many.  A column, one k-subset's
+signature, maps (old group, value) to a new group through a table filled
+from the representatives' keys; a code whose key no representative has
+drops.  Below v the values are read from tables over every order-k code,
+numbered once per process; an atom of size v has one column, the code
+itself, computed on the alive codes only.  `_normal` drops repeated
+atoms, atoms past v and constant ones, makes a join that holds "equal"
+"equal" alone, and puts parity atoms after the other atoms below v and
+atoms of size v last.  The empty join is one class of every code,
+"equal" starts from the even one of each g and its complement, and any
+other first atom grows the sieve a vertex at a time (`_grow`): the even
+codes gain vertex j's neighbourhoods just before the columns whose
+largest vertex is j, so a code dies before its extensions exist.
+Readers read a class by its even codes, one per pair (`_half_codes`).
 
 An S or R cell reads only the hypothesis class: g's class of ("utc",
 k), or at k == v its iso-utc class, whose size the catalog records.  S
@@ -99,13 +100,22 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
 @cache
 def _numbering(kind: str, size: int) -> np.ndarray:
-    """The `kind` signature of every order-`size` code, numbered (`_ranks`).
-    Raises DomainError unless each code and its complement share a value
-    (a sieve state holds one code of each complementary pair)."""
-    numbered = _ranks(signature_table(kind, size))
-    if not np.array_equal(numbered, numbered[::-1]):  # [::-1] reads full_code ^ code
+    """The `kind` signature of every order-`size` code, numbered (`_ranks`)."""
+    return _ranks(signature_table(kind, size))
+
+
+@cache
+def _varies(kind: str, size: int) -> bool:
+    """Whether the `kind` signature takes more than one value on the
+    order-`size` codes, read off the representatives and their complements
+    (a signature is relabeling-invariant, so they cover every code).
+    Raises DomainError unless each code and its complement share a value:
+    a sieve state holds one code of each complementary pair."""
+    reps = codetables.catalog(size)[0]
+    values = signature_table(kind, size, np.concatenate([reps, codetables.full_code(size) ^ reps]))
+    if not np.array_equal(values[: len(reps)], values[len(reps) :]):
         raise DomainError(f"atom {(kind, size)} is not closed under complementation")
-    return numbered
+    return bool(values.min() < values.max())
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -211,17 +221,6 @@ def _half_codes(state: tuple, i: int) -> np.ndarray:
     return np.flatnonzero(own) << 1 if alive is None else alive[own]
 
 
-def _class_codes(v: int, state: tuple, i: int) -> np.ndarray:
-    """The codes of representative i's class in a sieve state, ascending:
-    its even codes and their complements."""
-    half = _half_codes(state, i)
-    if v == 1:  # the one code is its own complement
-        return half
-    codes = np.concatenate([half, codetables.full_code(v) ^ half[::-1]])
-    codes.sort(kind="stable")  # merges the two ascending runs
-    return codes
-
-
 def _sizes(v: int, state: tuple) -> np.ndarray:
     """Size of each representative's class in a sieve state: its even
     codes, doubled for their complements (at v = 1, the code itself)."""
@@ -229,32 +228,19 @@ def _sizes(v: int, state: tuple) -> np.ndarray:
     return np.bincount(groups)[rep_groups] << (v > 1)
 
 
-def _closed_at(v: int, kind: str) -> bool:
-    """The `kind` signature of each order-v representative equals that of
-    its complement (a signature is relabeling-invariant, so this covers
-    every order-v code)."""
-    reps = codetables.catalog(v)[0]
-    values = signature_table(kind, v, np.concatenate([reps, codetables.full_code(v) ^ reps]))
-    return np.array_equal(values[: len(reps)], values[len(reps) :])
-
-
 def _normal(v: int, atoms: tuple) -> tuple:
     """The join of `atoms` as a state key: repeats, atoms past v and
-    constant atoms dropped; "equal" first, parity atoms after the other
-    atoms below v and atoms of size v last, so a selective atom grows the
-    sieve (a parity signature keeps many codes alive).  Raises DomainError
-    on an atom that complementing a code can change, as a state keeps one
-    code of each complementary pair: one below v by its numbered table
-    (`_numbering`, as is one at v <= 2, whose tables are tiny), one of
-    size v by the representatives' signatures (`_closed_at`)."""
-    kept = []
-    for atom in dict.fromkeys(atoms):
-        kind, k = atom
-        if kind != "equal" and k == v > 2 and not _closed_at(v, kind):
-            raise DomainError(f"atom {atom} is not closed under complementation")
-        if kind == "equal" or k == v > 2 or k <= v and _numbering(kind, k).any():
-            kept.append(atom)
-    return tuple(sorted(kept, key=lambda a: (a[0] != "equal", a[1] == v, a[0] == "parity")))
+    constant atoms dropped, after every atom of size k <= v has passed
+    `_varies`, which raises DomainError on one that complementing a code
+    can change.  A join that holds ("equal", v) is that atom alone: every
+    other atom's class holds g and its complement already.  Otherwise
+    parity atoms come after the other atoms below v and atoms of size v
+    last, so a selective atom grows the sieve (a parity signature keeps
+    many codes alive)."""
+    kept = [a for a in dict.fromkeys(atoms) if a[0] == "equal" or a[1] <= v and _varies(*a)]
+    if ("equal", v) in kept:
+        return (("equal", v),)
+    return tuple(sorted(kept, key=lambda a: (a[1] == v, a[0] == "parity")))
 
 
 def _union(arrays: list) -> np.ndarray:
@@ -273,10 +259,10 @@ def _union(arrays: list) -> np.ndarray:
 def _decide(v: int, claims: list):
     """Decide claims (A, B, iff) on the pairs (g, g') with g in the order-v
     catalog.  Returns each g's first antecedent class size, the indices of
-    the g that fail a claim, and `reread(i)`: the hypothesis size of the
-    g of index i (the union of its antecedents, the first one where g
-    passes) and its violating codes, ascending, read off the sieve states
-    as sorted code sets."""
+    the g that fail a claim, and `reread(i)`: for the g of index i, the
+    number of even codes in its hypothesis (the union of its antecedents,
+    the first one where g passes) and its even violating codes, ascending;
+    each stands for itself and its complement."""
     reps = codetables.catalog(v)[0]
     states: dict[tuple, tuple] = {}
 
@@ -292,7 +278,7 @@ def _decide(v: int, claims: list):
 
     def reread(i: int) -> tuple[int, np.ndarray]:
         def members(atoms: tuple) -> np.ndarray:
-            return _class_codes(v, _join_state(v, reps, _normal(v, atoms), states), i)
+            return _half_codes(_join_state(v, reps, _normal(v, atoms), states), i)
 
         hyp, bad = [], []
         for a, b, iff in claims:
@@ -344,10 +330,12 @@ def _check_sweep_order(v: int, long_running: bool) -> None:
 
 
 def _membership(relation: str, v: int, k: int) -> AtlasRecord:
-    """One S or R cell from each g's hypothesis class alone.  R's orbits
-    come from one `relabelings` call, as relabeling commutes with
-    complementing; it holds at k == v by definition.  The first failing
-    g, in index order, gives its smallest outside code as the witness."""
+    """One S or R cell from each g's hypothesis class alone, read one
+    complementary pair at a time as min(c, complement of c): from the
+    class's even codes, or at k == v from g's orbit.  R's orbits come from
+    one `relabelings` call, as relabeling commutes with complementing; it
+    holds at k == v by definition.  The first failing g, in index order,
+    gives the least such value outside the conclusion as the witness."""
     start = time.perf_counter()
     reps, utc_sizes, _ = codetables.catalog(v)
     full = codetables.full_code(v)
@@ -361,13 +349,12 @@ def _membership(relation: str, v: int, k: int) -> AtlasRecord:
     for i in [] if relation == "R" and k == v else np.flatnonzero(more).tolist():
         g = int(reps[i])
         orbit = codetables.relabelings(v, g)
-        members = _union([orbit, full ^ orbit]) if k == v else _class_codes(v, state, i)
-        # a member is in the conclusion's class iff min(c, complement) is
+        pairs = orbit if k == v else _half_codes(state, i)
+        least = np.minimum(pairs, full ^ pairs)
         inside = np.sort(np.minimum(orbit, full ^ orbit)) if relation == "R" else [min(g, full ^ g)]
-        least = np.minimum(members, full ^ members)
-        bad = members[np.take(inside, np.searchsorted(inside, least), mode="clip") != least]
+        bad = least[np.take(inside, np.searchsorted(inside, least), mode="clip") != least]
         if len(bad):
-            witness = (encode(Graph.from_code(v, g)), encode(Graph.from_code(v, int(bad[0]))))
+            witness = (encode(Graph.from_code(v, g)), encode(Graph.from_code(v, int(bad.min()))))
             break
     return AtlasRecord(
         relation=relation,
@@ -526,13 +513,15 @@ def sweep_theorem(
         violations, total_bad, hyp_total = _clawfree(v)
         examined = 1 << 2 * comb(v, 2)  # all ordered pairs
     else:
-        rep_codes = codetables.catalog(v)[0]
+        rep_codes, full = codetables.catalog(v)[0], codetables.full_code(v)
         hyp, failing, reread = _decide(v, claims(v, k))
         hyp_total, total_bad, violations = int(np.delete(hyp, failing).sum()), 0, []
         for i, g in zip(failing.tolist(), rep_codes[failing].tolist()):  # each failing g
-            in_hyp, bad = reread(i)
-            hyp_total, total_bad = hyp_total + in_hyp, total_bad + len(bad)
-            violations += [(g, c) for c in bad[: VIOLATION_LIST_CAP - len(violations)].tolist()]
+            in_hyp, bad = reread(i)  # even codes: each stands for itself and its complement
+            hyp_total, total_bad = hyp_total + 2 * in_hyp, total_bad + 2 * len(bad)
+            room = VIOLATION_LIST_CAP - len(violations)
+            listed = np.sort(np.concatenate([bad[:room], full ^ bad[::-1][:room]]))[:room]
+            violations += [(g, c) for c in listed.tolist()]
         examined = len(rep_codes) << comb(v, 2)
     entries = tuple(
         {"g": encode(Graph.from_code(v, g)), "g_prime": encode(Graph.from_code(v, c))}

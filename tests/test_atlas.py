@@ -6,6 +6,7 @@ import time
 import warnings
 from functools import cache, reduce
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,7 +563,7 @@ def test_sweeps_agree_with_pair_verifiers_order7():
         state = atlas._join_state(7, reps, atlas._normal(7, atoms), {})
         verify, flag = PAIR_VERIFIERS[theorem]
         for i in rng.choice(len(reps), 12, replace=False):
-            members = atlas._class_codes(7, state, i)
+            members = _class_codes(7, state, i)
             picked = rng.choice(members, min(4, len(members)), replace=False)
             pairs = np.concatenate([picked, picked ^ 1 << rng.integers(comb(7, 2), size=len(picked))])
             at = np.minimum(np.searchsorted(members, pairs), len(members) - 1)
@@ -608,6 +609,39 @@ def _mask_scan_membership(relation: str, v: int, k: int) -> tuple[str, tuple | N
         if len(bad) and witness is None:
             witness = (encode(g), encode(Graph.from_code(v, int(bad[0]))))
     return ("NonMember" if witness else "Member"), witness, examined
+
+
+GOLDEN_RECORDS = Path(__file__).parent / "atlas_records_v7.jsonl"
+
+
+def _atlas_record_lines():
+    """((call, line)) for every S and R cell and every theorem sweep at
+    v = 1..7 and k = 0..v+1 (the claw-free sweep at k None and k 3): the
+    line is the record's sorted-key JSON, or the error string of a call
+    that raises."""
+    calls = []
+    for v in range(1, 8):
+        for k in range(v + 2):
+            calls += [(membership_with_resume, r, v, k) for r in "SR"]
+            calls += [(sweep_theorem, t, v, k) for t in THEOREM_IDS if t != "clawfree"]
+        calls += [(sweep_theorem, "clawfree", v, k) for k in (None, 3)]
+    for fn, name, v, k in calls:
+        try:
+            line = json.dumps(fn(name, v, k, long_running=True).to_json(), sort_keys=True)
+        except DomainError as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        yield (name, v, k), line
+
+
+def test_atlas_records_match_golden():
+    """Every cell and sweep at v <= 7 gives the record, or the error, that
+    the fixture holds line by line (verdicts, witnesses, counts and
+    violation lists byte for byte)."""
+    want = GOLDEN_RECORDS.read_text(encoding="utf-8").splitlines()
+    got = list(_atlas_record_lines())
+    assert len(got) == len(want) == 350
+    for ((name, v, k), line), golden in zip(got, want):
+        assert line == golden, f"{name}(v={v}, k={k}) differs from {GOLDEN_RECORDS.name}"
 
 
 def test_membership_matches_mask_scan_oracle():
@@ -870,8 +904,9 @@ def _replace_table(monkeypatch, atom: tuple[str, int], values) -> None:
         return values(1 << comb(k, 2)) if chosen is None else values(1 << comb(k, 2))[chosen]
 
     monkeypatch.setattr(atlas, "signature_table", table)
-    # tables read with the replacement only, in a cache that ends with the test
+    # tables read with the replacement only, in caches that end with the test
     monkeypatch.setattr(atlas, "_numbering", cache(atlas._numbering.__wrapped__))
+    monkeypatch.setattr(atlas, "_varies", cache(atlas._varies.__wrapped__))
 
 
 def _up_to_complement(size: int) -> np.ndarray:
@@ -989,6 +1024,32 @@ def test_union_matches_union1d():
 SIEVE_KINDS = ("utc", "edges", "h3", "parity", "parity_utc", "a0")
 
 
+def _class_codes(v: int, state: tuple, i: int) -> np.ndarray:
+    """The codes of representative i's class in a sieve state, ascending:
+    its even codes and their complements (at v = 1, the code itself)."""
+    half = atlas._half_codes(state, i)
+    if v == 1:
+        return half
+    members = np.concatenate([half, codes.full_code(v) ^ half[::-1]])
+    members.sort(kind="stable")  # merges the two ascending runs
+    return members
+
+
+def test_varies_matches_full_tables():
+    """`_varies`, which reads the representatives and their complements,
+    against the table over every code: it raises iff the table is not its
+    own reverse (table[::-1][c] is the entry of c's complement), and
+    otherwise says whether the table takes two values."""
+    for kind in SIEVE_KINDS:
+        for k in range(1, 8):
+            table = signature_table(kind, k)
+            if not np.array_equal(table, table[::-1]):
+                with pytest.raises(DomainError, match="not closed under complementation"):
+                    atlas._varies(kind, k)
+            else:
+                assert atlas._varies(kind, k) == (table.min() < table.max()), (kind, k)
+
+
 def _assert_grown_matches_full_space(v: int, atom: tuple[str, int], sample=None) -> None:
     """The oracle: the state of every code, given as an array, in one
     group, refined below v by every column of `atom`; at size v the atom's
@@ -1020,7 +1081,7 @@ def _assert_grown_matches_full_space(v: int, atom: tuple[str, int], sample=None)
     for i in range(len(reps)) if sample is None else sample:
         alive, groups, rep_groups = full
         want = alive[groups == rep_groups[i]]
-        assert np.array_equal(atlas._class_codes(v, grown, i), want), (v, atom, i)
+        assert np.array_equal(_class_codes(v, grown, i), want), (v, atom, i)
 
 
 def test_grown_sieve_matches_full_space():
@@ -1045,16 +1106,14 @@ def test_grown_sieve_matches_full_space_order7_sample():
 
 
 def test_normal_puts_parity_atoms_after_the_others_below_v():
-    """`_normal`'s key order: "equal" first, then the atoms below v with
-    parity atoms after the others, atoms of size v last; repeats, constant
-    atoms and atoms past v dropped.  k1mod4's antecedent grows its sieve
-    from ("h3", 3), whose classes are small, not from ("parity", 5), and
-    the join has the same partition in either order."""
-    assert atlas._normal(8, (("parity", 5), ("h3", 3), ("equal", 8))) == (
-        ("equal", 8),
-        ("h3", 3),
-        ("parity", 5),
-    )
+    """`_normal`'s key order: the atoms below v with parity atoms after the
+    others, atoms of size v last; repeats, constant atoms and atoms past v
+    dropped.  A join that holds ("equal", v) is that atom alone, as every
+    closed atom's class holds g and its complement.  k1mod4's antecedent
+    grows its sieve from ("h3", 3), whose classes are small, not from
+    ("parity", 5), and the join has the same partition in either order."""
+    assert atlas._normal(8, (("parity", 5), ("h3", 3), ("equal", 8))) == (("equal", 8),)
+    assert atlas._normal(8, (("parity", 5), ("h3", 3))) == (("h3", 3), ("parity", 5))
     atoms = (
         ("parity", 5),
         ("edges", 7),
@@ -1062,13 +1121,11 @@ def test_normal_puts_parity_atoms_after_the_others_below_v():
         ("parity", 4),
         ("parity_utc", 4),
         ("h3", 7),
-        ("equal", 7),
         ("h3", 9),
         ("utc", 3),
         ("parity", 5),
     )
     assert atlas._normal(7, atoms) == (
-        ("equal", 7),
         ("parity_utc", 4),
         ("utc", 3),
         ("parity", 5),
@@ -1076,6 +1133,7 @@ def test_normal_puts_parity_atoms_after_the_others_below_v():
         ("edges", 7),
         ("h3", 7),
     )
+    assert atlas._normal(7, atoms + (("equal", 7),)) == (("equal", 7),)
     reps = codes.catalog(7)[0]
     new = atlas._join_state(7, reps, atlas._normal(7, (("parity", 5), ("h3", 3))), {})
     old = atlas._join_state(7, reps, (("parity", 5), ("h3", 3)), {})
@@ -1085,13 +1143,23 @@ def test_normal_puts_parity_atoms_after_the_others_below_v():
     assert np.array_equal(np.bincount(new[1])[new[2]], np.bincount(old[1])[old[2]])
 
 
+def test_validation_equal_join_still_checks_its_atoms():
+    """("equal", v) absorbs its join only once every other atom has passed
+    the closedness check, so the absorption hides no atom that
+    complementing a code can change."""
+    with pytest.raises(DomainError, match=r"\('parity', 6\) is not closed"):
+        atlas._normal(7, (("parity", 6), ("equal", 7)))
+    with pytest.raises(DomainError, match=r"\('parity', 7\) is not closed"):
+        atlas._normal(7, (("equal", 7), ("parity", 7)))
+
+
 def test_validation_atoms_not_closed_under_complementation_raise(monkeypatch):
     """A sieve state keeps one code of each complementary pair, so `_normal`
     refuses an atom that complementing a code can change, where a sieve
     would otherwise count wrong without a sign: parity where C(k, 2) is
-    odd, below v (its numbered table), at size v (the representatives'
-    signatures) and at v <= 2; and a table replaced by the restriction
-    code itself, below v and at size v, however a sweep reaches it."""
+    odd, below v, at size v and at v <= 2, one check (`_varies`) for each;
+    and a table replaced by the restriction code itself, below v and at
+    size v, however a sweep reaches it."""
     for v, k in ((7, 6), (7, 3), (7, 7), (2, 2), (3, 3), (3, 2)):
         with pytest.raises(DomainError, match=r"\('parity', %d\) is not closed" % k):
             atlas._normal(v, (("h3", 3), ("parity", k)))
